@@ -28,6 +28,7 @@ from .graph_core import (
     Subgraph,
     VertexRef,
     four_cycle,
+    low_bit,
     reverse_arcs,
     xv,
 )
@@ -54,22 +55,30 @@ class FasCertificate:
     trace: tuple[TraceNode, ...]
 
 
-def find_4cycle(graph: BipartiteDigraph) -> Optional[FourCycle]:
-    """First 4-cycle under a lexicographic scan of (x, x', y, y'), if any."""
-    for xi in range(graph.m):
-        for xk in range(graph.m):
-            if xk == xi:
-                continue
-            for yj in range(graph.n):
-                if graph.pair(xi, yj) != TO_Y:  # needs x_i -> y_j
-                    continue
-                if graph.pair(xk, yj) != TO_X:  # needs y_j -> x_k
-                    continue
-                for yl in range(graph.n):
-                    if yl == yj:
-                        continue
-                    if graph.pair(xk, yl) == TO_Y and graph.pair(xi, yl) == TO_X:
-                        return four_cycle(xi, yj, xk, yl)
+def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> Optional[FourCycle]:
+    """First 4-cycle under a lexicographic scan of (x, x', y, y'), if any.
+
+    The ordered pair (x_i, x_k) closes a cycle iff some y_j has
+    x_i -> y_j -> x_k and some y_l has x_k -> y_l -> x_i; the lowest such
+    j and l give the first cycle through the pair.  With ``after``, a cycle
+    returned by this function, the scan starts at that cycle's (x, x')
+    pair instead of (x_0, x_0).
+    """
+    out, inn = graph.x_masks
+    start_i = start_k = 0
+    if after is not None:
+        start_i, start_k = after.vertices[0].index, after.vertices[2].index
+    for xi in range(start_i, graph.m):
+        out_i, in_i = out[xi], inn[xi]
+        if not (out_i and in_i):
+            continue
+        # xk == xi needs no skip: out_i & in_i is always 0.
+        for xk in range(start_k if xi == start_i else 0, graph.m):
+            forward = out_i & inn[xk]
+            if forward:
+                back = out[xk] & in_i
+                if back:
+                    return four_cycle(xi, low_bit(forward), xk, low_bit(back))
     return None
 
 

@@ -179,6 +179,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
     make = instance_gen.random_bt if args.mode == "random" else instance_gen.random_c4free
     if args.count is not None:
+        if args.count < 0:
+            raise _UsageError(f"gen --count must be non-negative, got {args.count}")
         if args.out is None:
             raise _UsageError("gen --count requires --out PREFIX")
         files = []
@@ -325,20 +327,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raw = cert.get("fas")
         if not isinstance(raw, list):
             return fail("certificate has no arc list under 'fas'", "fas")
+        for token in raw:
+            if not isinstance(token, str):
+                return fail(f"arc token {token!r} is not a string", "fas")
         arcs = [parse_arc(token) for token in raw]
         for arc in arcs:
             if not graph.has_arc(arc):
                 return fail(f"arc {arc} is not in the instance", "fas")
-        if not graph.is_feedback_arc_set(arcs):
+        # A repeated arc counts once in the size and against the bound.
+        distinct = set(arcs)
+        if not graph.is_feedback_arc_set(distinct):
             return fail("deleting the arcs leaves a cycle", "fas")
-        if args.k is not None and len(arcs) > 7 * (args.k - 1):
-            return fail(f"{len(arcs)} arcs exceed the bound {7 * (args.k - 1)}", "fas")
+        if args.k is not None and len(distinct) > 7 * (args.k - 1):
+            return fail(f"{len(distinct)} arcs exceed the bound {7 * (args.k - 1)}", "fas")
         _emit(
             {
                 "mode": "verify",
                 "kind": "fas",
                 "valid": True,
-                "size": len(arcs),
+                "size": len(distinct),
                 "bound": None if args.k is None else 7 * (args.k - 1),
             }
         )
@@ -349,7 +356,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return fail("certificate has no cycle list under 'packing'", "packing")
     cycles = []
     for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 4:
+        if not (
+            isinstance(entry, list) and len(entry) == 4 and all(isinstance(t, str) for t in entry)
+        ):
             return fail(f"bad cycle entry {entry!r}", "packing")
         cycles.append(FourCycle(tuple(parse_vertex(tok) for tok in entry)))
     seen: set[Arc] = set()

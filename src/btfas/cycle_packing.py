@@ -41,8 +41,11 @@ def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing
         raise OutOfRange(f"limit must be non-negative, got {limit}")
     cycles: list[FourCycle] = []
     residual = graph
+    cycle = None
     while limit is None or len(cycles) < limit:
-        cycle = find_4cycle(residual)
+        # Deleting arcs never creates a 4-cycle, so the pairs the previous
+        # scan passed still hold none: resume at the last cycle's pair.
+        cycle = find_4cycle(residual, after=cycle)
         if cycle is None:
             break
         residual = residual.delete_arcs(cycle.arcs())

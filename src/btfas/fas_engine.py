@@ -11,7 +11,7 @@ machine-checked before they are returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .c4free_fas import fas_c4free
 from .cycle_packing import Packing, greedy_pack
@@ -49,18 +49,24 @@ class FasOutcome:
 SolveOutcome = Union[PackingOutcome, FasOutcome]
 
 
-def backward_arcs(order: Sequence[VertexRef], cycle: FourCycle) -> frozenset[Arc]:
-    """Arcs of the cycle whose tail comes after their head in the order.
+def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> frozenset[Arc]:
+    """Arcs of the cycles whose tail comes after their head in the order.
 
-    For a genuine cycle and a genuine order the result has 1 to 3 arcs: a
-    cycle cannot be fully forward, and its closing arc guarantees at least
-    one backward arc.
+    For a genuine cycle and a genuine order each cycle contributes 1 to 3
+    arcs: a cycle cannot be fully forward, and its closing arc guarantees
+    at least one backward arc.
     """
     position = {v: i for i, v in enumerate(order)}
-    for v in cycle.vertices:
-        if v not in position:
-            raise VertexNotInOrder(f"cycle vertex {v} missing from the order")
-    return frozenset(a for a in cycle.arcs() if position[a.tail] > position[a.head])
+    backward = []
+    for cycle in cycles:
+        verts = cycle.vertices
+        pos = [position.get(v) for v in verts]
+        if None in pos:
+            raise VertexNotInOrder(f"cycle vertex {verts[pos.index(None)]} missing from the order")
+        backward.extend(
+            Arc(verts[t], verts[(t + 1) % 4]) for t in range(4) if pos[t] > pos[(t + 1) % 4]
+        )
+    return frozenset(backward)
 
 
 def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
@@ -86,12 +92,12 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     topo = residual.delete_arcs(certificate.fas).topological_order()
     if topo.order is None:
         raise InternalInvariantError("residual minus its feedback arc set still has a cycle")
-    backward = frozenset(
-        a for cycle in packing.cycles for a in backward_arcs(topo.order, cycle)
-    )
+    backward = backward_arcs(topo.order, packing.cycles)
     fas = certificate.fas | backward
     bound = 7 * (k - 1)
-    if len(fas) > bound or not tournament.is_feedback_arc_set(fas):
+    # An order of all vertices in which every arc outside fas runs forward
+    # certifies that fas is a feedback arc set.
+    if len(fas) > bound or not tournament.is_forward_order(topo.order, fas):
         raise InternalInvariantError("combined arc set fails its certificate check")
     return FasOutcome(
         requested=k,

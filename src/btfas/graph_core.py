@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArcNotPresent, DuplicatePair, OutOfRange, SameSideArc
@@ -25,6 +26,20 @@ TO_X = 2  # pair (x_i, y_j) carries the arc y_j -> x_i
 _REVERSE_TABLE = bytes(
     TO_X if b == TO_Y else TO_Y if b == TO_X else b for b in range(256)
 )
+# Tables mapping one orientation state to the digit "1" and all others to
+# "0", so a translated run of pair states parses as a base-2 integer.
+_TO_Y_DIGITS = bytes(ord("1") if b == TO_Y else ord("0") for b in range(256))
+_TO_X_DIGITS = bytes(ord("1") if b == TO_X else ord("0") for b in range(256))
+
+
+def _mask(states: bytes, digits: bytes) -> int:
+    """Bitmask with bit t set iff states[t] is the state ``digits`` marks."""
+    return int(states[::-1].translate(digits), 2) if states else 0
+
+
+def low_bit(mask: int) -> int:
+    """Index of the lowest set bit of a non-zero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -132,6 +147,10 @@ class BipartiteDigraph:
 
     ``orient`` is row-major over (x-index, y-index) with one of ABSENT,
     TO_Y, TO_X per pair.  Use :func:`build` for validated construction.
+
+    ``x_masks`` and ``y_masks`` are per-vertex adjacency bitmasks derived
+    from ``orient`` on first use and cached on the instance.  They are not
+    fields, so they take no part in equality, hashing or ``repr``.
     """
 
     m: int
@@ -210,6 +229,25 @@ class BipartiteDigraph:
             return [yv(j) for j in range(self.n) if self.orient[row + j] == TO_X]
         return [xv(i) for i in range(self.m) if self.orient[i * self.n + v.index] == TO_Y]
 
+    @cached_property
+    def x_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(out, in) per X row: bit j of out[i] is x_i -> y_j, of in[i] is y_j -> x_i."""
+        n = self.n
+        rows = [self.orient[i * n : (i + 1) * n] for i in range(self.m)]
+        return (
+            tuple(_mask(row, _TO_Y_DIGITS) for row in rows),
+            tuple(_mask(row, _TO_X_DIGITS) for row in rows),
+        )
+
+    @cached_property
+    def y_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(out, in) per Y column: bit i of out[j] is y_j -> x_i, of in[j] is x_i -> y_j."""
+        cols = [self.orient[j :: self.n] for j in range(self.n)]
+        return (
+            tuple(_mask(col, _TO_X_DIGITS) for col in cols),
+            tuple(_mask(col, _TO_Y_DIGITS) for col in cols),
+        )
+
     def _check_vertex(self, v: VertexRef) -> None:
         bound = self.m if v.side == "X" else self.n
         if not (0 <= v.index < bound):
@@ -242,16 +280,30 @@ class BipartiteDigraph:
         return BipartiteDigraph(self.n, self.m, bytes(swapped))
 
     def delete_arcs(self, arcs: Iterable[Arc]) -> "BipartiteDigraph":
-        """Remove the listed arcs; their pairs become absent."""
+        """Remove the listed arcs; their pairs become absent.
+
+        If this graph's X masks are cached, the result inherits them with
+        the deleted bits cleared instead of rebuilding them.
+        """
         orient = bytearray(self.orient)
+        masks = self.__dict__.get("x_masks")
+        out, inn = (list(masks[0]), list(masks[1])) if masks is not None else ([], [])
         for arc in set(arcs):
             if not self.has_arc(arc):
                 raise ArcNotPresent(f"arc {arc} not in the graph")
             if arc.tail.side == "X":
-                orient[arc.tail.index * self.n + arc.head.index] = ABSENT
+                i, j, rows = arc.tail.index, arc.head.index, out
             else:
-                orient[arc.head.index * self.n + arc.tail.index] = ABSENT
-        return BipartiteDigraph(self.m, self.n, bytes(orient))
+                i, j, rows = arc.head.index, arc.tail.index, inn
+            orient[i * self.n + j] = ABSENT
+            if masks is not None:
+                rows[i] &= ~(1 << j)
+        child = BipartiteDigraph(self.m, self.n, bytes(orient))
+        if masks is not None:
+            # cached_property reads the instance dict first; frozen only
+            # guards attribute assignment.
+            child.__dict__["x_masks"] = (tuple(out), tuple(inn))
+        return child
 
     def induced_subgraph(self, xs: Iterable[int], ys: Iterable[int]) -> "Subgraph":
         """Induced subgraph on the given side indices, with compacted labels.
@@ -284,43 +336,92 @@ class BipartiteDigraph:
 
         Repeatedly removes the in-degree-0 vertex with the smallest
         (side, index) label, X before Y, so the order is reproducible.
-        On failure the returned sequence is a cycle of this graph.
+        Internally x_i has id i and y_j has id m + j, which sort the same
+        way.  On failure the returned sequence is a cycle of this graph.
         """
-        verts = list(self.vertices())
-        indeg = {v: 0 for v in verts}
-        for arc in self.arcs():
-            indeg[arc.head] += 1
-        ready = [v for v in verts if indeg[v] == 0]
-        heapq.heapify(ready)
-        order: list[VertexRef] = []
+        m = self.m
+        x_out, x_in = self.x_masks
+        y_out, y_in = self.y_masks
+        out = x_out + y_out
+        indeg = [mask.bit_count() for mask in x_in + y_in]
+        ready = [v for v, d in enumerate(indeg) if d == 0]  # sorted, so a heap
+        order: list[int] = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for w in self.out_neighbors(v):
+            mask = out[v]
+            base = m if v < m else 0
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                w = base + low.bit_length() - 1
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
-        if len(order) == len(verts):
-            return TopoResult(tuple(order), None)
+        if len(order) == len(indeg):
+            return TopoResult(tuple(self._vertex(v) for v in order), None)
 
         # Every unplaced vertex still has an unplaced in-neighbor, so a
         # backward walk from the smallest one must close a cycle.
         placed = set(order)
-        remaining = {v for v in verts if v not in placed}
-        path = [min(remaining)]
+        left = [v for v in range(len(indeg)) if v not in placed]
+        left_x = sum(1 << v for v in left if v < m)
+        left_y = sum(1 << (v - m) for v in left if v >= m)
+        path = [left[0]]
         seen_at = {path[0]: 0}
         while True:
             cur = path[-1]
-            prev = next(u for u in self.in_neighbors(cur) if u in remaining)
+            if cur < m:
+                prev = m + low_bit(x_in[cur] & left_y)
+            else:
+                prev = low_bit(y_in[cur - m] & left_x)
             if prev in seen_at:
                 p = seen_at[prev]
-                cycle = [path[p]] + path[p + 1 :][::-1]
+                cycle = [self._vertex(v) for v in [path[p]] + path[p + 1 :][::-1]]
                 break
             seen_at[prev] = len(path)
             path.append(prev)
         if not is_cycle_sequence(self, cycle):
             raise AssertionError(f"extracted witness {cycle} is not a cycle")
         return TopoResult(None, tuple(cycle))
+
+    def _vertex(self, v: int) -> VertexRef:
+        """The vertex with integer id v: x_v below m, else y_(v - m)."""
+        return xv(v) if v < self.m else yv(v - self.m)
+
+    def is_forward_order(self, order: Sequence[VertexRef], skip: Iterable[Arc] = ()) -> bool:
+        """True iff order lists every vertex once and every arc outside skip runs forward.
+
+        Such an order certifies that deleting ``skip`` leaves the graph
+        acyclic.  Every arc of ``skip`` must be an arc of the graph.
+        """
+        m, n = self.m, self.n
+        ids = []
+        for v in order:
+            if not 0 <= v.index < (m if v.side == "X" else n):
+                return False
+            ids.append(v.index if v.side == "X" else m + v.index)
+        if sorted(ids) != list(range(m + n)):
+            return False
+        x_out, y_out = list(self.x_masks[0]), list(self.y_masks[0])
+        for arc in skip:
+            if not self.has_arc(arc):
+                raise ArcNotPresent(f"arc {arc} not in the graph")
+            rows = x_out if arc.tail.side == "X" else y_out
+            rows[arc.tail.index] &= ~(1 << arc.head.index)
+        # Walk the order backwards; each vertex's out-neighbors must all
+        # have been seen already, that is, come later in the order.
+        later_x = later_y = 0
+        for v in reversed(ids):
+            if v < m:
+                if x_out[v] & ~later_y:
+                    return False
+                later_x |= 1 << v
+            else:
+                if y_out[v - m] & ~later_x:
+                    return False
+                later_y |= 1 << (v - m)
+        return True
 
     def is_feedback_arc_set(self, arcs: Iterable[Arc]) -> bool:
         """True iff deleting the given arcs leaves the graph acyclic."""

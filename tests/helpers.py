@@ -7,6 +7,7 @@ implementations they check.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
@@ -17,9 +18,11 @@ from btfas import (
     VertexRef,
     all_4cycles,
     build,
+    four_cycle,
     xv,
     yv,
 )
+from btfas.graph_core import TO_X, TO_Y, TopoResult, is_cycle_sequence
 
 
 def four_cycle_bt() -> BipartiteDigraph:
@@ -137,3 +140,73 @@ def max_pack_combinations(graph: BipartiteDigraph) -> int:
             break
         best = r
     return best
+
+
+# ----------------------------------------------------------------------
+# references for the bitmask scans: the plain loops they replaced
+
+
+def find_4cycle_reference(graph: BipartiteDigraph, after=None):
+    """First 4-cycle by a nested (x, x', y, y') loop over pair states.
+
+    With ``after``, pairs (x, x') before that cycle's pair are skipped.
+    """
+    start = (after.vertices[0].index, after.vertices[2].index) if after is not None else (0, 0)
+    for xi in range(graph.m):
+        for xk in range(graph.m):
+            if xk == xi or (xi, xk) < start:
+                continue
+            for yj in range(graph.n):
+                if graph.pair(xi, yj) != TO_Y or graph.pair(xk, yj) != TO_X:
+                    continue
+                for yl in range(graph.n):
+                    if yl != yj and graph.pair(xk, yl) == TO_Y and graph.pair(xi, yl) == TO_X:
+                        return four_cycle(xi, yj, xk, yl)
+    return None
+
+
+def greedy_pack_reference(graph: BipartiteDigraph, limit=None):
+    """(cycles, residual) of greedy packing that rescans from scratch each round."""
+    cycles = []
+    orient = bytearray(graph.orient)
+    residual = graph
+    while limit is None or len(cycles) < limit:
+        cycle = find_4cycle_reference(residual)
+        if cycle is None:
+            break
+        cycles.append(cycle)
+        xi, yj, xk, yl = (v.index for v in cycle.vertices)
+        for i, j in ((xi, yj), (xk, yj), (xk, yl), (xi, yl)):
+            orient[i * graph.n + j] = 0
+        residual = BipartiteDigraph(graph.m, graph.n, bytes(orient))
+    return tuple(cycles), residual
+
+
+def topological_order_reference(graph: BipartiteDigraph) -> TopoResult:
+    """Kahn's algorithm on VertexRef labels with the smallest-label tie-break."""
+    verts = list(graph.vertices())
+    indeg = {v: len(graph.in_neighbors(v)) for v in verts}
+    ready = [v for v in verts if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in graph.out_neighbors(v):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    if len(order) == len(verts):
+        return TopoResult(tuple(order), None)
+    remaining = set(verts) - set(order)
+    path = [min(remaining)]
+    seen_at = {path[0]: 0}
+    while True:
+        prev = next(u for u in graph.in_neighbors(path[-1]) if u in remaining)
+        if prev in seen_at:
+            p = seen_at[prev]
+            cycle = tuple([path[p]] + path[p + 1 :][::-1])
+            assert is_cycle_sequence(graph, cycle)
+            return TopoResult(None, cycle)
+        seen_at[prev] = len(path)
+        path.append(prev)

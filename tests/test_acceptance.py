@@ -175,7 +175,7 @@ def test_criterion_6_backward_arc_range():
         cycle = four_cycle(min(xi, xk), yj, max(xi, xk), yl)
         order = [xv(i) for i in range(m)] + [yv(j) for j in range(n)]
         rng.shuffle(order)
-        assert len(backward_arcs(order, cycle)) in (1, 2, 3)
+        assert len(backward_arcs(order, [cycle])) in (1, 2, 3)
     _finish("criterion-6 backward-arc-range", "1000 (order, cycle) pairs", started, 1.0)
 
 

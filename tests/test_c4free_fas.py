@@ -4,6 +4,7 @@ import pytest
 
 from btfas import (
     Arc,
+    BipartiteDigraph,
     GenSpec,
     build,
     enumerate_bt,
@@ -18,7 +19,15 @@ from btfas import (
 )
 from btfas.errors import HasFourCycle
 
-from helpers import all_x_to_y, four_cycle_bt, four_cycles_oracle, random_digraph, six_cycle
+from helpers import (
+    all_oriented,
+    all_x_to_y,
+    find_4cycle_reference,
+    four_cycle_bt,
+    four_cycles_oracle,
+    random_digraph,
+    six_cycle,
+)
 
 
 def test_find_4cycle_on_the_tournament():
@@ -28,6 +37,33 @@ def test_find_4cycle_on_the_tournament():
 def test_find_4cycle_absent_cases():
     assert find_4cycle(six_cycle()) is None
     assert find_4cycle(all_x_to_y(4, 4)) is None
+
+
+def _every_after(m):
+    """A cycle at every ordered (x, x') pair, for find_4cycle's ``after``."""
+    return [four_cycle(i, 0, k, 1) for i in range(m) for k in range(m) if i != k]
+
+
+def test_find_4cycle_matches_the_nested_loop_on_all_small_digraphs():
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for g in all_oriented(m, n):
+            assert find_4cycle(g) == find_4cycle_reference(g)
+            if m * n <= 6:  # 3x3 skips the resumed scans to keep the suite fast
+                for after in _every_after(m):
+                    assert find_4cycle(g, after) == find_4cycle_reference(g, after)
+
+
+def test_find_4cycle_resumes_like_the_nested_loop_on_random_graphs():
+    rng = random.Random(808)
+    for t in range(24):
+        m, n = rng.randint(8, 16), rng.randint(8, 16)
+        if t % 2:
+            g = random_digraph(rng, m, n)
+        else:
+            g = BipartiteDigraph(m, n, bytes(rng.choice((1, 2)) for _ in range(m * n)))
+        assert find_4cycle(g) == find_4cycle_reference(g)
+        for after in _every_after(m):
+            assert find_4cycle(g, after) == find_4cycle_reference(g, after)
 
 
 def test_find_4cycle_agrees_with_exhaustive_scan():

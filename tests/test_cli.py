@@ -175,6 +175,34 @@ def test_verify_rejects_bad_certificates(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "kind, cert",
+    [
+        ("--fas", {"fas": [1]}),
+        ("--fas", {"fas": ["y1>x0", None]}),
+        ("--packing", {"packing": [[1, 2, 3, 4]]}),
+    ],
+)
+def test_verify_rejects_non_string_tokens(tmp_path, capsys, kind, cert):
+    instance = write(tmp_path, "c4.bt", four_cycle_bt())
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    doc = run_json(capsys, ["verify", instance, kind, str(path)], expect=2)
+    assert doc["valid"] is False
+    assert doc["reason"]
+
+
+def test_verify_counts_a_repeated_arc_once(tmp_path, capsys):
+    instance = write(tmp_path, "c4.bt", four_cycle_bt())
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"fas": ["y1>x0", "y1>x0"]}), encoding="utf-8")
+    assert run_json(capsys, ["verify", instance, "--fas", str(path)])["size"] == 1
+    # Eight copies of one arc stay within the bound 7 * (2 - 1) = 7.
+    path.write_text(json.dumps({"fas": ["y1>x0"] * 7 + ["y01>x00"]}), encoding="utf-8")
+    doc = run_json(capsys, ["verify", instance, "--fas", str(path), "--k", "2"])
+    assert doc["size"] == 1 and doc["bound"] == 7
+
+
 def test_gen_to_stdout_and_file(tmp_path, capsys):
     code = run(["gen", "--m", "3", "--n", "3", "--seed", "42"])
     text = capsys.readouterr().out
@@ -202,6 +230,13 @@ def test_gen_count_and_enumerate(tmp_path, capsys):
         capsys, ["gen", "--mode", "enumerate", "--m", "2", "--n", "1", "--out", prefix]
     )
     assert doc["count"] == 4
+
+
+def test_gen_rejects_a_negative_count(tmp_path, capsys):
+    prefix = str(tmp_path / "neg-")
+    assert run(["gen", "--m", "2", "--n", "2", "--count", "-1", "--out", prefix]) == 1
+    assert "--count" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_determinism_in_process(capsys):

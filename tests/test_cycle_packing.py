@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from btfas import GenSpec, find_4cycle, greedy_pack, max_c4_packing_exact, random_bt
 from btfas.errors import OutOfRange
 
-from helpers import four_cycle_bt, six_cycle
+from helpers import all_oriented, four_cycle_bt, greedy_pack_reference, random_digraph, six_cycle
 
 
 def test_single_cycle_tournament():
@@ -64,3 +66,22 @@ def test_greedy_is_nonempty_when_optimum_is():
         assert greedy <= exact
         if exact >= 1:
             assert greedy >= 1
+
+
+def test_one_pass_packing_matches_rescanning_on_all_small_digraphs():
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for g in all_oriented(m, n):
+            packing = greedy_pack(g)
+            assert (packing.cycles, packing.residual) == greedy_pack_reference(g)
+
+
+def test_one_pass_packing_matches_rescanning_on_random_graphs():
+    rng = random.Random(909)
+    for t in range(16):
+        m, n = rng.randint(8, 16), rng.randint(8, 16)
+        g = random_digraph(rng, m, n) if t % 2 else random_bt(GenSpec(m, n, seed=t))
+        for limit in (None, 0, 1, 5):
+            packing = greedy_pack(g, limit)
+            cycles, residual = greedy_pack_reference(g, limit)
+            assert packing.cycles == cycles
+            assert packing.residual.orient == residual.orient

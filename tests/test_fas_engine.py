@@ -25,14 +25,14 @@ from helpers import all_x_to_y, four_cycle_bt
 def test_backward_arcs_hand_checked():
     cycle = four_cycle(0, 0, 1, 1)
     order = (xv(0), xv(1), yv(0), yv(1))
-    assert backward_arcs(order, cycle) == {Arc(yv(0), xv(1)), Arc(yv(1), xv(0))}
+    assert backward_arcs(order, [cycle]) == {Arc(yv(0), xv(1)), Arc(yv(1), xv(0))}
     interleaved = (xv(0), yv(0), xv(1), yv(1))
-    assert backward_arcs(interleaved, cycle) == {Arc(yv(1), xv(0))}
+    assert backward_arcs(interleaved, [cycle]) == {Arc(yv(1), xv(0))}
 
 
 def test_backward_arcs_requires_all_vertices():
     with pytest.raises(VertexNotInOrder):
-        backward_arcs((xv(0), yv(0), xv(1)), four_cycle(0, 0, 1, 1))
+        backward_arcs((xv(0), yv(0), xv(1)), [four_cycle(0, 0, 1, 1)])
 
 
 def test_backward_arcs_range_over_random_orders():
@@ -44,7 +44,7 @@ def test_backward_arcs_range_over_random_orders():
         cycle = four_cycle(min(xi, xk), yj, max(xi, xk), yl)
         order = [xv(i) for i in range(m)] + [yv(j) for j in range(n)]
         rng.shuffle(order)
-        assert 1 <= len(backward_arcs(order, cycle)) <= 3
+        assert 1 <= len(backward_arcs(order, [cycle])) <= 3
 
 
 def test_solve_packing_branch():

@@ -13,8 +13,16 @@ from btfas import (
     yv,
 )
 from btfas.errors import ArcNotPresent, DuplicatePair, OutOfRange, SameSideArc
+from btfas.graph_core import TO_X, TO_Y
 
-from helpers import all_oriented, all_x_to_y, four_cycle_bt, random_digraph, six_cycle
+from helpers import (
+    all_oriented,
+    all_x_to_y,
+    four_cycle_bt,
+    random_digraph,
+    six_cycle,
+    topological_order_reference,
+)
 
 
 def test_build_empty_graph():
@@ -213,3 +221,87 @@ def test_orientation_storage_is_validated():
         BipartiteDigraph(2, 2, bytes(3))
     with pytest.raises(OutOfRange):
         BipartiteDigraph(-1, 2, b"")
+
+
+def test_topological_order_matches_the_vertex_label_kahn():
+    for size in (2, 3):
+        for g in all_oriented(size, size):
+            assert g.topological_order() == topological_order_reference(g)
+
+
+def _masks_from_orient(g):
+    """(x_masks, y_masks) rebuilt bit by bit from the pair states."""
+
+    def mask(states, state):
+        return sum(1 << t for t, s in enumerate(states) if s == state)
+
+    rows = [g.orient[i * g.n : (i + 1) * g.n] for i in range(g.m)]
+    cols = [bytes(g.orient[i * g.n + j] for i in range(g.m)) for j in range(g.n)]
+    return (
+        (tuple(mask(r, TO_Y) for r in rows), tuple(mask(r, TO_X) for r in rows)),
+        (tuple(mask(c, TO_X) for c in cols), tuple(mask(c, TO_Y) for c in cols)),
+    )
+
+
+def test_cached_masks_match_orient_after_any_chain_of_transforms():
+    rng = random.Random(23)
+    carried = 0
+    for _ in range(150):
+        g = random_digraph(rng, rng.randint(0, 6), rng.randint(0, 6))
+        for _ in range(8):
+            if rng.random() < 0.7:
+                _ = g.x_masks  # cache them, so delete_arcs hands them on
+            op = rng.choice(("delete", "delete", "reverse", "swap", "induced"))
+            if op == "delete":
+                arcs = g.arcs()
+                cached = "x_masks" in g.__dict__
+                g = g.delete_arcs(rng.sample(arcs, rng.randint(0, len(arcs))))
+                assert ("x_masks" in g.__dict__) == cached
+                carried += cached
+            elif op == "reverse":
+                g = g.reverse()
+            elif op == "swap":
+                g = g.swap_sides()
+            else:
+                xs = [i for i in range(g.m) if rng.random() < 0.7]
+                ys = [j for j in range(g.n) if rng.random() < 0.7]
+                g = g.induced_subgraph(xs, ys).graph
+            assert (g.x_masks, g.y_masks) == _masks_from_orient(g)
+    assert carried > 100
+
+
+def test_masks_take_no_part_in_equality_hash_or_repr():
+    g = four_cycle_bt()
+    fresh = BipartiteDigraph(g.m, g.n, g.orient)
+    assert g.x_masks and g.y_masks
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
+
+def test_is_forward_order_certifies_exactly_the_forward_orders():
+    rng = random.Random(61)
+    for _ in range(200):
+        g = random_digraph(rng, rng.randint(0, 5), rng.randint(0, 5))
+        order = list(g.vertices())
+        rng.shuffle(order)
+        pos = {v: i for i, v in enumerate(order)}
+        backward = {a for a in g.arcs() if pos[a.tail] > pos[a.head]}
+        assert g.is_forward_order(order, backward)
+        assert g.is_feedback_arc_set(backward)
+        if backward:
+            kept = set(backward)
+            kept.pop()
+            assert not g.is_forward_order(order, kept)
+        if order:
+            assert not g.is_forward_order(order[1:], backward)
+            assert not g.is_forward_order(order + order[:1], backward)
+
+
+def test_is_forward_order_rejects_foreign_vertices_and_arcs():
+    g = all_x_to_y(2, 2)
+    assert g.is_forward_order((xv(0), xv(1), yv(0), yv(1)))
+    # x2 has the integer id of y0, but is no vertex of a 2x2 graph.
+    assert not g.is_forward_order((xv(0), xv(1), xv(2), yv(1)))
+    assert not g.is_forward_order((xv(0), xv(1), yv(0), yv(-1)))
+    assert not g.is_forward_order((yv(0), xv(0), xv(1), yv(1)))
+    with pytest.raises(ArcNotPresent):
+        g.is_forward_order((xv(0), xv(1), yv(0), yv(1)), {Arc(yv(0), xv(0))})
