@@ -1,16 +1,17 @@
 """Certified feedback arc sets for 4-cycle-free bipartite digraphs.
 
 ``fas_c4free`` returns a feedback arc set no larger than the number of
-non-adjacent cross pairs of the input.  It works by recursive
-decomposition: pick a vertex u whose first count does not exceed its
-second count, split the graph around u's neighborhood partition, cut the
-arcs from ``two_step`` to ``non_adjacent``, and recurse on the two
-vertex-disjoint halves.  When the vertex sums favor the other direction,
-the same step runs on the arc-reversed graph and the result is reversed
-back.  Each call first deletes vertices that lie on no cycle.
+non-adjacent cross pairs of the input.  It works by decomposition: pick a
+vertex u whose first count does not exceed its second count, split the
+graph around u's neighborhood partition, cut the arcs from ``two_step``
+to ``non_adjacent``, and go on with the two vertex-disjoint halves.  When
+the vertex sums favor the other direction, the same step runs on the
+arc-reversed graph.  Each step first drops vertices that lie on no cycle.
 
-The returned certificate carries the recursion trace and is re-verified
-before it is handed out.
+Sub-instances are never copied: each is a pair of live-vertex masks over
+the root graph's cached adjacency masks, kept on an explicit work stack,
+so cut arcs and trace nodes come out in root labels.  The returned
+certificate carries the trace and is re-verified before it is handed out.
 """
 
 from __future__ import annotations
@@ -20,19 +21,18 @@ from typing import Optional
 
 from .errors import HasFourCycle, InternalInvariantError
 from .graph_core import (
-    TO_X,
-    TO_Y,
     Arc,
     BipartiteDigraph,
     FourCycle,
     Subgraph,
     VertexRef,
+    bit_indices,
     four_cycle,
     low_bit,
-    reverse_arcs,
     xv,
+    yv,
 )
-from .p4_census import first_count, partition_around, sec_count
+from .p4_census import MaskPartition, mask_census
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,23 @@ def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> O
     return None
 
 
+def _trim(xs: int, ys: int, x_masks, y_masks) -> tuple[int, int]:
+    """Live masks with every vertex lacking a live in- or out-neighbor dropped, to fixpoint."""
+    (x_out, x_in), (y_out, y_in) = x_masks, y_masks
+    while True:
+        keep_x = xs
+        for i in bit_indices(xs):
+            if not (x_out[i] & ys and x_in[i] & ys):
+                keep_x ^= 1 << i
+        keep_y = ys
+        for j in bit_indices(ys):
+            if not (y_out[j] & keep_x and y_in[j] & keep_x):
+                keep_y ^= 1 << j
+        if keep_x == xs and keep_y == ys:
+            return xs, ys
+        xs, ys = keep_x, keep_y
+
+
 def trim_acyclic_vertices(graph: BipartiteDigraph) -> tuple[Subgraph, frozenset[VertexRef]]:
     """Repeatedly drop vertices with no in-neighbors or no out-neighbors.
 
@@ -89,29 +106,10 @@ def trim_acyclic_vertices(graph: BipartiteDigraph) -> tuple[Subgraph, frozenset[
     result is one of the input.  In the returned subgraph every vertex has
     both an in- and an out-neighbor.
     """
-    xs = set(range(graph.m))
-    ys = set(range(graph.n))
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(xs):
-            row = i * graph.n
-            has_out = any(graph.orient[row + j] == TO_Y for j in ys)
-            has_in = any(graph.orient[row + j] == TO_X for j in ys)
-            if not (has_out and has_in):
-                xs.remove(i)
-                changed = True
-        for j in sorted(ys):
-            has_out = any(graph.orient[i * graph.n + j] == TO_X for i in xs)
-            has_in = any(graph.orient[i * graph.n + j] == TO_Y for i in xs)
-            if not (has_out and has_in):
-                ys.remove(j)
-                changed = True
-    sub = graph.induced_subgraph(xs, ys)
+    xs, ys = _trim((1 << graph.m) - 1, (1 << graph.n) - 1, graph.x_masks, graph.y_masks)
+    sub = graph.induced_subgraph(bit_indices(xs), bit_indices(ys))
     removed = frozenset(
-        v
-        for v in graph.vertices()
-        if (v.side == "X" and v.index not in xs) or (v.side == "Y" and v.index not in ys)
+        v for v in graph.vertices() if not (xs if v.side == "X" else ys) >> v.index & 1
     )
     return sub, removed
 
@@ -126,7 +124,7 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     witness = find_4cycle(graph)
     if witness is not None:
         raise HasFourCycle(witness)
-    fas, trace = _solve(graph, 0)
+    fas, trace = _decomposition(graph)
     bound = graph.absent_pair_count()
     if len(fas) > bound:
         raise InternalInvariantError(
@@ -137,109 +135,79 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     return FasCertificate(frozenset(fas), bound, tuple(trace))
 
 
-def _solve(graph: BipartiteDigraph, depth: int) -> tuple[set[Arc], list[TraceNode]]:
-    """Full recursion step in ``graph``'s own labels."""
-    if graph.m < 2 or graph.n < 2:
-        return set(), []
-    trimmed, _removed = trim_acyclic_vertices(graph)
-    core = trimmed.graph
-    if core.m < 2 or core.n < 2:
-        return set(), []
+def _decomposition(graph: BipartiteDigraph) -> tuple[set[Arc], list[TraceNode]]:
+    """Cut arcs and preorder trace of the decomposition, in root labels.
 
-    counts = {v: (first_count(core, v), sec_count(core, v)) for v in core.vertices()}
-    sum_first = sum(c[0] for c in counts.values())
-    sum_sec = sum(c[1] for c in counts.values())
-
-    if sum_first <= sum_sec:
-        fas, trace = _decompose(core, counts, depth, "direct")
-    else:
-        flipped = core.reverse()
-        counts_r = {v: (first_count(flipped, v), sec_count(flipped, v)) for v in flipped.vertices()}
-        fas_r, trace = _decompose(flipped, counts_r, depth, "reversed")
-        fas = set(reverse_arcs(fas_r))
-
-    return trimmed.to_parent_arcs(fas), [_lift_trace(t, trimmed) for t in trace]
-
-
-def _decompose(
-    graph: BipartiteDigraph,
-    counts: dict[VertexRef, tuple[int, int]],
-    depth: int,
-    mode: str,
-) -> tuple[set[Arc], list[TraceNode]]:
-    """One split around a chosen center, then recursion on both halves."""
-    candidates = [v for v, (first, sec) in counts.items() if first <= sec]
-    assert candidates, "vertex sums guarantee a qualifying center"
-    # Maximize the slack sec - first; remaining ties go to the smallest label.
-    center = min(candidates, key=lambda v: (counts[v][0] - counts[v][1], v))
-
-    if center.side == "Y":
-        fas_s, trace_s = _split_at(graph.swap_sides(), xv(center.index), depth, mode)
-        fas = {a.swapped() for a in fas_s}
-        trace = [
-            TraceNode(t.depth, t.mode, t.center.swapped(), t.cut_size, t.sub_bounds)
-            for t in trace_s
+    A work item (xs, ys, rev, x_side, depth) is a sub-instance: the live X
+    and Y vertices as masks over the root graph, whether an odd number of
+    reversals lies on the path from the root (its "out" is then the root's
+    "in"), which root side (0 for X, 1 for Y) the sub-instance calls X,
+    and its depth.  A split always centers on the sub-instance's own X
+    side, so a child calls the center's side X; that naming only breaks
+    ties between centers of equal slack.
+    """
+    x_masks, y_masks = graph.x_masks, graph.y_masks
+    # views[rev][side]: the (out, in) masks of that root side, then those of
+    # the other; reversal swaps out and in.
+    views = (
+        ((x_masks, y_masks), (y_masks, x_masks)),
+        ((x_masks[::-1], y_masks[::-1]), (y_masks[::-1], x_masks[::-1])),
+    )
+    fas: set[Arc] = set()
+    trace: list[TraceNode] = []
+    stack = [((1 << graph.m) - 1, (1 << graph.n) - 1, 0, 0, 0)]
+    while stack:
+        xs, ys, rev, x_side, depth = stack.pop()
+        if xs.bit_count() < 2 or ys.bit_count() < 2:
+            continue
+        xs, ys = _trim(xs, ys, x_masks, y_masks)
+        if xs.bit_count() < 2 or ys.bit_count() < 2:
+            continue
+        counts = _census_all(views[rev], xs, ys)
+        mode = "direct"
+        if sum(c[1] for c in counts.values()) > sum(c[2] for c in counts.values()):
+            mode, rev = "reversed", rev ^ 1
+            counts = _census_all(views[rev], xs, ys)
+        # Maximize the slack sec - first; remaining ties go to the smallest
+        # label, X before Y as this sub-instance names its sides.
+        side, c = min(
+            (key for key, (_, first, sec) in counts.items() if first <= sec),
+            key=lambda key: (counts[key][1] - counts[key][2], key[0] ^ x_side, key[1]),
+        )
+        part = counts[side, c][0]
+        assert part.ins and part.outs, "trimming leaves no one-sided vertices"
+        p_masks = views[rev][side][0]
+        # An arc from two into ins would close a 4-cycle through the center.
+        assert not any(p_masks[0][a] & part.ins for a in bit_indices(part.two))
+        own, other = (xv, yv) if side == 0 else (yv, xv)
+        cut = [
+            Arc(other(b), own(a)) if rev else Arc(own(a), other(b))
+            for a in bit_indices(part.two)
+            for b in bit_indices(p_masks[0][a] & part.non)
         ]
-        return fas, trace
-    return _split_at(graph, center, depth, mode)
-
-
-def _split_at(
-    graph: BipartiteDigraph, center: VertexRef, depth: int, mode: str
-) -> tuple[set[Arc], list[TraceNode]]:
-    part = partition_around(graph, center)
-    assert part.in_nbrs and part.out_nbrs, "trimming leaves no one-sided vertices"
-
-    cut = {
-        Arc(a, b)
-        for a in part.two_step
-        for b in part.non_adjacent
-        if graph.has_arc(Arc(a, b))
-    }
-    assert len(cut) == first_count(graph, center)
-    if __debug__:
-        # 4-cycle-freeness forbids arcs from two_step back into in_nbrs, and
-        # rest was defined to receive no arcs from out_nbrs.
-        assert not any(
-            graph.has_arc(Arc(a, b)) for a in part.two_step for b in part.in_nbrs
-        )
-        assert not any(
-            graph.has_arc(Arc(b, a)) for a in part.rest for b in part.out_nbrs
-        )
-
-    half1 = graph.induced_subgraph(
-        (v.index for v in part.rest),
-        (v.index for v in part.in_nbrs | part.non_adjacent),
-    )
-    half2 = graph.induced_subgraph(
-        [v.index for v in part.two_step] + [center.index],
-        (v.index for v in part.out_nbrs),
-    )
-    assert half1.graph.m + half1.graph.n < graph.m + graph.n
-    assert half2.graph.m + half2.graph.n < graph.m + graph.n
-
-    fas1, trace1 = _solve(half1.graph, depth + 1)
-    fas2, trace2 = _solve(half2.graph, depth + 1)
-
-    node = TraceNode(
-        depth,
-        mode,
-        center,
-        len(cut),
-        (half1.graph.absent_pair_count(), half2.graph.absent_pair_count()),
-    )
-    fas = half1.to_parent_arcs(fas1) | half2.to_parent_arcs(fas2) | cut
-    trace = [node]
-    trace.extend(_lift_trace(t, half1) for t in trace1)
-    trace.extend(_lift_trace(t, half2) for t in trace2)
+        fas.update(cut)
+        half1 = (part.rest, part.ins | part.non)
+        half2 = (part.two | 1 << c, part.outs)
+        bounds = (_absent_pairs(p_masks, *half1), _absent_pairs(p_masks, *half2))
+        trace.append(TraceNode(depth, mode, own(c), len(cut), bounds))
+        # half2 goes below half1, so half1's subtree is traced first.
+        for ps, qs in (half2, half1):
+            xs, ys = (ps, qs) if side == 0 else (qs, ps)
+            stack.append((xs, ys, rev, side, depth + 1))
     return fas, trace
 
 
-def _lift_trace(node: TraceNode, sub: Subgraph) -> TraceNode:
-    return TraceNode(
-        node.depth,
-        node.mode,
-        sub.to_parent_vertex(node.center),
-        node.cut_size,
-        node.sub_bounds,
-    )
+def _census_all(view, xs: int, ys: int) -> dict[tuple[int, int], tuple[MaskPartition, int, int]]:
+    """``mask_census`` of every live vertex, keyed by (root side, index)."""
+    return {
+        (side, v): mask_census(v, *view[side], live, other)
+        for side, live, other in ((0, xs, ys), (1, ys, xs))
+        for v in bit_indices(live)
+    }
+
+
+def _absent_pairs(p_masks, ps: int, qs: int) -> int:
+    """Non-adjacent pairs between ``ps`` on a side with masks ``p_masks`` and ``qs`` opposite."""
+    p_out, p_in = p_masks
+    arcs = sum(((p_out[a] | p_in[a]) & qs).bit_count() for a in bit_indices(ps))
+    return ps.bit_count() * qs.bit_count() - arcs

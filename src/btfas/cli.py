@@ -42,6 +42,11 @@ from .graph_core import (
 
 _VERTEX_RE = re.compile(r"([xy])([0-9]+)\Z")
 
+# Largest m*n an instance file may declare.  Storage takes one byte per
+# cross pair and is allocated before any arc is read, so the header is
+# checked first; 2**26 is far above the largest instances solved (512x512).
+MAX_PAIRS = 2**26
+
 
 class InstanceFormatError(ValueError):
     """The instance or certificate file cannot be parsed."""
@@ -88,6 +93,10 @@ def parse_instance(text: str) -> BipartiteDigraph:
                 sizes = (int(fields[2]), int(fields[3]))
             except ValueError:
                 raise InstanceFormatError(f"line {lineno}: non-integer side size") from None
+            if min(sizes) >= 0 and sizes[0] * sizes[1] > MAX_PAIRS:
+                raise InstanceFormatError(
+                    f"line {lineno}: {sizes[0]}x{sizes[1]} has more than {MAX_PAIRS} cross pairs"
+                )
         elif fields[0] == "a":
             if sizes is None:
                 raise InstanceFormatError(f"line {lineno}: arc before the problem line")

@@ -42,6 +42,14 @@ def low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True, order=True)
 class VertexRef:
     """Handle for one vertex: side "X" or "Y" plus the position in that side.

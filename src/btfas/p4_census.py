@@ -9,16 +9,18 @@ fourth) form one class, paths sharing (first, second, fourth) another.
 ``first_count``/``sec_count`` report, per vertex, how many classes of the
 first kind start at it and how many of the second kind have it second.
 Both admit a closed form over the neighborhood partition around the
-vertex, which is what the recursive solver uses; the enumeration-based
-route is kept as an independent cross-check.
+vertex.  ``mask_census`` computes that partition and both counts at once
+on bitmasks, for a center on either side; it is what the decomposition in
+``c4free_fas`` uses.  The enumeration-based route is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .graph_core import ABSENT, Arc, BipartiteDigraph, VertexRef, xv, yv
+from .graph_core import ABSENT, Arc, BipartiteDigraph, VertexRef, bit_indices, xv, yv
 
 
 @dataclass(frozen=True, order=True)
@@ -145,32 +147,75 @@ def classes3(graph: BipartiteDigraph) -> dict[ClassKey3, frozenset[P4]]:
     return {k: frozenset(buckets[k]) for k in sorted(buckets)}
 
 
-def partition_around(graph: BipartiteDigraph, center: VertexRef) -> NeighborhoodPartition:
-    """Neighborhood partition around a vertex of either side.
+class MaskPartition(NamedTuple):
+    """The partition around a center as bitmasks over side indices.
 
-    A Y-side center is handled by swapping sides, partitioning there, and
-    relabeling every set back.
+    ``ins``, ``outs`` and ``non`` lie on the side opposite the center;
+    ``two`` (the out-neighbors of ``outs``) and ``rest`` on its own side.
     """
-    graph._check_vertex(center)
-    if center.side == "Y":
-        part = partition_around(graph.swap_sides(), xv(center.index))
-        return NeighborhoodPartition(
-            center=center,
-            in_nbrs=frozenset(v.swapped() for v in part.in_nbrs),
-            out_nbrs=frozenset(v.swapped() for v in part.out_nbrs),
-            non_adjacent=frozenset(v.swapped() for v in part.non_adjacent),
-            two_step=frozenset(v.swapped() for v in part.two_step),
-            rest=frozenset(v.swapped() for v in part.rest),
-        )
-    ins = frozenset(graph.in_neighbors(center))
-    outs = frozenset(graph.out_neighbors(center))
-    non = frozenset(v for v in graph.y_vertices() if v not in ins and v not in outs)
-    two_step = frozenset(w for v in outs for w in graph.out_neighbors(v))
-    rest = frozenset(v for v in graph.x_vertices() if v not in two_step and v != center)
-    # The center cannot be an out-neighbor of its own out-neighbors: that
-    # would put both orientations on one pair.
-    assert center not in two_step
-    return NeighborhoodPartition(center, ins, outs, non, two_step, rest)
+
+    ins: int
+    outs: int
+    non: int
+    two: int
+    rest: int
+
+
+def mask_census(
+    c: int,
+    p: tuple[Sequence[int], Sequence[int]],
+    q: tuple[Sequence[int], Sequence[int]],
+    ps: int,
+    qs: int,
+) -> tuple[MaskPartition, int, int]:
+    """Partition around vertex c of side P, with its first and sec counts.
+
+    ``p`` and ``q`` are the (out, in) per-vertex masks of P and of the
+    opposite side Q; passing each pair swapped counts in the reversed
+    graph.  Only the vertices in the live masks ``ps`` and ``qs`` count.
+    first is the number of arcs from ``two`` to ``non``, sec the number of
+    non-adjacent pairs between ``ins`` and ``two``.
+    """
+    p_out, p_in = p
+    q_out, q_in = q
+    ins = p_in[c] & qs
+    outs = p_out[c] & qs
+    non = qs & ~(ins | outs)
+    two = 0
+    for b in bit_indices(outs):
+        two |= q_out[b]
+    two &= ps
+    # c is not in two: that would put both orientations on one pair.
+    rest = ps & ~two & ~(1 << c)
+    first = sum((p_out[a] & non).bit_count() for a in bit_indices(two))
+    sec = sum((two & ~(q_out[b] | q_in[b])).bit_count() for b in bit_indices(ins))
+    return MaskPartition(ins, outs, non, two, rest), first, sec
+
+
+def _census(graph: BipartiteDigraph, v: VertexRef) -> tuple[MaskPartition, int, int]:
+    graph._check_vertex(v)
+    all_x, all_y = (1 << graph.m) - 1, (1 << graph.n) - 1
+    if v.side == "X":
+        return mask_census(v.index, graph.x_masks, graph.y_masks, all_x, all_y)
+    return mask_census(v.index, graph.y_masks, graph.x_masks, all_y, all_x)
+
+
+def partition_around(graph: BipartiteDigraph, center: VertexRef) -> NeighborhoodPartition:
+    """Neighborhood partition around a vertex of either side."""
+    part = _census(graph, center)[0]
+    own, other = (xv, yv) if center.side == "X" else (yv, xv)
+
+    def refs(mask: int, make) -> frozenset[VertexRef]:
+        return frozenset(make(i) for i in bit_indices(mask))
+
+    return NeighborhoodPartition(
+        center,
+        refs(part.ins, other),
+        refs(part.outs, other),
+        refs(part.non, other),
+        refs(part.two, own),
+        refs(part.rest, own),
+    )
 
 
 def first_count(graph: BipartiteDigraph, v: VertexRef) -> int:
@@ -179,13 +224,7 @@ def first_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     Closed form: the classes starting at v correspond exactly to the arcs
     from ``two_step`` to ``non_adjacent`` in the partition around v.
     """
-    part = partition_around(graph, v)
-    return sum(
-        1
-        for a in part.two_step
-        for b in part.non_adjacent
-        if graph.has_arc(Arc(a, b))
-    )
+    return _census(graph, v)[1]
 
 
 def sec_count(graph: BipartiteDigraph, v: VertexRef) -> int:
@@ -194,14 +233,7 @@ def sec_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     Closed form: such classes correspond to the non-adjacent pairs between
     ``in_nbrs`` and ``two_step`` in the partition around v.
     """
-    part = partition_around(graph, v)
-    total = 0
-    for a in part.in_nbrs:
-        for b in part.two_step:
-            xi, yj = (a.index, b.index) if a.side == "X" else (b.index, a.index)
-            if graph.pair(xi, yj) == ABSENT:
-                total += 1
-    return total
+    return _census(graph, v)[2]
 
 
 def first_sec_by_buckets(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:

@@ -14,11 +14,16 @@ import random
 from btfas import (
     Arc,
     BipartiteDigraph,
+    FasCertificate,
+    NeighborhoodPartition,
     P4,
+    Subgraph,
+    TraceNode,
     VertexRef,
     all_4cycles,
     build,
     four_cycle,
+    reverse_arcs,
     xv,
     yv,
 )
@@ -210,3 +215,216 @@ def topological_order_reference(graph: BipartiteDigraph) -> TopoResult:
             return TopoResult(None, cycle)
         seen_at[prev] = len(path)
         path.append(prev)
+
+
+# ----------------------------------------------------------------------
+# reference for fas_c4free: the recursive decomposition over copied
+# subgraphs, with Y centers and Y-side partitions handled by swap_sides()
+
+
+def partition_around_reference(graph: BipartiteDigraph, center: VertexRef) -> NeighborhoodPartition:
+    """Neighborhood partition from neighbor lists; a Y center goes through swap_sides()."""
+    if center.side == "Y":
+        part = partition_around_reference(graph.swap_sides(), xv(center.index))
+        sets = (part.in_nbrs, part.out_nbrs, part.non_adjacent, part.two_step, part.rest)
+        return NeighborhoodPartition(center, *(frozenset(v.swapped() for v in s) for s in sets))
+    ins = frozenset(graph.in_neighbors(center))
+    outs = frozenset(graph.out_neighbors(center))
+    non = frozenset(v for v in graph.y_vertices() if v not in ins and v not in outs)
+    two_step = frozenset(w for v in outs for w in graph.out_neighbors(v))
+    rest = frozenset(v for v in graph.x_vertices() if v not in two_step and v != center)
+    return NeighborhoodPartition(center, ins, outs, non, two_step, rest)
+
+
+def _counts_reference(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:
+    part = partition_around_reference(graph, v)
+    first = sum(1 for a in part.two_step for b in part.non_adjacent if graph.has_arc(Arc(a, b)))
+    sec = sum(
+        1
+        for a in part.in_nbrs
+        for b in part.two_step
+        if not graph.has_arc(Arc(a, b)) and not graph.has_arc(Arc(b, a))
+    )
+    return first, sec
+
+
+def _trim_reference(graph: BipartiteDigraph) -> Subgraph:
+    xs, ys = set(range(graph.m)), set(range(graph.n))
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(xs):
+            row = i * graph.n
+            if not (
+                any(graph.orient[row + j] == TO_Y for j in ys)
+                and any(graph.orient[row + j] == TO_X for j in ys)
+            ):
+                xs.remove(i)
+                changed = True
+        for j in sorted(ys):
+            if not (
+                any(graph.orient[i * graph.n + j] == TO_X for i in xs)
+                and any(graph.orient[i * graph.n + j] == TO_Y for i in xs)
+            ):
+                ys.remove(j)
+                changed = True
+    return graph.induced_subgraph(xs, ys)
+
+
+def fas_c4free_reference(graph: BipartiteDigraph) -> FasCertificate:
+    """Certificate of the recursive decomposition; the input must be 4-cycle-free."""
+    fas, trace = _solve_reference(graph, 0)
+    return FasCertificate(frozenset(fas), graph.absent_pair_count(), tuple(trace))
+
+
+def _solve_reference(graph: BipartiteDigraph, depth: int):
+    if graph.m < 2 or graph.n < 2:
+        return set(), []
+    trimmed = _trim_reference(graph)
+    core = trimmed.graph
+    if core.m < 2 or core.n < 2:
+        return set(), []
+    counts = {v: _counts_reference(core, v) for v in core.vertices()}
+    if sum(c[0] for c in counts.values()) <= sum(c[1] for c in counts.values()):
+        fas, trace = _decompose_reference(core, counts, depth, "direct")
+    else:
+        flipped = core.reverse()
+        counts_r = {v: _counts_reference(flipped, v) for v in flipped.vertices()}
+        fas_r, trace = _decompose_reference(flipped, counts_r, depth, "reversed")
+        fas = set(reverse_arcs(fas_r))
+    return trimmed.to_parent_arcs(fas), [_lift_reference(t, trimmed) for t in trace]
+
+
+def _decompose_reference(graph, counts, depth, mode):
+    candidates = [v for v, (first, sec) in counts.items() if first <= sec]
+    center = min(candidates, key=lambda v: (counts[v][0] - counts[v][1], v))
+    if center.side == "Y":
+        fas_s, trace_s = _split_reference(graph.swap_sides(), xv(center.index), depth, mode)
+        trace = [
+            TraceNode(t.depth, t.mode, t.center.swapped(), t.cut_size, t.sub_bounds)
+            for t in trace_s
+        ]
+        return {a.swapped() for a in fas_s}, trace
+    return _split_reference(graph, center, depth, mode)
+
+
+def _split_reference(graph, center, depth, mode):
+    part = partition_around_reference(graph, center)
+    cut = {
+        Arc(a, b) for a in part.two_step for b in part.non_adjacent if graph.has_arc(Arc(a, b))
+    }
+    half1 = graph.induced_subgraph(
+        (v.index for v in part.rest),
+        (v.index for v in part.in_nbrs | part.non_adjacent),
+    )
+    half2 = graph.induced_subgraph(
+        [v.index for v in part.two_step] + [center.index],
+        (v.index for v in part.out_nbrs),
+    )
+    fas1, trace1 = _solve_reference(half1.graph, depth + 1)
+    fas2, trace2 = _solve_reference(half2.graph, depth + 1)
+    node = TraceNode(
+        depth,
+        mode,
+        center,
+        len(cut),
+        (half1.graph.absent_pair_count(), half2.graph.absent_pair_count()),
+    )
+    trace = [node]
+    trace.extend(_lift_reference(t, half1) for t in trace1)
+    trace.extend(_lift_reference(t, half2) for t in trace2)
+    return half1.to_parent_arcs(fas1) | half2.to_parent_arcs(fas2) | cut, trace
+
+
+def _lift_reference(node: TraceNode, sub: Subgraph) -> TraceNode:
+    return TraceNode(
+        node.depth, node.mode, sub.to_parent_vertex(node.center), node.cut_size, node.sub_bounds
+    )
+
+
+# ----------------------------------------------------------------------
+# cyclic 4-cycle-free instances whose decomposition recurses
+
+
+def c4free_blowup(seed: int) -> BipartiteDigraph:
+    """A cyclic 4-cycle-free instance with 8 to 16 vertices per side.
+
+    Each of two components blows up a directed cycle of length 2l
+    (l in [5, 8]): blocks X_b -> Y_b -> X_{b+1} of 1 or 2 vertices each,
+    so every cycle inside a component has length at least 6.  Random extra
+    arcs inside a component are kept only when they close no 4-cycle;
+    they drive the decomposition below depth 1, into reversed mode and
+    Y-side centers.  Arcs between the components run from the first to
+    the second only (density 0.5), so no cycle leaves a component.  Labels
+    are shuffled at the end.
+    """
+    rng = random.Random(seed)
+    while True:
+        layout = [
+            [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(rng.randint(5, 8))]
+            for _ in range(2)
+        ]
+        m = sum(bx for comp in layout for bx, _ in comp)
+        n = sum(by for comp in layout for _, by in comp)
+        if 8 <= m <= 16 and 8 <= n <= 16:
+            break
+    orient = bytearray(m * n)
+
+    def closes_c4(i: int, j: int, state: int) -> bool:
+        # The arc on (x_i, y_j) closes a 4-cycle iff some x_k, y_l carry the
+        # other three arcs: the opposite orientation on (x_k, y_j) and
+        # (x_i, y_l), and the same one on (x_k, y_l).
+        back = TO_X if state == TO_Y else TO_Y
+        return any(
+            orient[k * n + j] == back and orient[i * n + l] == back and orient[k * n + l] == state
+            for k in range(m)
+            for l in range(n)
+        )
+
+    components = []
+    next_x = next_y = 0
+    for comp in layout:
+        blocks = []
+        for bx, by in comp:
+            blocks.append((range(next_x, next_x + bx), range(next_y, next_y + by)))
+            next_x += bx
+            next_y += by
+        for b, (xs, ys) in enumerate(blocks):
+            for i in xs:
+                for j in ys:
+                    orient[i * n + j] = TO_Y
+            for j in ys:
+                for i in blocks[(b + 1) % len(blocks)][0]:
+                    orient[i * n + j] = TO_X
+        components.append(([i for xs, _ in blocks for i in xs], [j for _, ys in blocks for j in ys]))
+
+    for xs, ys in components:
+        candidates = [(i, j) for i in xs for j in ys if orient[i * n + j] == 0]
+        rng.shuffle(candidates)
+        for i, j in candidates:
+            if rng.random() < 0.5:
+                continue
+            states = (TO_Y, TO_X) if rng.random() < 0.5 else (TO_X, TO_Y)
+            for state in states:
+                if not closes_c4(i, j, state):
+                    orient[i * n + j] = state
+                    break
+
+    (xs_a, ys_a), (xs_b, ys_b) = components
+    for i in xs_a:
+        for j in ys_b:
+            if rng.random() < 0.5:
+                orient[i * n + j] = TO_Y
+    for j in ys_a:
+        for i in xs_b:
+            if rng.random() < 0.5:
+                orient[i * n + j] = TO_X
+
+    perm_x, perm_y = list(range(m)), list(range(n))
+    rng.shuffle(perm_x)
+    rng.shuffle(perm_y)
+    shuffled = bytearray(m * n)
+    for i in range(m):
+        for j in range(n):
+            shuffled[perm_x[i] * n + perm_y[j]] = orient[i * n + j]
+    return BipartiteDigraph(m, n, bytes(shuffled))

@@ -1,6 +1,8 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btfas import (
     Arc,
@@ -22,6 +24,8 @@ from btfas.errors import HasFourCycle
 from helpers import (
     all_oriented,
     all_x_to_y,
+    c4free_blowup,
+    fas_c4free_reference,
     find_4cycle_reference,
     four_cycle_bt,
     four_cycles_oracle,
@@ -169,3 +173,62 @@ def test_exact_optimum_never_beats_the_bound():
         g = random_c4free(GenSpec(3, 4, seed=77 + i))
         cert = fas_c4free(g)
         assert min_fas_exact(g).value <= len(cert.fas) <= g.absent_pair_count()
+
+
+# ----------------------------------------------------------------------
+# the mask decomposition against the recursive reference
+
+
+def test_certificates_equal_the_reference_on_blowups():
+    reached = set()
+    for seed in range(60):
+        g = c4free_blowup(seed)
+        cert = fas_c4free(g)
+        assert cert == fas_c4free_reference(g), seed
+        for node in cert.trace:
+            reached.update((node.mode, node.center.side, min(node.depth, 2)))
+    # Every branch of the decomposition runs, so the comparison is not vacuous.
+    assert reached == {"direct", "reversed", "X", "Y", 0, 1, 2}
+
+
+def test_certificates_equal_the_reference_on_all_3x3_digraphs():
+    compared = 0
+    for g in all_oriented(3, 3):
+        if find_4cycle(g) is None:
+            assert fas_c4free(g) == fas_c4free_reference(g)
+            compared += 1
+    assert compared == 16395
+
+
+def test_decomposition_depth_needs_no_stack_depth():
+    g = c4free_blowup(7)
+    expected = fas_c4free_reference(g)
+    assert max(node.depth for node in expected.trace) >= 2
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 15)
+    try:
+        cert = fas_c4free(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert == expected
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_trace_properties_on_blowups(seed):
+    g = c4free_blowup(seed)
+    cert = fas_c4free(g)
+    bound = g.absent_pair_count()
+    assert len(cert.fas) <= bound == cert.bound
+    assert g.is_feedback_arc_set(cert.fas)
+    assert len(cert.fas) == sum(node.cut_size for node in cert.trace)
+    for node in cert.trace:
+        if node.depth == 0:
+            assert node.cut_size + sum(node.sub_bounds) <= bound
+    depths = [node.depth for node in cert.trace]
+    assert depths[0] == 0
+    assert all(b <= a + 1 for a, b in zip(depths, depths[1:]))

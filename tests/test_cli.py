@@ -267,6 +267,20 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oversized_header_exits_1_before_allocating(tmp_path, capsys, monkeypatch):
+    import btfas.cli as cli_module
+
+    def no_build(*args):
+        raise AssertionError("an oversized instance reached build")
+
+    monkeypatch.setattr(cli_module, "build", no_build)
+    huge = tmp_path / "huge.bt"
+    for header in ("p bt 1000000000 1000000000", "p bt 8192 8193"):
+        huge.write_text(f"{header}\na x0 y0\n", encoding="utf-8")
+        assert run(["fas-c4free", str(huge)]) == 1
+        assert "cross pairs" in capsys.readouterr().err
+
+
 def test_precondition_violations_exit_2(tmp_path, capsys):
     incomplete = write(tmp_path, "inc.bt", build(2, 2, [(xv(0), yv(0))]))
     assert run(["solve", incomplete, "--k", "1"]) == 2
