@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import HasFourCycle, InternalInvariantError
+from .certify import check_fas, require
+from .errors import HasFourCycle
 from .graph_core import (
     Arc,
     BipartiteDigraph,
@@ -126,12 +127,7 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
         raise HasFourCycle(witness)
     fas, trace = _decomposition(graph)
     bound = graph.absent_pair_count()
-    if len(fas) > bound:
-        raise InternalInvariantError(
-            f"feedback arc set of size {len(fas)} exceeds the bound {bound}"
-        )
-    if not graph.is_feedback_arc_set(fas):
-        raise InternalInvariantError("computed arc set does not break every cycle")
+    require(check_fas(graph, fas, bound))
     return FasCertificate(frozenset(fas), bound, tuple(trace))
 
 

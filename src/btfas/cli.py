@@ -21,13 +21,14 @@ emits arcs in canonical order (X-tail arcs by (i, j), then Y-tail arcs by
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
 from typing import Iterable, Optional, Sequence
 
-from . import c4free_fas, fas_engine, instance_gen, oracles, p4_census
+from . import c4free_fas, certify, fas_engine, instance_gen, oracles, p4_census
 from .cycle_packing import greedy_pack
 from .errors import InternalInvariantError, PreconditionError
 from .graph_core import (
@@ -40,7 +41,8 @@ from .graph_core import (
     yv,
 )
 
-_VERTEX_RE = re.compile(r"([xy])([0-9]+)\Z")
+# At most 4300 digits: int() refuses longer strings by default.
+_VERTEX_RE = re.compile(r"([xy])([0-9]{1,4300})\Z")
 
 # Largest m*n an instance file may declare.  Storage takes one byte per
 # cross pair and is allocated before any arc is read, so the header is
@@ -68,11 +70,16 @@ def parse_vertex(token: str) -> VertexRef:
     return xv(int(index)) if side == "x" else yv(int(index))
 
 
-def parse_arc(token: str) -> Arc:
+def _vertex_pair(token: str) -> tuple[VertexRef, VertexRef]:
+    """The (tail, head) of an arc token, before any check that it crosses sides."""
     parts = token.split(">")
     if len(parts) != 2:
         raise InstanceFormatError(f"bad arc token {token!r}")
-    return Arc(parse_vertex(parts[0]), parse_vertex(parts[1]))
+    return parse_vertex(parts[0]), parse_vertex(parts[1])
+
+
+def parse_arc(token: str) -> Arc:
+    return Arc(*_vertex_pair(token))
 
 
 def parse_instance(text: str) -> BipartiteDigraph:
@@ -131,23 +138,23 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _load_instance(path: str) -> BipartiteDigraph:
-    if path == "-":
-        return parse_instance(sys.stdin.read())
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_instance(handle.read())
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_instance(path: str) -> BipartiteDigraph:
+    return parse_instance(sys.stdin.read() if path == "-" else _read(path))
 
 
 def _load_json(path: str) -> dict:
+    text = _read(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, or nested too deeply
         raise InstanceFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
@@ -174,6 +181,8 @@ def _note(message: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if min(args.m, args.n) < 0 or args.m * args.n > MAX_PAIRS:
+        raise _UsageError(f"gen needs 0 <= m, n and m*n <= {MAX_PAIRS}, got {args.m}x{args.n}")
     if args.mode == "enumerate":
         if args.out is None:
             raise _UsageError("gen --mode enumerate requires --out PREFIX")
@@ -325,73 +334,37 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
-    cert = _load_json(args.fas if args.fas else args.packing)
+    kind = "fas" if args.fas is not None else "packing"
+    raw = _load_json(getattr(args, kind)).get(kind)
 
-    def fail(reason: str, kind: str) -> int:
+    def fail(reason: str) -> int:
         _emit({"mode": "verify", "kind": kind, "valid": False, "reason": reason})
         _diag(f"certificate rejected: {reason}")
         return 2
 
-    if args.fas:
-        raw = cert.get("fas")
-        if not isinstance(raw, list):
-            return fail("certificate has no arc list under 'fas'", "fas")
+    if not isinstance(raw, list):
+        return fail(f"certificate has no {'arc' if kind == 'fas' else 'cycle'} list under {kind!r}")
+    if kind == "fas":
         for token in raw:
             if not isinstance(token, str):
-                return fail(f"arc token {token!r} is not a string", "fas")
-        arcs = [parse_arc(token) for token in raw]
-        for arc in arcs:
-            if not graph.has_arc(arc):
-                return fail(f"arc {arc} is not in the instance", "fas")
-        # A repeated arc counts once in the size and against the bound.
-        distinct = set(arcs)
-        if not graph.is_feedback_arc_set(distinct):
-            return fail("deleting the arcs leaves a cycle", "fas")
-        if args.k is not None and len(distinct) > 7 * (args.k - 1):
-            return fail(f"{len(distinct)} arcs exceed the bound {7 * (args.k - 1)}", "fas")
-        _emit(
-            {
-                "mode": "verify",
-                "kind": "fas",
-                "valid": True,
-                "size": len(distinct),
-                "bound": None if args.k is None else 7 * (args.k - 1),
-            }
-        )
-        return 0
-
-    raw = cert.get("packing")
-    if not isinstance(raw, list):
-        return fail("certificate has no cycle list under 'packing'", "packing")
-    cycles = []
-    for entry in raw:
-        if not (
-            isinstance(entry, list) and len(entry) == 4 and all(isinstance(t, str) for t in entry)
-        ):
-            return fail(f"bad cycle entry {entry!r}", "packing")
-        cycles.append(FourCycle(tuple(parse_vertex(tok) for tok in entry)))
-    seen: set[Arc] = set()
-    for cycle in cycles:
-        if not cycle.is_cycle_of(graph):
-            return fail(f"{[str(v) for v in cycle.vertices]} is not a 4-cycle here", "packing")
-        if any(a in seen for a in cycle.arcs()):
-            return fail("cycles share an arc", "packing")
-        seen.update(cycle.arcs())
-    if args.k is not None and len(cycles) < args.k:
-        return fail(f"only {len(cycles)} cycles, need {args.k}", "packing")
-    _emit({"mode": "verify", "kind": "packing", "valid": True, "count": len(cycles)})
+                return fail(f"arc token {token!r} is not a string")
+        arcs = [_vertex_pair(token) for token in raw]
+        bound = None if args.k is None else 7 * (args.k - 1)
+        reason = certify.check_fas(graph, arcs, bound)
+        result = {"size": len(set(arcs)), "bound": bound}
+    else:
+        cycles = []
+        for entry in raw:
+            strings = isinstance(entry, list) and all(isinstance(t, str) for t in entry)
+            if not (strings and len(entry) == 4):
+                return fail(f"bad cycle entry {entry!r}")
+            cycles.append(FourCycle(tuple(parse_vertex(tok) for tok in entry)))
+        reason = certify.check_packing(graph, cycles, args.k)
+        result = {"count": len(cycles)}
+    if reason is not None:
+        return fail(reason)
+    _emit({"mode": "verify", "kind": kind, "valid": True, **result})
     return 0
-
-
-def _all_oriented_2x2() -> Iterable[BipartiteDigraph]:
-    """All 3^4 oriented 2x2 bipartite digraphs, absent pairs included."""
-    for code in range(81):
-        states = []
-        c = code
-        for _ in range(4):
-            states.append(c % 3)
-            c //= 3
-        yield BipartiteDigraph(2, 2, bytes(states))
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
@@ -421,7 +394,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     record("census-identities-exhaustive", count)
 
     count = 0
-    for graph in _all_oriented_2x2():
+    for states in itertools.product(range(3), repeat=4):
+        graph = BipartiteDigraph(2, 2, bytes(states))
         count += 1
         topo = graph.topological_order()
         brute = oracles.find_cycle_brute(graph)
@@ -436,8 +410,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
                 continue
             count += 1
             certificate = c4free_fas.fas_c4free(graph)
-            if len(certificate.fas) > graph.absent_pair_count():
-                raise InternalInvariantError(f"bound violated on {graph}")
+            certify.require(certify.check_fas(graph, certificate.fas, graph.absent_pair_count()))
     record("c4free-certificates", count)
 
     count = 0
@@ -447,13 +420,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
                 count += 1
                 outcome = fas_engine.solve(graph, k)
                 if isinstance(outcome, fas_engine.PackingOutcome):
-                    if len(outcome.packing.cycles) < k or not outcome.packing.validate(graph):
-                        raise InternalInvariantError(f"bad packing certificate on {graph}")
+                    certify.require(certify.check_packing(graph, outcome.packing.cycles, k))
                 else:
-                    if len(outcome.fas) > 7 * (k - 1):
-                        raise InternalInvariantError(f"bound violated on {graph} at k={k}")
-                    if not graph.is_feedback_arc_set(outcome.fas):
-                        raise InternalInvariantError(f"invalid arc set on {graph} at k={k}")
+                    certify.require(certify.check_fas(graph, outcome.fas, 7 * (k - 1)))
     record("dichotomy-exhaustive", count)
 
     count = 0
@@ -547,10 +516,7 @@ def run(argv: Sequence[str]) -> int:
         return 1
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        _diag(str(exc))
-        return 1
-    except InstanceFormatError as exc:
+    except (_UsageError, InstanceFormatError, OSError) as exc:  # OSError: gen cannot write
         _diag(str(exc))
         return 1
     except PreconditionError as exc:

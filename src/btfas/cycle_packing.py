@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .c4free_fas import find_4cycle
+from .certify import check_packing
 from .errors import OutOfRange
 from .graph_core import BipartiteDigraph, FourCycle
 
@@ -19,15 +20,8 @@ class Packing:
 
     def validate(self, source: BipartiteDigraph) -> bool:
         """Re-check the packing against the graph it was taken from."""
-        seen = set()
-        for cycle in self.cycles:
-            arcs = cycle.arcs()
-            if not cycle.is_cycle_of(source):
-                return False
-            if any(a in seen for a in arcs):
-                return False
-            seen.update(arcs)
-        return self.residual.arc_count() == source.arc_count() - 4 * len(self.cycles)
+        residual_ok = self.residual.arc_count() == source.arc_count() - 4 * len(self.cycles)
+        return residual_ok and check_packing(source, self.cycles) is None
 
 
 def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing:

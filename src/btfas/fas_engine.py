@@ -5,7 +5,7 @@ size at most 7(k-1), built from three ingredients: a greedy maximal
 packing with fewer than k cycles, a certified feedback arc set of the
 4-cycle-free residual, and the packed-cycle arcs that run backward in a
 topological order of the residual minus that set.  Both outcomes are
-machine-checked before they are returned.
+machine-checked by ``certify`` before they are returned.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .c4free_fas import fas_c4free
+from .certify import check_fas, check_packing, require
 from .cycle_packing import Packing, greedy_pack
-from .errors import InternalInvariantError, NotATournament, OutOfRange, VertexNotInOrder
+from .errors import NotATournament, OutOfRange, VertexNotInOrder
 from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef
 
 
@@ -83,22 +84,19 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
 
     packing = greedy_pack(tournament, limit=k)
     if len(packing.cycles) >= k:
+        require(check_packing(tournament, packing.cycles, k))
         return PackingOutcome(k, packing)
 
     # The limit was not reached, so the packing is maximal and the residual
     # has no 4-cycle; its absent pairs are exactly the deleted arcs.
     residual = packing.residual
     certificate = fas_c4free(residual)
+    # fas_c4free certified the residual by this same sort, so it succeeds.
     topo = residual.delete_arcs(certificate.fas).topological_order()
-    if topo.order is None:
-        raise InternalInvariantError("residual minus its feedback arc set still has a cycle")
     backward = backward_arcs(topo.order, packing.cycles)
     fas = certificate.fas | backward
     bound = 7 * (k - 1)
-    # An order of all vertices in which every arc outside fas runs forward
-    # certifies that fas is a feedback arc set.
-    if len(fas) > bound or not tournament.is_forward_order(topo.order, fas):
-        raise InternalInvariantError("combined arc set fails its certificate check")
+    require(check_fas(tournament, fas, bound, order=topo.order))
     return FasOutcome(
         requested=k,
         packing=packing,

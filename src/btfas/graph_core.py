@@ -113,19 +113,8 @@ class FourCycle:
         a, b, c, d = self.vertices
         return (Arc(a, b), Arc(b, c), Arc(c, d), Arc(d, a))
 
-    def canonical(self) -> "FourCycle":
-        """Rotate so the cycle starts at its smaller X-side vertex."""
-        a, b, c, d = self.vertices
-        if a.side != "X":
-            a, b, c, d = d, a, b, c
-        if c < a:
-            a, b, c, d = c, d, a, b
-        return FourCycle((a, b, c, d))
-
     def is_cycle_of(self, graph: "BipartiteDigraph") -> bool:
-        if len(set(self.vertices)) != 4:
-            return False
-        return all(graph.has_arc(a) for a in self.arcs())
+        return len(self.vertices) == 4 and is_cycle_sequence(graph, self.vertices)
 
 
 def four_cycle(xi: int, yj: int, xk: int, yl: int) -> FourCycle:
@@ -193,9 +182,6 @@ class BipartiteDigraph:
     def absent_pair_count(self) -> int:
         """Number of non-adjacent cross pairs; equals m*n minus the arc count."""
         return self.orient.count(ABSENT)
-
-    def is_tournament(self) -> bool:
-        return self.absent_pair_count() == 0
 
     def x_vertices(self) -> Iterator[VertexRef]:
         return (xv(i) for i in range(self.m))

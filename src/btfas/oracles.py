@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .certify import check_fas, check_packing, require
 from .errors import InternalInvariantError, TooLarge
 from .graph_core import (
     TO_X,
@@ -88,8 +89,9 @@ def min_fas_exact(graph: BipartiteDigraph) -> OracleResult:
         order[placed.bit_count()] = verts[v]
     position = {v: i for i, v in enumerate(order)}
     witness = frozenset(a for a in graph.arcs() if position[a.tail] > position[a.head])
-    if len(witness) != dp[full] or not graph.is_feedback_arc_set(witness):
+    if len(witness) != dp[full]:
         raise InternalInvariantError("reconstructed witness disagrees with the optimum")
+    require(check_fas(graph, witness))
     return OracleResult(dp[full], witness)
 
 
@@ -150,11 +152,7 @@ def max_c4_packing_exact(
         descend(idx + 1, used)
 
     descend(0, 0)
-    seen: set[Arc] = set()
-    for cycle in best_set:
-        if not cycle.is_cycle_of(graph) or any(a in seen for a in cycle.arcs()):
-            raise InternalInvariantError("packing witness fails validation")
-        seen.update(cycle.arcs())
+    require(check_packing(graph, best_set, best_count))
     return OracleResult(best_count, best_set)
 
 

@@ -41,20 +41,6 @@ class P4:
         a, b, c, d = self.vertices
         return P4((d, c, b, a))
 
-    def is_induced_path_of(self, graph: BipartiteDigraph) -> bool:
-        a, b, c, d = self.vertices
-        if len({a, b, c, d}) != 4:
-            return False
-        if a.side != c.side or b.side != d.side or a.side == b.side:
-            return False
-        if not (graph.has_arc(Arc(a, b)) and graph.has_arc(Arc(b, c)) and graph.has_arc(Arc(c, d))):
-            return False
-        # Endpoints must be non-adjacent; the remaining skew pairs are
-        # same-side and cannot carry arcs at all.
-        if a.side == "X":
-            return graph.pair(a.index, d.index) == ABSENT
-        return graph.pair(d.index, a.index) == ABSENT
-
 
 @dataclass(frozen=True, order=True)
 class ClassKey2:

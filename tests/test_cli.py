@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import pathlib
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btfas import build, xv, yv
 from btfas.cli import (
@@ -181,6 +186,9 @@ def test_verify_rejects_bad_certificates(tmp_path, capsys):
         ("--fas", {"fas": [1]}),
         ("--fas", {"fas": ["y1>x0", None]}),
         ("--packing", {"packing": [[1, 2, 3, 4]]}),
+        ("--fas", {"fas": ["x0>x1"]}),
+        ("--fas", {"fas": ["x9>y0"]}),
+        ("--packing", {"packing": [["x0", "x1", "y0", "y1"]]}),
     ],
 )
 def test_verify_rejects_non_string_tokens(tmp_path, capsys, kind, cert):
@@ -239,6 +247,33 @@ def test_gen_rejects_a_negative_count(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "-1", "--n", "2"],
+        ["--m", "2", "--n", "-1", "--mode", "enumerate", "--out", "enum-"],
+        ["--m", "1000000000", "--n", "1000000000"],
+        ["--m", "8192", "--n", "8193", "--mode", "random-c4free"],
+    ],
+)
+def test_gen_rejects_bad_sides_before_allocating(capsys, monkeypatch, argv):
+    import btfas.cli as cli_module
+
+    def no_generation(*args):
+        raise AssertionError("bad sides reached the generator")
+
+    for name in ("random_bt", "random_c4free", "enumerate_bt"):
+        monkeypatch.setattr(cli_module.instance_gen, name, no_generation)
+    assert run(["gen", *argv]) == 1
+    assert "m*n <=" in capsys.readouterr().err
+
+
+def test_gen_to_an_unwritable_path_exits_1(tmp_path, capsys):
+    assert run(["gen", "--m", "2", "--n", "2", "--out", str(tmp_path / "no" / "i.bt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "i.bt" in captured.err
+
+
 def test_gen_determinism_in_process(capsys):
     run(["gen", "--m", "4", "--n", "4", "--seed", "11"])
     first = capsys.readouterr().out
@@ -265,6 +300,42 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     assert run(["solve", str(bad), "--k", "1"]) == 1
     assert run(["solve", str(tmp_path / "missing.bt"), "--k", "1"]) == 1
     capsys.readouterr()
+
+
+def test_unreadable_files_exit_1(tmp_path, capsys):
+    instance = tmp_path / "bad.bt"
+    instance.write_bytes(b"p bt 2 2\nc \xff\xfe\n")
+    assert run(["solve", str(instance), "--k", "1"]) == 1
+    good = write(tmp_path, "c4.bt", four_cycle_bt())
+    cert = tmp_path / "bad.json"
+    cert.write_bytes(b'{"fas": ["\xff"]}')
+    assert run(["verify", good, "--fas", str(cert)]) == 1
+    assert run(["verify", good, "--fas", ""]) == 1
+    assert capsys.readouterr().err.count("cannot read") == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"fas": ' + "[" * 100_000 + "}", '{"fas": [' + "9" * 5000 + "]}"],
+    ids=["nested", "nested-fas", "long-integer"],
+)
+def test_unloadable_certificates_exit_1(tmp_path, capsys, text):
+    good = write(tmp_path, "c4.bt", four_cycle_bt())
+    cert = tmp_path / "deep.json"
+    cert.write_text(text, encoding="utf-8")
+    assert run(["verify", good, "--fas", str(cert)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_overlong_vertex_index_exits_1(tmp_path, capsys):
+    huge = "1" * 5000
+    instance = tmp_path / "huge.bt"
+    instance.write_text(f"p bt 1 1\na x{huge} y0\n", encoding="utf-8")
+    assert run(["solve", str(instance), "--k", "1"]) == 1
+    cert = tmp_path / "huge.json"
+    cert.write_text(json.dumps({"fas": [f"x{huge}>y0"]}), encoding="utf-8")
+    assert run(["verify", write(tmp_path, "c4.bt", four_cycle_bt()), "--fas", str(cert)]) == 1
+    assert "bad vertex token" in capsys.readouterr().err
 
 
 def test_oversized_header_exits_1_before_allocating(tmp_path, capsys, monkeypatch):
@@ -332,3 +403,62 @@ def test_selftest_passes(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert len(doc["checks"]) == 5
+
+
+# ----------------------------------------------------------------------
+# fuzzing the boundary: any instance bytes and certificate ends in 0, 1 or 2
+
+_VERTEX = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("xyz"), st.integers(-1, 5)),
+    st.text(max_size=4),
+)
+_ARC = st.one_of(st.builds("{}>{}".format, _VERTEX, _VERTEX), _VERTEX)
+_LINE = st.one_of(
+    st.builds("p bt {} {}".format, st.integers(-1, 4), st.integers(-1, 4)),
+    st.builds("a {} {}".format, _VERTEX, _VERTEX),
+    st.builds("c {}".format, st.text(max_size=6)),
+    st.text(max_size=10),
+)
+_INSTANCE = st.one_of(
+    st.lists(_LINE, max_size=14).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=80),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ARC,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["fas", "packing", "k"]) | st.text(max_size=3), inner),
+    max_leaves=20,
+)
+_CERTIFICATE = st.one_of(
+    st.builds(lambda doc: json.dumps(doc).encode("utf-8"), _JSON),
+    st.builds(lambda arcs: json.dumps({"fas": arcs}).encode("utf-8"), st.lists(_ARC, max_size=8)),
+    st.builds(
+        lambda cycles: json.dumps({"packing": cycles}).encode("utf-8"),
+        st.lists(st.lists(_VERTEX, min_size=3, max_size=5), max_size=4),
+    ),
+    st.builds(lambda depth: b"[" * depth, st.integers(1, 100_000)),
+    st.binary(max_size=40),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(instance=_INSTANCE, certificate=_CERTIFICATE, k=st.integers(-1, 3))
+def test_cli_boundary_never_raises(instance, certificate, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, cert = pathlib.Path(tmp, "i.bt"), pathlib.Path(tmp, "c.json")
+        inst.write_bytes(instance)
+        cert.write_bytes(certificate)
+        for argv in (
+            ["solve", str(inst), "--k", str(k)],
+            ["pack", str(inst)],
+            ["fas-c4free", str(inst)],
+            ["census", str(inst)],
+            ["verify", str(inst), "--fas", str(cert), "--k", str(k)],
+            ["verify", str(inst), "--packing", str(cert), "--k", str(k)],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2), (argv, err.getvalue())
+            if argv[0] == "verify" and code == 2:
+                assert json.loads(out.getvalue())["valid"] is False
