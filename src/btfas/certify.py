@@ -7,10 +7,10 @@ out-of-range index, a same-side arc or a non-alternating cycle is a reason.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .errors import InternalInvariantError, PreconditionError
-from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef
+from .graph_core import ABSENT, TO_X, TO_Y, Arc, BipartiteDigraph, FourCycle, VertexRef
 
 
 def check_packing(
@@ -41,24 +41,60 @@ def check_fas(
     ``order``, acyclicity is certified by every other arc running forward
     in it; without, by a topological sort of the graph minus the arcs.
     """
+    if not all(isinstance(a, Arc) for a in arcs):
+        return check_fas_pairs(graph, arcs, bound, order)[0]
+    distinct = set(arcs)  # copying a set of Arcs reuses their slow-to-compute hashes
     try:
-        if all(isinstance(a, Arc) for a in arcs):
-            distinct = set(arcs)  # copying a set of Arcs reuses their slow-to-compute hashes
-        else:
-            distinct = {a if isinstance(a, Arc) else Arc(*a) for a in arcs}
         if order is None:
             acyclic = graph.delete_arcs(distinct).topological_order().order is not None
         else:
             acyclic = graph.is_forward_order(order, distinct)
-    except PreconditionError:  # only a foreign arc raises; name the first one
-        for tail, head in ((a.tail, a.head) if isinstance(a, Arc) else a for a in arcs):
-            if not _holds(lambda: graph.has_arc(Arc(tail, head))):
-                return f"arc {tail}>{head} is not in the instance"
-        raise
+    except PreconditionError:  # only a foreign arc raises; the pair check names the first
+        return check_fas_pairs(graph, arcs, bound, order)[0]
+    return _fas_reason(acyclic, len(distinct), bound)
+
+
+def check_fas_pairs(
+    graph: BipartiteDigraph,
+    arcs: Iterable[Union[Arc, tuple[VertexRef, VertexRef]]],
+    bound: Optional[int] = None,
+    order: Optional[Sequence[VertexRef]] = None,
+) -> tuple[Optional[str], int]:
+    """:func:`check_fas` on (tail, head) pairs, plus the number of distinct arcs.
+
+    Each arc becomes its pair index and the state that pair must hold,
+    tested against the unmodified graph, so x0>y0 and y0>x0 listed
+    together still reject one of them.  The count is 0 when an arc is
+    not in the graph.
+    """
+    m, n, orient = graph.m, graph.n, graph.orient
+    rest = bytearray(orient)
+    size = 0
+    for a in arcs:
+        tail, head = (a.tail, a.head) if isinstance(a, Arc) else a
+        if tail.side == "X":
+            i, j, state = tail.index, head.index, TO_Y
+        else:
+            i, j, state = head.index, tail.index, TO_X
+        p = i * n + j
+        if tail.side == head.side or not (0 <= i < m and 0 <= j < n) or orient[p] != state:
+            return f"arc {tail}>{head} is not in the instance", 0
+        if rest[p] != ABSENT:
+            rest[p] = ABSENT
+            size += 1
+    remaining = BipartiteDigraph(m, n, bytes(rest))
+    if order is None:
+        acyclic = remaining.topological_order().order is not None
+    else:
+        acyclic = remaining.is_forward_order(order)
+    return _fas_reason(acyclic, size, bound), size
+
+
+def _fas_reason(acyclic: bool, size: int, bound: Optional[int]) -> Optional[str]:
     if not acyclic:
         return "deleting the arcs leaves a cycle"
-    if bound is not None and len(distinct) > bound:
-        return f"{len(distinct)} arcs exceed the bound {bound}"
+    if bound is not None and size > bound:
+        return f"{size} arcs exceed the bound {bound}"
     return None
 
 

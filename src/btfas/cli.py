@@ -21,6 +21,7 @@ emits arcs in canonical order (X-tail arcs by (i, j), then Y-tail arcs by
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -32,6 +33,8 @@ from . import c4free_fas, certify, fas_engine, instance_gen, oracles, p4_census
 from .cycle_packing import greedy_pack
 from .errors import InternalInvariantError, PreconditionError
 from .graph_core import (
+    TO_X,
+    TO_Y,
     Arc,
     BipartiteDigraph,
     FourCycle,
@@ -70,28 +73,47 @@ def parse_vertex(token: str) -> VertexRef:
     return xv(int(index)) if side == "x" else yv(int(index))
 
 
-def _vertex_pair(token: str) -> tuple[VertexRef, VertexRef]:
+class _Vertices(dict):
+    """Vertex tokens parsed so far: each distinct token is parsed once.
+
+    A miss goes through :func:`parse_vertex`, so every token keeps its
+    value or its error.  The table grows with the distinct tokens of one
+    input, never with the side sizes its header declares.
+    """
+
+    def __missing__(self, token: str) -> VertexRef:
+        vertex = self[token] = parse_vertex(token)
+        return vertex
+
+
+def _vertex_pair(token: str, vertices: _Vertices) -> tuple[VertexRef, VertexRef]:
     """The (tail, head) of an arc token, before any check that it crosses sides."""
     parts = token.split(">")
     if len(parts) != 2:
         raise InstanceFormatError(f"bad arc token {token!r}")
-    return parse_vertex(parts[0]), parse_vertex(parts[1])
+    return vertices[parts[0]], vertices[parts[1]]
 
 
 def parse_arc(token: str) -> Arc:
-    return Arc(*_vertex_pair(token))
+    return Arc(*_vertex_pair(token, _Vertices()))
 
 
 def parse_instance(text: str) -> BipartiteDigraph:
     """Parse the instance format; raises InstanceFormatError on any defect."""
     sizes: Optional[tuple[int, int]] = None
     arcs: list[tuple[VertexRef, VertexRef]] = []
+    vertices = _Vertices()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":  # blank, or a comment
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        if fields[0] == "a":  # most lines, so tested first
+            if sizes is None:
+                raise InstanceFormatError(f"line {lineno}: arc before the problem line")
+            if len(fields) != 3:
+                raise InstanceFormatError(f"line {lineno}: expected 'a <tail> <head>'")
+            arcs.append((vertices[fields[1]], vertices[fields[2]]))
+        elif fields[0] == "p":
             if sizes is not None:
                 raise InstanceFormatError(f"line {lineno}: second problem line")
             if len(fields) != 4 or fields[1] != "bt":
@@ -104,12 +126,6 @@ def parse_instance(text: str) -> BipartiteDigraph:
                 raise InstanceFormatError(
                     f"line {lineno}: {sizes[0]}x{sizes[1]} has more than {MAX_PAIRS} cross pairs"
                 )
-        elif fields[0] == "a":
-            if sizes is None:
-                raise InstanceFormatError(f"line {lineno}: arc before the problem line")
-            if len(fields) != 3:
-                raise InstanceFormatError(f"line {lineno}: expected 'a <tail> <head>'")
-            arcs.append((parse_vertex(fields[1]), parse_vertex(fields[2])))
         else:
             raise InstanceFormatError(f"line {lineno}: unknown line type {fields[0]!r}")
     if sizes is None:
@@ -121,8 +137,17 @@ def parse_instance(text: str) -> BipartiteDigraph:
 
 
 def render_instance(graph: BipartiteDigraph) -> str:
-    lines = [f"p bt {graph.m} {graph.n}"]
-    lines.extend(f"a {arc.tail} {arc.head}" for arc in graph.arcs())
+    m, n, orient = graph.m, graph.n, graph.orient
+    lines = [f"p bt {m} {n}"]
+    if orient:  # with no pairs, skip the token lists: one side may be huge
+        xs = [f"x{i}" for i in range(m)]
+        ys = [f"y{j}" for j in range(n)]
+        for i, x in enumerate(xs):
+            row = orient[i * n : (i + 1) * n]
+            lines.extend([f"a {x} {ys[j]}" for j, state in enumerate(row) if state == TO_Y])
+        for j, y in enumerate(ys):
+            column = orient[j::n]
+            lines.extend([f"a {y} {xs[i]}" for i, state in enumerate(column) if state == TO_X])
     return "\n".join(lines) + "\n"
 
 
@@ -344,21 +369,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if not isinstance(raw, list):
         return fail(f"certificate has no {'arc' if kind == 'fas' else 'cycle'} list under {kind!r}")
+    vertices = _Vertices()
     if kind == "fas":
         for token in raw:
             if not isinstance(token, str):
                 return fail(f"arc token {token!r} is not a string")
-        arcs = [_vertex_pair(token) for token in raw]
+        arcs = [_vertex_pair(token, vertices) for token in raw]
         bound = None if args.k is None else 7 * (args.k - 1)
-        reason = certify.check_fas(graph, arcs, bound)
-        result = {"size": len(set(arcs)), "bound": bound}
+        reason, size = certify.check_fas_pairs(graph, arcs, bound)
+        result = {"size": size, "bound": bound}
     else:
         cycles = []
         for entry in raw:
             strings = isinstance(entry, list) and all(isinstance(t, str) for t in entry)
             if not (strings and len(entry) == 4):
                 return fail(f"bad cycle entry {entry!r}")
-            cycles.append(FourCycle(tuple(parse_vertex(tok) for tok in entry)))
+            cycles.append(FourCycle(tuple(vertices[tok] for tok in entry)))
         reason = certify.check_packing(graph, cycles, args.k)
         result = {"count": len(cycles)}
     if reason is not None:
@@ -448,6 +474,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # one parser per process, built on first use: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="btfas", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -503,9 +530,8 @@ def _build_parser() -> _Parser:
 
 def run(argv: Sequence[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except _UsageError as exc:
         _diag(str(exc))
         return 1

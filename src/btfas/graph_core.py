@@ -445,20 +445,22 @@ class Subgraph:
 def build(m: int, n: int, arcs: Iterable[Arc | tuple[VertexRef, VertexRef]] = ()) -> BipartiteDigraph:
     """Validated construction from side sizes and an arc list.
 
-    Rejects out-of-range endpoints and any pair listed twice, even with
-    opposite orientations.  Unlisted pairs are absent.
+    Rejects same-side arcs, out-of-range endpoints and any pair listed
+    twice, even with opposite orientations.  Unlisted pairs are absent.
     """
     if m < 0 or n < 0:
         raise OutOfRange(f"side sizes must be non-negative, got {m}, {n}")
     orient = bytearray(m * n)
     for item in arcs:
-        arc = item if isinstance(item, Arc) else Arc(item[0], item[1])
-        if arc.tail.side == "X":
-            xi, yj, state = arc.tail.index, arc.head.index, TO_Y
+        tail, head = (item.tail, item.head) if isinstance(item, Arc) else item
+        if tail.side == head.side:
+            raise SameSideArc(f"arc {tail}->{head} does not cross the bipartition")
+        if tail.side == "X":
+            xi, yj, state = tail.index, head.index, TO_Y
         else:
-            xi, yj, state = arc.head.index, arc.tail.index, TO_X
+            xi, yj, state = head.index, tail.index, TO_X
         if not (0 <= xi < m and 0 <= yj < n):
-            raise OutOfRange(f"arc {arc} outside a {m}x{n} graph")
+            raise OutOfRange(f"arc {tail}>{head} outside a {m}x{n} graph")
         p = xi * n + yj
         if orient[p] != ABSENT:
             raise DuplicatePair(f"pair (x{xi}, y{yj}) listed more than once")

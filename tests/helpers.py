@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import random
+import re
 
 from btfas import (
     Arc,
@@ -27,6 +29,8 @@ from btfas import (
     xv,
     yv,
 )
+from btfas.cli import MAX_PAIRS, InstanceFormatError
+from btfas.errors import DuplicatePair, OutOfRange, PreconditionError
 from btfas.graph_core import TO_X, TO_Y, TopoResult, is_cycle_sequence
 
 
@@ -428,3 +432,141 @@ def c4free_blowup(seed: int) -> BipartiteDigraph:
         for j in range(n):
             shuffled[perm_x[i] * n + perm_y[j]] = orient[i * n + j]
     return BipartiteDigraph(m, n, bytes(shuffled))
+
+
+# ----------------------------------------------------------------------
+# references for the CLI boundary: the per-token parser, the Arc-building
+# build and the Arc-set certificate check they replaced
+
+
+_VERTEX_RE_REFERENCE = re.compile(r"([xy])([0-9]{1,4300})\Z")
+
+
+def parse_vertex_reference(token: str) -> VertexRef:
+    match = _VERTEX_RE_REFERENCE.fullmatch(token)
+    if match is None:
+        raise InstanceFormatError(f"bad vertex token {token!r}")
+    side, index = match.groups()
+    return xv(int(index)) if side == "x" else yv(int(index))
+
+
+def vertex_pair_reference(token: str) -> tuple[VertexRef, VertexRef]:
+    parts = token.split(">")
+    if len(parts) != 2:
+        raise InstanceFormatError(f"bad arc token {token!r}")
+    return parse_vertex_reference(parts[0]), parse_vertex_reference(parts[1])
+
+
+def build_reference(m: int, n: int, arcs=()) -> BipartiteDigraph:
+    """build() making one Arc per item; the Arc rejects a same-side pair."""
+    if m < 0 or n < 0:
+        raise OutOfRange(f"side sizes must be non-negative, got {m}, {n}")
+    orient = bytearray(m * n)
+    for item in arcs:
+        arc = item if isinstance(item, Arc) else Arc(item[0], item[1])
+        if arc.tail.side == "X":
+            xi, yj, state = arc.tail.index, arc.head.index, TO_Y
+        else:
+            xi, yj, state = arc.head.index, arc.tail.index, TO_X
+        if not (0 <= xi < m and 0 <= yj < n):
+            raise OutOfRange(f"arc {arc} outside a {m}x{n} graph")
+        p = xi * n + yj
+        if orient[p] != 0:
+            raise DuplicatePair(f"pair (x{xi}, y{yj}) listed more than once")
+        orient[p] = state
+    return BipartiteDigraph(m, n, bytes(orient))
+
+
+def parse_instance_reference(text: str) -> BipartiteDigraph:
+    """parse_instance with one regex match and VertexRef per arc token."""
+    sizes = None
+    arcs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if sizes is not None:
+                raise InstanceFormatError(f"line {lineno}: second problem line")
+            if len(fields) != 4 or fields[1] != "bt":
+                raise InstanceFormatError(f"line {lineno}: expected 'p bt <m> <n>'")
+            try:
+                sizes = (int(fields[2]), int(fields[3]))
+            except ValueError:
+                raise InstanceFormatError(f"line {lineno}: non-integer side size") from None
+            if min(sizes) >= 0 and sizes[0] * sizes[1] > MAX_PAIRS:
+                raise InstanceFormatError(
+                    f"line {lineno}: {sizes[0]}x{sizes[1]} has more than {MAX_PAIRS} cross pairs"
+                )
+        elif fields[0] == "a":
+            if sizes is None:
+                raise InstanceFormatError(f"line {lineno}: arc before the problem line")
+            if len(fields) != 3:
+                raise InstanceFormatError(f"line {lineno}: expected 'a <tail> <head>'")
+            arcs.append((parse_vertex_reference(fields[1]), parse_vertex_reference(fields[2])))
+        else:
+            raise InstanceFormatError(f"line {lineno}: unknown line type {fields[0]!r}")
+    if sizes is None:
+        raise InstanceFormatError("missing problem line 'p bt <m> <n>'")
+    try:
+        return build_reference(sizes[0], sizes[1], arcs)
+    except PreconditionError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+def check_fas_reference(graph: BipartiteDigraph, arcs, bound=None):
+    """check_fas over a set of Arcs: delete, sort, and scan for a foreign arc on failure."""
+
+    def present(tail, head):
+        try:
+            return graph.has_arc(Arc(tail, head))
+        except PreconditionError:
+            return False
+
+    try:
+        distinct = {a if isinstance(a, Arc) else Arc(*a) for a in arcs}
+        acyclic = graph.delete_arcs(distinct).topological_order().order is not None
+    except PreconditionError:
+        for tail, head in ((a.tail, a.head) if isinstance(a, Arc) else a for a in arcs):
+            if not present(tail, head):
+                return f"arc {tail}>{head} is not in the instance"
+        raise
+    if not acyclic:
+        return "deleting the arcs leaves a cycle"
+    if bound is not None and len(distinct) > bound:
+        return f"{len(distinct)} arcs exceed the bound {bound}"
+    return None
+
+
+def verify_fas_reference(text: str, doc: dict, k=None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `btfas verify --fas` by the reference path."""
+
+    def error(message: str, code: int, out: str = "") -> tuple[int, str, str]:
+        return code, out, f"btfas: error: {message}\n"
+
+    def emit(result: dict) -> str:
+        return json.dumps({"mode": "verify", "kind": "fas", **result}, indent=2) + "\n"
+
+    def fail(reason: str) -> tuple[int, str, str]:
+        return error(f"certificate rejected: {reason}", 2, emit({"valid": False, "reason": reason}))
+
+    try:
+        graph = parse_instance_reference(text)
+    except InstanceFormatError as exc:
+        return error(str(exc), 1)
+    raw = doc.get("fas")
+    if not isinstance(raw, list):
+        return fail("certificate has no arc list under 'fas'")
+    for token in raw:
+        if not isinstance(token, str):
+            return fail(f"arc token {token!r} is not a string")
+    try:
+        arcs = [vertex_pair_reference(token) for token in raw]
+    except InstanceFormatError as exc:
+        return error(str(exc), 1)
+    bound = None if k is None else 7 * (k - 1)
+    reason = check_fas_reference(graph, arcs, bound)
+    if reason is not None:
+        return fail(reason)
+    return 0, emit({"valid": True, "size": len(set(arcs)), "bound": bound}), ""

@@ -18,7 +18,7 @@ from btfas import (
     xv,
     yv,
 )
-from btfas.certify import check_fas, check_packing
+from btfas.certify import check_fas, check_fas_pairs, check_packing
 from btfas.errors import InternalInvariantError
 from btfas.graph_core import ABSENT, FourCycle
 
@@ -37,18 +37,20 @@ def without(graph: BipartiteDigraph, arcs) -> BipartiteDigraph:
 def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
     rest = without(graph, subset)
     acyclic = find_cycle_brute(rest) is None
-    assert (check_fas(graph, subset) is None) == acyclic
     order = topological_order_reference(rest).order
-    if acyclic:
-        assert check_fas(graph, subset, order=order) is None
-        assert check_fas(graph, subset, bound=len(set(subset))) is None
-        if subset:
-            assert check_fas(graph, subset, bound=len(set(subset)) - 1) == (
-                f"{len(set(subset))} arcs exceed the bound {len(set(subset)) - 1}"
-            )
-    else:
-        any_order = tuple(graph.vertices())
-        assert check_fas(graph, subset, order=any_order) == "deleting the arcs leaves a cycle"
+    size = len(set(subset))
+    pairs = [(a.tail, a.head) for a in subset]
+    assert check_fas_pairs(graph, pairs) == (check_fas(graph, subset), size)
+    for arcs in (subset, pairs):  # the Arc-set path and the pair-state path
+        assert (check_fas(graph, arcs) is None) == acyclic
+        if acyclic:
+            assert check_fas(graph, arcs, order=order) is None
+            assert check_fas(graph, arcs, bound=size) is None
+            if subset:
+                assert check_fas(graph, arcs, bound=size - 1) == f"{size} arcs exceed the bound {size - 1}"
+        else:
+            any_order = tuple(graph.vertices())
+            assert check_fas(graph, arcs, order=any_order) == "deleting the arcs leaves a cycle"
 
 
 def test_check_fas_matches_brute_force_on_every_2x2_subset():
@@ -75,11 +77,13 @@ def test_check_fas_matches_brute_force_on_random_3x3_subsets():
 def test_check_fas_reasons_for_foreign_arcs():
     g = four_cycle_bt()  # x0>y0, y0>x1, x1>y1, y1>x0
     order = (xv(0), xv(1), yv(0), yv(1))
-    for foreign in (Arc(yv(0), xv(0)), (xv(0), xv(1)), (xv(9), yv(0)), (yv(0), yv(-1))):
+    # y1>y0 would name the present y1>x0 if only its indices were read.
+    for foreign in (Arc(yv(0), xv(0)), (xv(0), xv(1)), (yv(1), yv(0)), (xv(9), yv(0)), (yv(0), yv(-1))):
         tail, head = (foreign.tail, foreign.head) if isinstance(foreign, Arc) else foreign
         reason = f"arc {tail}>{head} is not in the instance"
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign, (xv(5), yv(5))]) == reason
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign], order=order) == reason
+        assert check_fas_pairs(g, [(yv(1), xv(0)), foreign]) == (reason, 0)
     assert check_fas(g, [(yv(1), xv(0)), (yv(1), xv(0))], bound=1) is None
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btfas import build, xv, yv
+from btfas import GenSpec, build, random_bt, xv, yv
 from btfas.cli import (
     InstanceFormatError,
     parse_arc,
@@ -19,7 +20,13 @@ from btfas.cli import (
     run,
 )
 
-from helpers import four_cycle_bt, random_digraph, six_cycle
+from helpers import (
+    four_cycle_bt,
+    parse_instance_reference,
+    random_digraph,
+    six_cycle,
+    verify_fas_reference,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -209,6 +216,9 @@ def test_verify_counts_a_repeated_arc_once(tmp_path, capsys):
     path.write_text(json.dumps({"fas": ["y1>x0"] * 7 + ["y01>x00"]}), encoding="utf-8")
     doc = run_json(capsys, ["verify", instance, "--fas", str(path), "--k", "2"])
     assert doc["size"] == 1 and doc["bound"] == 7
+    # Leading zeros name the same arc.
+    path.write_text(json.dumps({"fas": ["y01>x00", "y1>x0"]}), encoding="utf-8")
+    assert run_json(capsys, ["verify", instance, "--fas", str(path)])["size"] == 1
 
 
 def test_gen_to_stdout_and_file(tmp_path, capsys):
@@ -462,3 +472,189 @@ def test_cli_boundary_never_raises(instance, certificate, k):
             assert code in (0, 1, 2), (argv, err.getvalue())
             if argv[0] == "verify" and code == 2:
                 assert json.loads(out.getvalue())["valid"] is False
+
+
+# ----------------------------------------------------------------------
+# the token-table parser against the per-token reference
+
+
+def _token(side: str, index: int, rng: random.Random) -> str:
+    return f"{side}{'0' * rng.choice((0, 0, 0, 1, 2))}{index}"
+
+
+def _instance_text(rng: random.Random) -> str:
+    """A seeded instance file, valid or with one or two defects of different kinds."""
+    m, n = rng.randint(0, 5), rng.randint(0, 5)
+    arcs = [
+        (_token(a.tail.side.lower(), a.tail.index, rng), _token(a.head.side.lower(), a.head.index, rng))
+        for a in random_digraph(rng, m, n).arcs()
+    ]
+    rng.shuffle(arcs)
+    tail, head = rng.choice(arcs) if arcs else ("x0", "y0")
+    defects = {
+        "same-side": f"a x{rng.randint(0, 3)} x{rng.randint(0, 3)}",
+        "out-of-range": rng.choice((f"a x{m + rng.randint(0, 2)} y0", f"a y{n} x0")),
+        "duplicate": f"a {tail} {head}",
+        "opposite": f"a {head} {tail}",
+        "bad-token": f"a {rng.choice(('z1', 'x', 'x-1', 'x1y2', 'X0', '1', 'x+1'))} y0",
+        "bad-line": rng.choice(("a x0", "a x0 y0 y1", "q x0 y0", "pbt 1 1")),
+        "second-p": f"p bt {m} {n}",
+    }
+    lines = [f"a {t} {h}" for t, h in arcs]
+    for line in rng.sample(sorted(defects.values()), rng.choice((0, 0, 1, 1, 2))):
+        lines.insert(rng.randint(0, len(lines)), line)
+    for _ in range(rng.randint(0, 3)):
+        blank = rng.choice(("", "c note", "c", "   ", "\t", "\x0c cx", "cp bt 1 1"))
+        lines.insert(rng.randint(0, len(lines)), blank)
+    header = f"p bt {m} {n}"
+    if rng.random() < 0.1:
+        header = rng.choice((f"p bt -{m + 1} {n}", f"p bt {m} -1", f"p bt {m}", f"p bt {m} n"))
+    # Mostly first; otherwise anywhere, so an arc line may come before it.
+    lines.insert(0 if rng.random() < 0.9 else rng.randint(0, len(lines)), header)
+    lines = [line.replace(" ", rng.choice((" ", "  ", "\t", "\xa0", "\u3000"))) for line in lines]
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("\n", "", "\r\n"))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc), str(exc)
+
+
+def test_parser_matches_the_reference_on_a_seeded_corpus():
+    rng = random.Random(5)
+    messages = []
+    for _ in range(2000):
+        text = _instance_text(rng)
+        expected = _outcome(parse_instance_reference, text)
+        assert _outcome(parse_instance, text) == expected, text
+        if isinstance(expected, tuple):
+            assert expected[0] is InstanceFormatError
+            messages.append(expected[1])
+    # Every line-format, token and build error occurs in the corpus.
+    for fragment in (
+        "second problem line",
+        "expected 'p bt <m> <n>'",
+        "non-integer side size",
+        "arc before the problem line",
+        "expected 'a <tail> <head>'",
+        "unknown line type",
+        "bad vertex token",
+        "does not cross the bipartition",
+        "outside a",
+        "listed more than once",
+        "side sizes must be non-negative",
+    ):
+        assert any(fragment in message for message in messages), fragment
+    assert 500 < len(messages) < 1500
+
+
+def test_render_lists_the_arcs_in_canonical_order():
+    rng = random.Random(8)
+    for shape in [(0, 4), (4, 0), (0, 0)] + [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(200)]:
+        g = random_digraph(rng, *shape)
+        assert render_instance(g) == "\n".join(
+            [f"p bt {g.m} {g.n}"] + [f"a {a.tail} {a.head}" for a in g.arcs()]
+        ) + "\n"
+
+
+def test_repeated_runs_match_a_fresh_parser(tmp_path, monkeypatch):
+    import btfas.cli as cli_module
+
+    instance = write(tmp_path, "c4.bt", four_cycle_bt())
+    packing = tmp_path / "pack.json"
+    packing.write_text(json.dumps({"packing": [["x0", "y0", "x1", "y1"]]}), encoding="utf-8")
+    fas = tmp_path / "fas.json"
+    fas.write_text(json.dumps({"fas": ["y1>x0"]}), encoding="utf-8")
+    calls = [
+        ["solve", instance],
+        ["solve", instance, "--k", "1"],
+        ["verify", instance, "--fas", str(fas), "--packing", str(packing)],
+        ["verify", instance, "--packing", str(packing), "--k", "1"],
+        ["verify", instance, "--fas", str(fas), "--k", "2"],
+        ["verify", instance],
+        ["oracle", instance, "--min-fas"],
+    ]
+
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return run(argv), out.getvalue(), err.getvalue()
+
+    cached = [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in cached] == [1, 0, 1, 0, 0, 1, 0]
+    build_uncached = cli_module._build_parser.__wrapped__
+    fresh = []
+    for argv in calls:
+        parser = build_uncached()
+        monkeypatch.setattr(cli_module, "_build_parser", lambda: parser)
+        fresh.append(outcome(argv))
+    assert cached == fresh
+
+
+# ----------------------------------------------------------------------
+# verify against the reference path
+
+
+def test_verify_rejects_both_orientations_of_one_pair(tmp_path, capsys):
+    instance = write(tmp_path, "c4.bt", four_cycle_bt())  # x0>y0, y0>x1, x1>y1, y1>x0
+    path = tmp_path / "both.json"
+    for arcs in (["x0>y0", "y0>x0"], ["y0>x0", "x0>y0"]):
+        path.write_text(json.dumps({"fas": arcs}), encoding="utf-8")
+        doc = run_json(capsys, ["verify", instance, "--fas", str(path)], expect=2)
+        assert doc["reason"] == "arc y0>x0 is not in the instance"
+
+
+def _mutated_certificate(rng: random.Random, graph) -> list:
+    """Backward arcs of a random order, then dropped, foreign or repeated arcs."""
+    order = list(graph.vertices())
+    rng.shuffle(order)
+    position = {v: p for p, v in enumerate(order)}
+    tokens = [str(a) for a in graph.arcs() if position[a.tail] > position[a.head]]
+    m, n = graph.m, graph.n
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("drop", "foreign", "same-side", "out-of-range", "repeat", "zeros", "bad"))
+        if kind == "drop" and tokens:
+            tokens.pop(rng.randrange(len(tokens)))
+        elif kind == "foreign":  # reversed, or any cross pair: absent pairs are foreign too
+            i, j = rng.randrange(m), rng.randrange(n)
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice((f"x{i}>y{j}", f"y{j}>x{i}")))
+        elif kind == "same-side":
+            tokens.insert(rng.randint(0, len(tokens)), f"x{rng.randrange(m)}>x{rng.randrange(m)}")
+        elif kind == "out-of-range":
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice((f"x{m}>y0", f"y0>x{m + 3}", f"x0>y{n}")))
+        elif kind == "repeat" and tokens:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(tokens))
+        elif kind == "zeros" and tokens:
+            t = tokens.pop(rng.randrange(len(tokens)))
+            tokens.insert(rng.randint(0, len(tokens)), t[0] + "0" + t[1:].replace(">", ">0", 1))
+        elif kind == "bad" and rng.random() < 0.3:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(("x0y1", "x0>>y1", "z0>y1", "x0>")))
+    return tokens
+
+
+def test_verify_matches_the_reference_on_mutated_certificates(tmp_path):
+    rng = random.Random(12)
+    outcomes, reasons = collections.Counter(), set()
+    for trial in range(500):
+        side = 6 if trial % 2 else 9
+        graph = random_digraph(rng, side, side) if trial % 5 == 0 else random_bt(GenSpec(side, side, trial))
+        text = render_instance(graph)
+        doc = {"fas": _mutated_certificate(rng, graph)}
+        k = rng.choice((None, None, 1, 3, 40))
+        instance, cert = tmp_path / "i.bt", tmp_path / "c.json"
+        instance.write_text(text, encoding="utf-8")
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["verify", str(instance), "--fas", str(cert)] + ([] if k is None else ["--k", str(k)])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert (code, out.getvalue(), err.getvalue()) == verify_fas_reference(text, doc, k), doc
+        outcomes[code] += 1
+        if code == 2:
+            reason = json.loads(out.getvalue())["reason"]
+            reasons.add(next(r for r in ("not in the instance", "leaves a cycle", "exceed the bound") if r in reason))
+    # Accepted, unparseable, and rejected for each kind of reason all occur.
+    assert min(outcomes[code] for code in (0, 1, 2)) >= 20, outcomes
+    assert reasons == {"not in the instance", "leaves a cycle", "exceed the bound"}
