@@ -7,10 +7,10 @@ out-of-range index, a same-side arc or a non-alternating cycle is a reason.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InternalInvariantError, PreconditionError
-from .graph_core import ABSENT, TO_X, TO_Y, Arc, BipartiteDigraph, FourCycle, VertexRef
+from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef, pair_state
 
 
 def check_packing(
@@ -31,7 +31,7 @@ def check_packing(
 
 def check_fas(
     graph: BipartiteDigraph,
-    arcs: Collection[Union[Arc, tuple[VertexRef, VertexRef]]],
+    arcs: Iterable[Union[Arc, tuple[VertexRef, VertexRef]]],
     bound: Optional[int] = None,
     order: Optional[Sequence[VertexRef]] = None,
 ) -> Optional[str]:
@@ -41,26 +41,16 @@ def check_fas(
     ``order``, acyclicity is certified by every other arc running forward
     in it; without, by a topological sort of the graph minus the arcs.
     """
-    if not all(isinstance(a, Arc) for a in arcs):
-        return check_fas_pairs(graph, arcs, bound, order)[0]
-    distinct = set(arcs)  # copying a set of Arcs reuses their slow-to-compute hashes
-    try:
-        if order is None:
-            acyclic = graph.delete_arcs(distinct).topological_order().order is not None
-        else:
-            acyclic = graph.is_forward_order(order, distinct)
-    except PreconditionError:  # only a foreign arc raises; the pair check names the first
-        return check_fas_pairs(graph, arcs, bound, order)[0]
-    return _fas_reason(acyclic, len(distinct), bound)
+    return check_fas_sized(graph, arcs, bound, order)[0]
 
 
-def check_fas_pairs(
+def check_fas_sized(
     graph: BipartiteDigraph,
     arcs: Iterable[Union[Arc, tuple[VertexRef, VertexRef]]],
     bound: Optional[int] = None,
     order: Optional[Sequence[VertexRef]] = None,
 ) -> tuple[Optional[str], int]:
-    """:func:`check_fas` on (tail, head) pairs, plus the number of distinct arcs.
+    """:func:`check_fas`'s reason plus the number of distinct arcs.
 
     Each arc becomes its pair index and the state that pair must hold,
     tested against the unmodified graph, so x0>y0 and y0>x0 listed
@@ -68,34 +58,24 @@ def check_fas_pairs(
     not in the graph.
     """
     m, n, orient = graph.m, graph.n, graph.orient
-    rest = bytearray(orient)
-    size = 0
+    deleted: set[int] = set()
     for a in arcs:
         tail, head = (a.tail, a.head) if isinstance(a, Arc) else a
-        if tail.side == "X":
-            i, j, state = tail.index, head.index, TO_Y
-        else:
-            i, j, state = head.index, tail.index, TO_X
-        p = i * n + j
-        if tail.side == head.side or not (0 <= i < m and 0 <= j < n) or orient[p] != state:
+        found = pair_state(m, n, tail, head)
+        if found is None or orient[found[0]] != found[1]:
             return f"arc {tail}>{head} is not in the instance", 0
-        if rest[p] != ABSENT:
-            rest[p] = ABSENT
-            size += 1
-    remaining = BipartiteDigraph(m, n, bytes(rest))
+        deleted.add(found[0])
+    size = len(deleted)
+    remaining = graph.clear_pairs(deleted)
     if order is None:
         acyclic = remaining.topological_order().order is not None
     else:
         acyclic = remaining.is_forward_order(order)
-    return _fas_reason(acyclic, size, bound), size
-
-
-def _fas_reason(acyclic: bool, size: int, bound: Optional[int]) -> Optional[str]:
     if not acyclic:
-        return "deleting the arcs leaves a cycle"
+        return "deleting the arcs leaves a cycle", size
     if bound is not None and size > bound:
-        return f"{size} arcs exceed the bound {bound}"
-    return None
+        return f"{size} arcs exceed the bound {bound}", size
+    return None, size
 
 
 def require(reason: Optional[str]) -> None:
@@ -107,5 +87,5 @@ def require(reason: Optional[str]) -> None:
 def _holds(test: Callable[[], bool]) -> bool:
     try:
         return test()
-    except PreconditionError:  # a same-side pair or an out-of-range vertex
+    except PreconditionError:  # Arc rejects two consecutive same-side vertices
         return False

@@ -376,7 +376,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 return fail(f"arc token {token!r} is not a string")
         arcs = [_vertex_pair(token, vertices) for token in raw]
         bound = None if args.k is None else 7 * (args.k - 1)
-        reason, size = certify.check_fas_pairs(graph, arcs, bound)
+        reason, size = certify.check_fas_sized(graph, arcs, bound)
         result = {"size": size, "bound": bound}
     else:
         cycles = []

@@ -172,9 +172,9 @@ class BipartiteDigraph:
         return self.orient[xi * self.n + yj]
 
     def has_arc(self, arc: Arc) -> bool:
-        if arc.tail.side == "X":
-            return self.pair(arc.tail.index, arc.head.index) == TO_Y
-        return self.pair(arc.head.index, arc.tail.index) == TO_X
+        """False also for an arc with an endpoint outside this graph."""
+        found = pair_state(self.m, self.n, arc.tail, arc.head)
+        return found is not None and self.orient[found[0]] == found[1]
 
     def arc_count(self) -> int:
         return self.m * self.n - self.orient.count(ABSENT)
@@ -274,29 +274,43 @@ class BipartiteDigraph:
         return BipartiteDigraph(self.n, self.m, bytes(swapped))
 
     def delete_arcs(self, arcs: Iterable[Arc]) -> "BipartiteDigraph":
-        """Remove the listed arcs; their pairs become absent.
-
-        If this graph's X masks are cached, the result inherits them with
-        the deleted bits cleared instead of rebuilding them.
-        """
-        orient = bytearray(self.orient)
-        masks = self.__dict__.get("x_masks")
-        out, inn = (list(masks[0]), list(masks[1])) if masks is not None else ([], [])
-        for arc in set(arcs):
-            if not self.has_arc(arc):
+        """Remove the listed arcs; their pairs become absent."""
+        m, n, orient = self.m, self.n, self.orient
+        pairs = []
+        for arc in arcs:
+            found = pair_state(m, n, arc.tail, arc.head)
+            if found is None or orient[found[0]] != found[1]:
                 raise ArcNotPresent(f"arc {arc} not in the graph")
-            if arc.tail.side == "X":
-                i, j, rows = arc.tail.index, arc.head.index, out
-            else:
-                i, j, rows = arc.head.index, arc.tail.index, inn
-            orient[i * self.n + j] = ABSENT
-            if masks is not None:
-                rows[i] &= ~(1 << j)
-        child = BipartiteDigraph(self.m, self.n, bytes(orient))
-        if masks is not None:
-            # cached_property reads the instance dict first; frozen only
-            # guards attribute assignment.
-            child.__dict__["x_masks"] = (tuple(out), tuple(inn))
+            pairs.append(found[0])
+        return self.clear_pairs(pairs)
+
+    def clear_pairs(self, pairs: Iterable[int]) -> "BipartiteDigraph":
+        """The graph with the pairs at the given row-major indices made absent.
+
+        Masks cached on this graph are handed on with the cleared bits
+        removed instead of being rebuilt.  Clearing a pair twice is harmless.
+        """
+        n = self.n
+        orient = bytearray(self.orient)
+        x_masks, y_masks = self.__dict__.get("x_masks"), self.__dict__.get("y_masks")
+        x_out, x_in = map(list, x_masks or ((), ()))
+        y_out, y_in = map(list, y_masks or ((), ()))
+        for p in pairs:
+            orient[p] = ABSENT
+            i, j = divmod(p, n)
+            if x_masks:  # the pair's bit is set in out or in; clear both
+                x_out[i] &= ~(1 << j)
+                x_in[i] &= ~(1 << j)
+            if y_masks:
+                y_out[j] &= ~(1 << i)
+                y_in[j] &= ~(1 << i)
+        child = BipartiteDigraph(self.m, n, bytes(orient))
+        # cached_property reads the instance dict first; frozen only
+        # guards attribute assignment.
+        if x_masks:
+            child.__dict__["x_masks"] = (tuple(x_out), tuple(x_in))
+        if y_masks:
+            child.__dict__["y_masks"] = (tuple(y_out), tuple(y_in))
         return child
 
     def induced_subgraph(self, xs: Iterable[int], ys: Iterable[int]) -> "Subgraph":
@@ -353,7 +367,7 @@ class BipartiteDigraph:
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
         if len(order) == len(indeg):
-            return TopoResult(tuple(self._vertex(v) for v in order), None)
+            return TopoResult(tuple(map(self._vertex, order)), None)
 
         # Every unplaced vertex still has an unplaced in-neighbor, so a
         # backward walk from the smallest one must close a cycle.
@@ -383,11 +397,10 @@ class BipartiteDigraph:
         """The vertex with integer id v: x_v below m, else y_(v - m)."""
         return xv(v) if v < self.m else yv(v - self.m)
 
-    def is_forward_order(self, order: Sequence[VertexRef], skip: Iterable[Arc] = ()) -> bool:
-        """True iff order lists every vertex once and every arc outside skip runs forward.
+    def is_forward_order(self, order: Sequence[VertexRef]) -> bool:
+        """True iff order lists every vertex once and every arc runs forward.
 
-        Such an order certifies that deleting ``skip`` leaves the graph
-        acyclic.  Every arc of ``skip`` must be an arc of the graph.
+        Such an order certifies that the graph is acyclic.
         """
         m, n = self.m, self.n
         ids = []
@@ -397,12 +410,7 @@ class BipartiteDigraph:
             ids.append(v.index if v.side == "X" else m + v.index)
         if sorted(ids) != list(range(m + n)):
             return False
-        x_out, y_out = list(self.x_masks[0]), list(self.y_masks[0])
-        for arc in skip:
-            if not self.has_arc(arc):
-                raise ArcNotPresent(f"arc {arc} not in the graph")
-            rows = x_out if arc.tail.side == "X" else y_out
-            rows[arc.tail.index] &= ~(1 << arc.head.index)
+        x_out, y_out = self.x_masks[0], self.y_masks[0]
         # Walk the order backwards; each vertex's out-neighbors must all
         # have been seen already, that is, come later in the order.
         later_x = later_y = 0
@@ -442,6 +450,23 @@ class Subgraph:
         return {self.to_parent_arc(a) for a in arcs}
 
 
+def pair_state(m: int, n: int, tail: VertexRef, head: VertexRef) -> Optional[tuple[int, int]]:
+    """The row-major index of the pair an arc tail->head crosses, and the state it sets.
+
+    None when the arc does not cross the bipartition or an endpoint lies
+    outside an m x n graph.
+    """
+    if tail.side == head.side:
+        return None
+    if tail.side == "X":
+        i, j, state = tail.index, head.index, TO_Y
+    else:
+        i, j, state = head.index, tail.index, TO_X
+    if not (0 <= i < m and 0 <= j < n):
+        return None
+    return i * n + j, state
+
+
 def build(m: int, n: int, arcs: Iterable[Arc | tuple[VertexRef, VertexRef]] = ()) -> BipartiteDigraph:
     """Validated construction from side sizes and an arc list.
 
@@ -453,16 +478,13 @@ def build(m: int, n: int, arcs: Iterable[Arc | tuple[VertexRef, VertexRef]] = ()
     orient = bytearray(m * n)
     for item in arcs:
         tail, head = (item.tail, item.head) if isinstance(item, Arc) else item
-        if tail.side == head.side:
-            raise SameSideArc(f"arc {tail}->{head} does not cross the bipartition")
-        if tail.side == "X":
-            xi, yj, state = tail.index, head.index, TO_Y
-        else:
-            xi, yj, state = head.index, tail.index, TO_X
-        if not (0 <= xi < m and 0 <= yj < n):
+        found = pair_state(m, n, tail, head)
+        if found is None:
+            if tail.side == head.side:
+                raise SameSideArc(f"arc {tail}->{head} does not cross the bipartition")
             raise OutOfRange(f"arc {tail}>{head} outside a {m}x{n} graph")
-        p = xi * n + yj
+        p, state = found
         if orient[p] != ABSENT:
-            raise DuplicatePair(f"pair (x{xi}, y{yj}) listed more than once")
+            raise DuplicatePair(f"pair (x{p // n}, y{p % n}) listed more than once")
         orient[p] = state
     return BipartiteDigraph(m, n, bytes(orient))

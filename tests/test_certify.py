@@ -18,7 +18,7 @@ from btfas import (
     xv,
     yv,
 )
-from btfas.certify import check_fas, check_fas_pairs, check_packing
+from btfas.certify import check_fas, check_fas_sized, check_packing
 from btfas.errors import InternalInvariantError
 from btfas.graph_core import ABSENT, FourCycle
 
@@ -40,8 +40,8 @@ def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
     order = topological_order_reference(rest).order
     size = len(set(subset))
     pairs = [(a.tail, a.head) for a in subset]
-    assert check_fas_pairs(graph, pairs) == (check_fas(graph, subset), size)
-    for arcs in (subset, pairs):  # the Arc-set path and the pair-state path
+    assert check_fas_sized(graph, pairs) == (check_fas(graph, subset), size)
+    for arcs in (subset, pairs):
         assert (check_fas(graph, arcs) is None) == acyclic
         if acyclic:
             assert check_fas(graph, arcs, order=order) is None
@@ -83,7 +83,8 @@ def test_check_fas_reasons_for_foreign_arcs():
         reason = f"arc {tail}>{head} is not in the instance"
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign, (xv(5), yv(5))]) == reason
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign], order=order) == reason
-        assert check_fas_pairs(g, [(yv(1), xv(0)), foreign]) == (reason, 0)
+        assert check_fas(g, [foreign], order=order[1:]) == reason  # a foreign arc outranks a bad order
+        assert check_fas_sized(g, [(yv(1), xv(0)), foreign]) == (reason, 0)
     assert check_fas(g, [(yv(1), xv(0)), (yv(1), xv(0))], bound=1) is None
 
 
