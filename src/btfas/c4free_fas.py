@@ -63,7 +63,8 @@ def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> O
     x_i -> y_j -> x_k and some y_l has x_k -> y_l -> x_i; the lowest such
     j and l give the first cycle through the pair.  With ``after``, a cycle
     returned by this function, the scan starts at that cycle's (x, x')
-    pair instead of (x_0, x_0).
+    pair instead of (x_0, x_0).  The scan reads only ``graph.m`` and
+    ``graph.x_masks``, so ``greedy_pack`` passes a view of masks it clears.
     """
     out, inn = graph.x_masks
     start_i = start_k = 0

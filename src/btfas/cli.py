@@ -51,6 +51,8 @@ _VERTEX_RE = re.compile(r"([xy])([0-9]{1,4300})\Z")
 # cross pair and is allocated before any arc is read, so the header is
 # checked first; 2**26 is far above the largest instances solved (512x512).
 MAX_PAIRS = 2**26
+# Largest side size: masks are allocated per vertex even when m*n is 0.
+MAX_SIDE = 2**16
 
 
 class InstanceFormatError(ValueError):
@@ -126,6 +128,8 @@ def parse_instance(text: str) -> BipartiteDigraph:
                 raise InstanceFormatError(
                     f"line {lineno}: {sizes[0]}x{sizes[1]} has more than {MAX_PAIRS} cross pairs"
                 )
+            if max(sizes) > MAX_SIDE:
+                raise InstanceFormatError(f"line {lineno}: a side has more than {MAX_SIDE} vertices")
         else:
             raise InstanceFormatError(f"line {lineno}: unknown line type {fields[0]!r}")
     if sizes is None:
@@ -206,8 +210,10 @@ def _note(message: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if min(args.m, args.n) < 0 or args.m * args.n > MAX_PAIRS:
-        raise _UsageError(f"gen needs 0 <= m, n and m*n <= {MAX_PAIRS}, got {args.m}x{args.n}")
+    if min(args.m, args.n) < 0 or max(args.m, args.n) > MAX_SIDE or args.m * args.n > MAX_PAIRS:
+        raise _UsageError(
+            f"gen needs 0 <= m, n <= {MAX_SIDE} and m*n <= {MAX_PAIRS}, got {args.m}x{args.n}"
+        )
     if args.mode == "enumerate":
         if args.out is None:
             raise _UsageError("gen --mode enumerate requires --out PREFIX")

@@ -57,11 +57,12 @@ def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> fr
     arcs: a cycle cannot be fully forward, and its closing arc guarantees
     at least one backward arc.
     """
-    position = {v: i for i, v in enumerate(order)}
+    # Per side, vertex index -> position: int keys hash in C, VertexRefs do not.
+    position = {s: {v.index: i for i, v in enumerate(order) if v.side == s} for s in "XY"}
     backward = []
     for cycle in cycles:
         verts = cycle.vertices
-        pos = [position.get(v) for v in verts]
+        pos = [position[v.side].get(v.index) for v in verts]
         if None in pos:
             raise VertexNotInOrder(f"cycle vertex {verts[pos.index(None)]} missing from the order")
         backward.extend(

@@ -19,6 +19,7 @@ from btfas import (
     xv,
     yv,
 )
+from btfas import c4free_fas, certify
 from btfas.errors import HasFourCycle
 
 from helpers import (
@@ -200,21 +201,63 @@ def test_certificates_equal_the_reference_on_all_3x3_digraphs():
     assert compared == 16395
 
 
-def test_decomposition_depth_needs_no_stack_depth():
-    g = c4free_blowup(7)
-    expected = fas_c4free_reference(g)
-    assert max(node.depth for node in expected.trace) >= 2
-    depth, frame = 0, sys._getframe()
+def _frame_depth(frame) -> int:
+    depth = 0
     while frame is not None:
         depth += 1
         frame = frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 15)
+    return depth
+
+
+def _deepest_frames(monkeypatch, g):
+    """fas_c4free's certificate, its deepest frame outside the final check, and check entries.
+
+    Depths count frames above this helper's.  The final ``check_fas`` is
+    patched to record the depth it is entered at; the frames of its leaf
+    call chain are the checker's, not the decomposition's, and not counted.
+    """
+    base = _frame_depth(sys._getframe())
+    deepest, check_entries, checking = 0, [], False
+
+    def check_fas_recorded(*args, **kwargs):
+        nonlocal checking
+        check_entries.append(_frame_depth(sys._getframe()) - base)
+        checking = True
+        try:
+            return certify.check_fas(*args, **kwargs)
+        finally:
+            checking = False
+
+    def on_event(frame, event, arg):
+        nonlocal deepest
+        if event == "call" and not checking:
+            deepest = max(deepest, _frame_depth(frame) - base)
+
+    monkeypatch.setattr(c4free_fas, "check_fas", check_fas_recorded)
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
     try:
         cert = fas_c4free(g)
     finally:
-        sys.setrecursionlimit(limit)
-    assert cert == expected
+        sys.setprofile(previous)
+    return cert, deepest, check_entries
+
+
+def test_decomposition_depth_needs_no_stack_depth(monkeypatch):
+    """A deeper decomposition takes no more frames; at most 8 in all.
+
+    The recursive reference in ``helpers`` takes 14 frames at trace depth
+    1 and 20 at trace depth 3.
+    """
+    deepest_at = {}
+    for seed in (1, 7):
+        g = c4free_blowup(seed)
+        cert, deepest, check_entries = _deepest_frames(monkeypatch, g)
+        assert cert == fas_c4free_reference(g)
+        assert check_entries == [2]  # once, called by fas_c4free itself
+        deepest_at[max(node.depth for node in cert.trace)] = deepest
+    assert sorted(deepest_at) == [1, 3]
+    assert deepest_at[1] == deepest_at[3] <= 8
 
 
 @settings(derandomize=True, database=None, deadline=None)

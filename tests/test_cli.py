@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from btfas import GenSpec, build, random_bt, xv, yv
 from btfas.cli import (
+    MAX_SIDE,
     InstanceFormatError,
     parse_arc,
     parse_instance,
@@ -264,6 +265,8 @@ def test_gen_rejects_a_negative_count(tmp_path, capsys):
         ["--m", "2", "--n", "-1", "--mode", "enumerate", "--out", "enum-"],
         ["--m", "1000000000", "--n", "1000000000"],
         ["--m", "8192", "--n", "8193", "--mode", "random-c4free"],
+        ["--m", "100000000", "--n", "0"],
+        ["--m", "0", "--n", str(MAX_SIDE + 1), "--mode", "random-c4free"],
     ],
 )
 def test_gen_rejects_bad_sides_before_allocating(capsys, monkeypatch, argv):
@@ -356,10 +359,16 @@ def test_oversized_header_exits_1_before_allocating(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(cli_module, "build", no_build)
     huge = tmp_path / "huge.bt"
-    for header in ("p bt 1000000000 1000000000", "p bt 8192 8193"):
+    # The last two pass MAX_PAIRS: an empty side makes m*n zero.
+    for header, reason in (
+        ("p bt 1000000000 1000000000", "cross pairs"),
+        ("p bt 8192 8193", "cross pairs"),
+        ("p bt 100000000 0", f"more than {MAX_SIDE} vertices"),
+        (f"p bt 0 {MAX_SIDE + 1}", f"more than {MAX_SIDE} vertices"),
+    ):
         huge.write_text(f"{header}\na x0 y0\n", encoding="utf-8")
         assert run(["fas-c4free", str(huge)]) == 1
-        assert "cross pairs" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
 
 
 def test_precondition_violations_exit_2(tmp_path, capsys):

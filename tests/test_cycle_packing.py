@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from btfas import GenSpec, find_4cycle, greedy_pack, max_c4_packing_exact, random_bt
+from btfas import (
+    BipartiteDigraph,
+    GenSpec,
+    find_4cycle,
+    greedy_pack,
+    max_c4_packing_exact,
+    random_bt,
+)
 from btfas.errors import OutOfRange
 
 from helpers import all_oriented, four_cycle_bt, greedy_pack_reference, random_digraph, six_cycle
@@ -73,6 +80,7 @@ def test_one_pass_packing_matches_rescanning_on_all_small_digraphs():
         for g in all_oriented(m, n):
             packing = greedy_pack(g)
             assert (packing.cycles, packing.residual) == greedy_pack_reference(g)
+            assert_masks_match_orient(packing.residual)
 
 
 def test_one_pass_packing_matches_rescanning_on_random_graphs():
@@ -80,8 +88,34 @@ def test_one_pass_packing_matches_rescanning_on_random_graphs():
     for t in range(16):
         m, n = rng.randint(8, 16), rng.randint(8, 16)
         g = random_digraph(rng, m, n) if t % 2 else random_bt(GenSpec(m, n, seed=t))
+        g.y_masks  # cached on the input, so the residual is handed both mask sets
         for limit in (None, 0, 1, 5):
             packing = greedy_pack(g, limit)
             cycles, residual = greedy_pack_reference(g, limit)
             assert packing.cycles == cycles
             assert packing.residual.orient == residual.orient
+            assert_masks_match_orient(packing.residual)
+
+
+def assert_masks_match_orient(graph):
+    """The masks a graph carries (``==`` ignores them) equal freshly derived ones."""
+    fresh = BipartiteDigraph(graph.m, graph.n, graph.orient)
+    assert graph.x_masks == fresh.x_masks
+    assert graph.y_masks == fresh.y_masks
+
+
+def test_packing_builds_one_residual(monkeypatch):
+    calls = {"clear_pairs": 0, "delete_arcs": 0}
+    for name in calls:
+        original = getattr(BipartiteDigraph, name)
+
+        def counting(self, pairs, name=name, original=original):
+            calls[name] += 1
+            return original(self, pairs)
+
+        monkeypatch.setattr(BipartiteDigraph, name, counting)
+    g = random_bt(GenSpec(20, 20, seed=3))
+    packing = greedy_pack(g)
+    assert len(packing.cycles) >= 50
+    assert calls == {"clear_pairs": 1, "delete_arcs": 0}
+    assert packing.validate(g)

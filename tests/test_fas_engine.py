@@ -31,7 +31,7 @@ def test_backward_arcs_hand_checked():
 
 
 def test_backward_arcs_requires_all_vertices():
-    with pytest.raises(VertexNotInOrder):
+    with pytest.raises(VertexNotInOrder, match="cycle vertex y1 missing from the order"):
         backward_arcs((xv(0), yv(0), xv(1)), [four_cycle(0, 0, 1, 1)])
 
 
