@@ -24,33 +24,27 @@ from .graph_core import (
     build,
     four_cycle,
     is_cycle_sequence,
-    reverse_arcs,
     xv,
     yv,
 )
 from .instance_gen import GenSpec, enumerate_bt, random_bt, random_c4free
 from .oracles import (
-    OracleResult,
-    all_4cycles,
-    find_cycle_brute,
-    max_c4_packing_exact,
-    min_fas_exact,
-)
-from .p4_census import (
     P4,
     CensusSums,
     ClassKey2,
     ClassKey3,
-    NeighborhoodPartition,
+    OracleResult,
+    all_4cycles,
     census_sums,
     classes2,
     classes3,
     enumerate_induced_p4,
-    first_count,
+    find_cycle_brute,
     first_sec_by_buckets,
-    partition_around,
-    sec_count,
+    max_c4_packing_exact,
+    min_fas_exact,
 )
+from .p4_census import NeighborhoodPartition, first_count, partition_around, sec_count
 
 __all__ = [
     "ABSENT",
@@ -96,7 +90,6 @@ __all__ = [
     "partition_around",
     "random_bt",
     "random_c4free",
-    "reverse_arcs",
     "sec_count",
     "solve",
     "trim_acyclic_vertices",

@@ -7,23 +7,31 @@ out-of-range index, a same-side arc or a non-alternating cycle is a reason.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError
 from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef, pair_state
 
 
 def check_packing(
     graph: BipartiteDigraph, cycles: Sequence[FourCycle], k: Optional[int] = None
 ) -> Optional[str]:
-    """Why ``cycles`` are not at least k pairwise arc-disjoint 4-cycles of graph."""
-    seen: set[Arc] = set()
+    """Why ``cycles`` are not at least k pairwise arc-disjoint 4-cycles of graph.
+
+    Each arc becomes its pair index and state, as in :func:`check_fas_sized`.
+    A repeated vertex puts both orientations on one pair, so it fails too.
+    """
+    m, n, orient = graph.m, graph.n, graph.orient
+    used: set[int] = set()
     for cycle in cycles:
-        if not _holds(lambda: cycle.is_cycle_of(graph)):
-            return f"{[str(v) for v in cycle.vertices]} is not a 4-cycle here"
-        if not seen.isdisjoint(cycle.arcs()):
+        seq = cycle.vertices
+        found = [pair_state(m, n, seq[t - 1], seq[t]) for t in range(len(seq))]
+        if len(seq) != 4 or None in found or any(orient[p] != state for p, state in found):
+            return f"{[str(v) for v in seq]} is not a 4-cycle here"
+        pairs = {p for p, _ in found}
+        if not used.isdisjoint(pairs):
             return "cycles share an arc"
-        seen.update(cycle.arcs())
+        used |= pairs
     if k is not None and len(cycles) < k:
         return f"only {len(cycles)} cycles, need {k}"
     return None
@@ -83,9 +91,3 @@ def require(reason: Optional[str]) -> None:
     if reason is not None:
         raise InternalInvariantError(reason)
 
-
-def _holds(test: Callable[[], bool]) -> bool:
-    try:
-        return test()
-    except PreconditionError:  # Arc rejects two consecutive same-side vertices
-        return False

@@ -167,8 +167,11 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _read(path: str) -> str:
+def _read(path: str, stdin: bool = False) -> str:
+    """The file, or standard input, as strict UTF-8 whatever the locale."""
     try:
+        if stdin:
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -176,7 +179,7 @@ def _read(path: str) -> str:
 
 
 def _load_instance(path: str) -> BipartiteDigraph:
-    return parse_instance(sys.stdin.read() if path == "-" else _read(path))
+    return parse_instance(_read(path, stdin=path == "-"))
 
 
 def _load_json(path: str) -> dict:
@@ -214,42 +217,34 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"gen needs 0 <= m, n <= {MAX_SIDE} and m*n <= {MAX_PAIRS}, got {args.m}x{args.n}"
         )
+    make = instance_gen.random_bt if args.mode == "random" else instance_gen.random_c4free
     if args.mode == "enumerate":
         if args.out is None:
             raise _UsageError("gen --mode enumerate requires --out PREFIX")
-        files = []
-        for i, graph in enumerate(instance_gen.enumerate_bt(args.m, args.n)):
-            path = f"{args.out}{i:05d}.bt"
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(render_instance(graph))
-            files.append(path)
-        _emit({"mode": "gen", "count": len(files), "files": files})
-        return 0
-
-    make = instance_gen.random_bt if args.mode == "random" else instance_gen.random_c4free
-    if args.count is not None:
+        graphs = instance_gen.enumerate_bt(args.m, args.n)
+    elif args.count is not None:
         if args.count < 0:
             raise _UsageError(f"gen --count must be non-negative, got {args.count}")
         if args.out is None:
             raise _UsageError("gen --count requires --out PREFIX")
-        files = []
-        for i in range(args.count):
-            spec = instance_gen.GenSpec(args.m, args.n, args.seed + i, args.bias)
-            path = f"{args.out}{i:05d}.bt"
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(render_instance(make(spec)))
-            files.append(path)
-        _emit({"mode": "gen", "count": len(files), "files": files})
-        return 0
-
-    graph = make(instance_gen.GenSpec(args.m, args.n, args.seed, args.bias))
-    text = render_instance(graph)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
+        seeds = range(args.seed, args.seed + args.count)
+        graphs = (make(instance_gen.GenSpec(args.m, args.n, s, args.bias)) for s in seeds)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        _emit({"mode": "gen", "count": 1, "files": [args.out]})
+        text = render_instance(make(instance_gen.GenSpec(args.m, args.n, args.seed, args.bias)))
+        if args.out is None or args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            _emit({"mode": "gen", "count": 1, "files": [args.out]})
+        return 0
+    files = []
+    for i, graph in enumerate(graphs):
+        path = f"{args.out}{i:05d}.bt"
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(render_instance(graph))
+        files.append(path)
+    _emit({"mode": "gen", "count": len(files), "files": files})
     return 0
 
 
@@ -346,7 +341,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         }
         for v in graph.vertices()
     ]
-    sums = p4_census.census_sums(graph)
+    sums = oracles.census_sums(graph)
     _emit(
         {
             "mode": "census",
@@ -411,8 +406,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     for size in (1, 2, 3):
         for graph in instance_gen.enumerate_bt(size, size):
             count += 1
-            sums = p4_census.census_sums(graph)
-            buckets = p4_census.first_sec_by_buckets(graph)
+            sums = oracles.census_sums(graph)
+            buckets = oracles.first_sec_by_buckets(graph)
             if sums.sum_first != sums.count2 or sums.sum_sec != sums.count3:
                 raise InternalInvariantError(f"census sums disagree on {graph}")
             for v in graph.vertices():
@@ -420,7 +415,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
                 if closed != buckets[v]:
                     raise InternalInvariantError(f"count routes disagree at {v} on {graph}")
             flipped = graph.reverse()
-            rsums = p4_census.census_sums(flipped)
+            rsums = oracles.census_sums(flipped)
             if (sums.sum_first, sums.sum_sec) != (rsums.sum_sec, rsums.sum_first):
                 raise InternalInvariantError(f"reversal sums disagree on {graph}")
     record("census-identities-exhaustive", count)

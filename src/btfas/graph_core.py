@@ -61,10 +61,6 @@ class VertexRef:
     side: str
     index: int
 
-    def swapped(self) -> "VertexRef":
-        """The same position on the other side, for side-swap relabeling."""
-        return VertexRef("Y" if self.side == "X" else "X", self.index)
-
     def __str__(self) -> str:
         return f"{self.side.lower()}{self.index}"
 
@@ -88,19 +84,8 @@ class Arc:
         if self.tail.side == self.head.side:
             raise SameSideArc(f"arc {self.tail}->{self.head} does not cross the bipartition")
 
-    def reversed(self) -> "Arc":
-        return Arc(self.head, self.tail)
-
-    def swapped(self) -> "Arc":
-        return Arc(self.tail.swapped(), self.head.swapped())
-
     def __str__(self) -> str:
         return f"{self.tail}>{self.head}"
-
-
-def reverse_arcs(arcs: Iterable[Arc]) -> frozenset[Arc]:
-    """Reverse every arc of a set."""
-    return frozenset(a.reversed() for a in arcs)
 
 
 @dataclass(frozen=True, order=True)
@@ -112,9 +97,6 @@ class FourCycle:
     def arcs(self) -> tuple[Arc, Arc, Arc, Arc]:
         a, b, c, d = self.vertices
         return (Arc(a, b), Arc(b, c), Arc(c, d), Arc(d, a))
-
-    def is_cycle_of(self, graph: "BipartiteDigraph") -> bool:
-        return len(self.vertices) == 4 and is_cycle_sequence(graph, self.vertices)
 
 
 def four_cycle(xi: int, yj: int, xk: int, yl: int) -> FourCycle:
@@ -183,15 +165,10 @@ class BipartiteDigraph:
         """Number of non-adjacent cross pairs; equals m*n minus the arc count."""
         return self.orient.count(ABSENT)
 
-    def x_vertices(self) -> Iterator[VertexRef]:
-        return (xv(i) for i in range(self.m))
-
-    def y_vertices(self) -> Iterator[VertexRef]:
-        return (yv(j) for j in range(self.n))
-
     def vertices(self) -> Iterator[VertexRef]:
-        yield from self.x_vertices()
-        yield from self.y_vertices()
+        """X vertices by index, then Y vertices by index."""
+        yield from map(xv, range(self.m))
+        yield from map(yv, range(self.n))
 
     def arcs(self) -> list[Arc]:
         """All arcs in canonical order: X-tail arcs by (i, j), then Y-tail by (j, i)."""
@@ -208,20 +185,6 @@ class BipartiteDigraph:
             if self.orient[i * self.n + j] == TO_X
         )
         return out
-
-    def out_neighbors(self, v: VertexRef) -> list[VertexRef]:
-        self._check_vertex(v)
-        if v.side == "X":
-            row = v.index * self.n
-            return [yv(j) for j in range(self.n) if self.orient[row + j] == TO_Y]
-        return [xv(i) for i in range(self.m) if self.orient[i * self.n + v.index] == TO_X]
-
-    def in_neighbors(self, v: VertexRef) -> list[VertexRef]:
-        self._check_vertex(v)
-        if v.side == "X":
-            row = v.index * self.n
-            return [yv(j) for j in range(self.n) if self.orient[row + j] == TO_X]
-        return [xv(i) for i in range(self.m) if self.orient[i * self.n + v.index] == TO_Y]
 
     @cached_property
     def x_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -261,7 +224,7 @@ class BipartiteDigraph:
         so the pair matrix is transposed and each oriented state flips.
         An involution.
         """
-        swapped = bytearray(self.m * self.n)
+        transposed = bytearray(self.m * self.n)
         for i in range(self.m):
             row = i * self.n
             for j in range(self.n):
@@ -270,8 +233,8 @@ class BipartiteDigraph:
                     state = TO_X
                 elif state == TO_X:
                     state = TO_Y
-                swapped[j * self.m + i] = state
-        return BipartiteDigraph(self.n, self.m, bytes(swapped))
+                transposed[j * self.m + i] = state
+        return BipartiteDigraph(self.n, self.m, bytes(transposed))
 
     def delete_arcs(self, arcs: Iterable[Arc]) -> "BipartiteDigraph":
         """Remove the listed arcs; their pairs become absent."""
@@ -437,17 +400,6 @@ class Subgraph:
     graph: BipartiteDigraph
     x_map: tuple[int, ...]  # subgraph x-index -> parent x-index
     y_map: tuple[int, ...]
-
-    def to_parent_vertex(self, v: VertexRef) -> VertexRef:
-        if v.side == "X":
-            return xv(self.x_map[v.index])
-        return yv(self.y_map[v.index])
-
-    def to_parent_arc(self, arc: Arc) -> Arc:
-        return Arc(self.to_parent_vertex(arc.tail), self.to_parent_vertex(arc.head))
-
-    def to_parent_arcs(self, arcs: Iterable[Arc]) -> set[Arc]:
-        return {self.to_parent_arc(a) for a in arcs}
 
 
 def pair_state(m: int, n: int, tail: VertexRef, head: VertexRef) -> Optional[tuple[int, int]]:

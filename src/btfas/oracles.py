@@ -2,18 +2,22 @@
 
 Nothing here is needed on the fast path; these routines exist so that
 every polynomial-time result in the package can be checked against a
-ground truth on small instances.
+ground truth on small instances: exact minimum feedback arc sets and
+maximum packings, a brute-force cycle search, and the enumeration of
+induced P4s and their classes behind the ``census`` and ``selftest``
+commands, which cross-checks the closed forms of ``p4_census``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .certify import check_fas, check_packing, require
 from .errors import InternalInvariantError, TooLarge
 from .graph_core import (
+    ABSENT,
     TO_X,
     TO_Y,
     Arc,
@@ -21,9 +25,11 @@ from .graph_core import (
     FourCycle,
     VertexRef,
     four_cycle,
+    pair_state,
     xv,
     yv,
 )
+from .p4_census import first_count, sec_count
 
 MAX_EXACT_VERTICES = 22
 DEFAULT_CYCLE_CAP = 10_000
@@ -125,14 +131,8 @@ def max_c4_packing_exact(
     cycles = all_4cycles(graph)
     if len(cycles) > cap:
         raise TooLarge(f"{len(cycles)} 4-cycles exceed the configured cap of {cap}")
-    masks = []
-    for cycle in cycles:
-        mask = 0
-        for arc in cycle.arcs():
-            xi = arc.tail.index if arc.tail.side == "X" else arc.head.index
-            yj = arc.head.index if arc.tail.side == "X" else arc.tail.index
-            mask |= 1 << (xi * graph.n + yj)
-        masks.append(mask)
+    m, n = graph.m, graph.n
+    masks = [sum(1 << pair_state(m, n, a.tail, a.head)[0] for a in c.arcs()) for c in cycles]
 
     best_count = 0
     best_set: tuple[FourCycle, ...] = ()
@@ -180,3 +180,134 @@ def find_cycle_brute(graph: BipartiteDigraph) -> Optional[tuple[VertexRef, ...]]
                         seq.append(yv(ys[t]))
                     return tuple(seq)
     return None
+
+
+# ----------------------------------------------------------------------
+# induced P4s by enumeration, the cross-check of the p4_census closed forms
+
+
+@dataclass(frozen=True, order=True)
+class P4:
+    """An induced directed path on four vertices."""
+
+    vertices: tuple[VertexRef, VertexRef, VertexRef, VertexRef]
+
+    def key2(self) -> "ClassKey2":
+        v1, _, v3, v4 = self.vertices
+        return ClassKey2(v1, v3, v4)
+
+    def key3(self) -> "ClassKey3":
+        v1, v2, _, v4 = self.vertices
+        return ClassKey3(v1, v2, v4)
+
+    def reversed(self) -> "P4":
+        a, b, c, d = self.vertices
+        return P4((d, c, b, a))
+
+
+@dataclass(frozen=True, order=True)
+class ClassKey2:
+    """Identifies the class of paths agreeing on first, third and fourth vertex."""
+
+    first: VertexRef
+    third: VertexRef
+    fourth: VertexRef
+
+
+@dataclass(frozen=True, order=True)
+class ClassKey3:
+    """Identifies the class of paths agreeing on first, second and fourth vertex."""
+
+    first: VertexRef
+    second: VertexRef
+    fourth: VertexRef
+
+
+def enumerate_induced_p4(graph: BipartiteDigraph) -> list[P4]:
+    """All induced P4s, deduplicated, in sorted order.
+
+    Brute force over ordered 4-tuples with O(1) pair lookups; fine at the
+    instance sizes this package targets.
+    """
+    found: list[P4] = []
+    for first_side in ("X", "Y"):
+        a_range = range(graph.m) if first_side == "X" else range(graph.n)
+        b_range = range(graph.n) if first_side == "X" else range(graph.m)
+        mk_a = xv if first_side == "X" else yv
+        mk_b = yv if first_side == "X" else xv
+        for i1 in a_range:
+            v1 = mk_a(i1)
+            for j1 in b_range:
+                v2 = mk_b(j1)
+                if not graph.has_arc(Arc(v1, v2)):
+                    continue
+                for i2 in a_range:
+                    if i2 == i1:
+                        continue
+                    v3 = mk_a(i2)
+                    if not graph.has_arc(Arc(v2, v3)):
+                        continue
+                    for j2 in b_range:
+                        if j2 == j1:
+                            continue
+                        v4 = mk_b(j2)
+                        if not graph.has_arc(Arc(v3, v4)):
+                            continue
+                        state = (
+                            graph.pair(i1, j2) if first_side == "X" else graph.pair(j2, i1)
+                        )
+                        if state == ABSENT:
+                            found.append(P4((v1, v2, v3, v4)))
+    found.sort()
+    return found
+
+
+def classes2(graph: BipartiteDigraph) -> dict[ClassKey2, frozenset[P4]]:
+    """Partition of the induced P4s by (first, third, fourth), keys sorted."""
+    buckets: dict[ClassKey2, set[P4]] = {}
+    for path in enumerate_induced_p4(graph):
+        buckets.setdefault(path.key2(), set()).add(path)
+    return {k: frozenset(buckets[k]) for k in sorted(buckets)}
+
+
+def classes3(graph: BipartiteDigraph) -> dict[ClassKey3, frozenset[P4]]:
+    """Partition of the induced P4s by (first, second, fourth), keys sorted."""
+    buckets: dict[ClassKey3, set[P4]] = {}
+    for path in enumerate_induced_p4(graph):
+        buckets.setdefault(path.key3(), set()).add(path)
+    return {k: frozenset(buckets[k]) for k in sorted(buckets)}
+
+
+def first_sec_by_buckets(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
+    """Enumeration-based first/sec counts for every vertex.
+
+    Independent of the closed forms in ``p4_census``; used to cross-check them.
+    """
+    firsts: dict[VertexRef, set[ClassKey2]] = {v: set() for v in graph.vertices()}
+    seconds: dict[VertexRef, set[ClassKey3]] = {v: set() for v in graph.vertices()}
+    for path in enumerate_induced_p4(graph):
+        firsts[path.vertices[0]].add(path.key2())
+        seconds[path.vertices[1]].add(path.key3())
+    return {v: (len(firsts[v]), len(seconds[v])) for v in graph.vertices()}
+
+
+class CensusSums(NamedTuple):
+    sum_first: int
+    sum_sec: int
+    count2: int
+    count3: int
+
+
+def census_sums(graph: BipartiteDigraph) -> CensusSums:
+    """Vertex sums of the closed-form counts next to the class-map sizes.
+
+    The two routes must agree: the sum of per-vertex first counts is the
+    number of (first, third, fourth) classes, and likewise for the second
+    kind.
+    """
+    sum_first = 0
+    sum_sec = 0
+    for v in graph.vertices():
+        sum_first += first_count(graph, v)
+        sum_sec += sec_count(graph, v)
+    return CensusSums(sum_first, sum_sec, len(classes2(graph)), len(classes3(graph)))

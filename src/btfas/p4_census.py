@@ -1,18 +1,15 @@
-"""Induced four-vertex paths, their equivalence classes, and local counts.
+"""Closed-form counts of induced four-vertex path classes, per vertex.
 
 An induced P4 is a directed path (v1, v2, v3, v4) with no arc between
 non-consecutive vertices; in a bipartite digraph that reduces to v1 and v4
-being non-adjacent, since the other skew pairs stay on one side.  Two
-grouping relations partition the paths: paths sharing (first, third,
-fourth) form one class, paths sharing (first, second, fourth) another.
-
-``first_count``/``sec_count`` report, per vertex, how many classes of the
-first kind start at it and how many of the second kind have it second.
-Both admit a closed form over the neighborhood partition around the
-vertex.  ``mask_census`` computes that partition and both counts at once
-on bitmasks, for a center on either side; it is what the decomposition in
-``c4free_fas`` uses.  The enumeration-based route is kept as an
-independent cross-check.
+being non-adjacent.  Paths sharing (first, third, fourth) form one class,
+paths sharing (first, second, fourth) another.  ``first_count`` and
+``sec_count`` report, per vertex, how many classes of the first kind start
+at it and how many of the second kind have it second, by a closed form
+over the neighborhood partition around the vertex.  ``mask_census``
+computes that partition and both counts at once on bitmasks, for a center
+on either side; it is what the decomposition in ``c4free_fas`` uses.  The
+path enumeration that checks these closed forms lives in ``oracles``.
 """
 
 from __future__ import annotations
@@ -20,44 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .graph_core import ABSENT, Arc, BipartiteDigraph, VertexRef, bit_indices, xv, yv
-
-
-@dataclass(frozen=True, order=True)
-class P4:
-    """An induced directed path on four vertices."""
-
-    vertices: tuple[VertexRef, VertexRef, VertexRef, VertexRef]
-
-    def key2(self) -> "ClassKey2":
-        v1, _, v3, v4 = self.vertices
-        return ClassKey2(v1, v3, v4)
-
-    def key3(self) -> "ClassKey3":
-        v1, v2, _, v4 = self.vertices
-        return ClassKey3(v1, v2, v4)
-
-    def reversed(self) -> "P4":
-        a, b, c, d = self.vertices
-        return P4((d, c, b, a))
-
-
-@dataclass(frozen=True, order=True)
-class ClassKey2:
-    """Identifies the class of paths agreeing on first, third and fourth vertex."""
-
-    first: VertexRef
-    third: VertexRef
-    fourth: VertexRef
-
-
-@dataclass(frozen=True, order=True)
-class ClassKey3:
-    """Identifies the class of paths agreeing on first, second and fourth vertex."""
-
-    first: VertexRef
-    second: VertexRef
-    fourth: VertexRef
+from .graph_core import BipartiteDigraph, VertexRef, bit_indices, xv, yv
 
 
 @dataclass(frozen=True)
@@ -76,61 +36,6 @@ class NeighborhoodPartition:
     non_adjacent: frozenset[VertexRef]
     two_step: frozenset[VertexRef]
     rest: frozenset[VertexRef]
-
-
-def enumerate_induced_p4(graph: BipartiteDigraph) -> list[P4]:
-    """All induced P4s, deduplicated, in sorted order.
-
-    Brute force over ordered 4-tuples with O(1) pair lookups; fine at the
-    instance sizes this package targets.
-    """
-    found: list[P4] = []
-    for first_side in ("X", "Y"):
-        a_range = range(graph.m) if first_side == "X" else range(graph.n)
-        b_range = range(graph.n) if first_side == "X" else range(graph.m)
-        mk_a = xv if first_side == "X" else yv
-        mk_b = yv if first_side == "X" else xv
-        for i1 in a_range:
-            v1 = mk_a(i1)
-            for j1 in b_range:
-                v2 = mk_b(j1)
-                if not graph.has_arc(Arc(v1, v2)):
-                    continue
-                for i2 in a_range:
-                    if i2 == i1:
-                        continue
-                    v3 = mk_a(i2)
-                    if not graph.has_arc(Arc(v2, v3)):
-                        continue
-                    for j2 in b_range:
-                        if j2 == j1:
-                            continue
-                        v4 = mk_b(j2)
-                        if not graph.has_arc(Arc(v3, v4)):
-                            continue
-                        state = (
-                            graph.pair(i1, j2) if first_side == "X" else graph.pair(j2, i1)
-                        )
-                        if state == ABSENT:
-                            found.append(P4((v1, v2, v3, v4)))
-    found.sort()
-    return found
-
-
-def classes2(graph: BipartiteDigraph) -> dict[ClassKey2, frozenset[P4]]:
-    """Partition of the induced P4s by (first, third, fourth), keys sorted."""
-    buckets: dict[ClassKey2, set[P4]] = {}
-    for path in enumerate_induced_p4(graph):
-        buckets.setdefault(path.key2(), set()).add(path)
-    return {k: frozenset(buckets[k]) for k in sorted(buckets)}
-
-
-def classes3(graph: BipartiteDigraph) -> dict[ClassKey3, frozenset[P4]]:
-    """Partition of the induced P4s by (first, second, fourth), keys sorted."""
-    buckets: dict[ClassKey3, set[P4]] = {}
-    for path in enumerate_induced_p4(graph):
-        buckets.setdefault(path.key3(), set()).add(path)
-    return {k: frozenset(buckets[k]) for k in sorted(buckets)}
 
 
 class MaskPartition(NamedTuple):
@@ -220,38 +125,3 @@ def sec_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     ``in_nbrs`` and ``two_step`` in the partition around v.
     """
     return _census(graph, v)[2]
-
-
-def first_sec_by_buckets(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
-    """Enumeration-based first/sec counts for every vertex.
-
-    Independent of the closed forms above; used to cross-check them.
-    """
-    firsts: dict[VertexRef, set[ClassKey2]] = {v: set() for v in graph.vertices()}
-    seconds: dict[VertexRef, set[ClassKey3]] = {v: set() for v in graph.vertices()}
-    for path in enumerate_induced_p4(graph):
-        firsts[path.vertices[0]].add(path.key2())
-        seconds[path.vertices[1]].add(path.key3())
-    return {v: (len(firsts[v]), len(seconds[v])) for v in graph.vertices()}
-
-
-class CensusSums(NamedTuple):
-    sum_first: int
-    sum_sec: int
-    count2: int
-    count3: int
-
-
-def census_sums(graph: BipartiteDigraph) -> CensusSums:
-    """Vertex sums of the closed-form counts next to the class-map sizes.
-
-    The two routes must agree: the sum of per-vertex first counts is the
-    number of (first, third, fourth) classes, and likewise for the second
-    kind.
-    """
-    sum_first = 0
-    sum_sec = 0
-    for v in graph.vertices():
-        sum_first += first_count(graph, v)
-        sum_sec += sec_count(graph, v)
-    return CensusSums(sum_first, sum_sec, len(classes2(graph)), len(classes3(graph)))

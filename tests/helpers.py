@@ -17,6 +17,7 @@ from btfas import (
     Arc,
     BipartiteDigraph,
     FasCertificate,
+    FourCycle,
     NeighborhoodPartition,
     P4,
     Subgraph,
@@ -25,13 +26,58 @@ from btfas import (
     all_4cycles,
     build,
     four_cycle,
-    reverse_arcs,
     xv,
     yv,
 )
 from btfas.cli import MAX_PAIRS, InstanceFormatError
 from btfas.errors import DuplicatePair, OutOfRange, PreconditionError
 from btfas.graph_core import TO_X, TO_Y, TopoResult, is_cycle_sequence
+
+
+# ----------------------------------------------------------------------
+# object-graph helpers on VertexRef and Arc labels, from the definitions
+
+
+def x_vertices(graph: BipartiteDigraph) -> list[VertexRef]:
+    return [xv(i) for i in range(graph.m)]
+
+
+def y_vertices(graph: BipartiteDigraph) -> list[VertexRef]:
+    return [yv(j) for j in range(graph.n)]
+
+
+def out_neighbors(graph: BipartiteDigraph, v: VertexRef) -> list[VertexRef]:
+    if v.side == "X":
+        return [yv(j) for j in range(graph.n) if graph.orient[v.index * graph.n + j] == TO_Y]
+    return [xv(i) for i in range(graph.m) if graph.orient[i * graph.n + v.index] == TO_X]
+
+
+def in_neighbors(graph: BipartiteDigraph, v: VertexRef) -> list[VertexRef]:
+    if v.side == "X":
+        return [yv(j) for j in range(graph.n) if graph.orient[v.index * graph.n + j] == TO_X]
+    return [xv(i) for i in range(graph.m) if graph.orient[i * graph.n + v.index] == TO_Y]
+
+
+def swap_vertex(v: VertexRef) -> VertexRef:
+    """The same position on the other side, for side-swap relabeling."""
+    return VertexRef("Y" if v.side == "X" else "X", v.index)
+
+
+def swap_arc(arc: Arc) -> Arc:
+    return Arc(swap_vertex(arc.tail), swap_vertex(arc.head))
+
+
+def reverse_arcs(arcs) -> frozenset[Arc]:
+    return frozenset(Arc(a.head, a.tail) for a in arcs)
+
+
+def to_parent_vertex(sub: Subgraph, v: VertexRef) -> VertexRef:
+    """A subgraph vertex under its label in the parent graph."""
+    return xv(sub.x_map[v.index]) if v.side == "X" else yv(sub.y_map[v.index])
+
+
+def to_parent_arcs(sub: Subgraph, arcs) -> set[Arc]:
+    return {Arc(to_parent_vertex(sub, a.tail), to_parent_vertex(sub, a.head)) for a in arcs}
 
 
 def four_cycle_bt() -> BipartiteDigraph:
@@ -194,14 +240,14 @@ def greedy_pack_reference(graph: BipartiteDigraph, limit=None):
 def topological_order_reference(graph: BipartiteDigraph) -> TopoResult:
     """Kahn's algorithm on VertexRef labels with the smallest-label tie-break."""
     verts = list(graph.vertices())
-    indeg = {v: len(graph.in_neighbors(v)) for v in verts}
+    indeg = {v: len(in_neighbors(graph, v)) for v in verts}
     ready = [v for v in verts if indeg[v] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in graph.out_neighbors(v):
+        for w in out_neighbors(graph, v):
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
@@ -211,7 +257,7 @@ def topological_order_reference(graph: BipartiteDigraph) -> TopoResult:
     path = [min(remaining)]
     seen_at = {path[0]: 0}
     while True:
-        prev = next(u for u in graph.in_neighbors(path[-1]) if u in remaining)
+        prev = next(u for u in in_neighbors(graph, path[-1]) if u in remaining)
         if prev in seen_at:
             p = seen_at[prev]
             cycle = tuple([path[p]] + path[p + 1 :][::-1])
@@ -231,12 +277,12 @@ def partition_around_reference(graph: BipartiteDigraph, center: VertexRef) -> Ne
     if center.side == "Y":
         part = partition_around_reference(graph.swap_sides(), xv(center.index))
         sets = (part.in_nbrs, part.out_nbrs, part.non_adjacent, part.two_step, part.rest)
-        return NeighborhoodPartition(center, *(frozenset(v.swapped() for v in s) for s in sets))
-    ins = frozenset(graph.in_neighbors(center))
-    outs = frozenset(graph.out_neighbors(center))
-    non = frozenset(v for v in graph.y_vertices() if v not in ins and v not in outs)
-    two_step = frozenset(w for v in outs for w in graph.out_neighbors(v))
-    rest = frozenset(v for v in graph.x_vertices() if v not in two_step and v != center)
+        return NeighborhoodPartition(center, *(frozenset(map(swap_vertex, s)) for s in sets))
+    ins = frozenset(in_neighbors(graph, center))
+    outs = frozenset(out_neighbors(graph, center))
+    non = frozenset(v for v in y_vertices(graph) if v not in ins and v not in outs)
+    two_step = frozenset(w for v in outs for w in out_neighbors(graph, v))
+    rest = frozenset(v for v in x_vertices(graph) if v not in two_step and v != center)
     return NeighborhoodPartition(center, ins, outs, non, two_step, rest)
 
 
@@ -296,7 +342,7 @@ def _solve_reference(graph: BipartiteDigraph, depth: int):
         counts_r = {v: _counts_reference(flipped, v) for v in flipped.vertices()}
         fas_r, trace = _decompose_reference(flipped, counts_r, depth, "reversed")
         fas = set(reverse_arcs(fas_r))
-    return trimmed.to_parent_arcs(fas), [_lift_reference(t, trimmed) for t in trace]
+    return to_parent_arcs(trimmed, fas), [_lift_reference(t, trimmed) for t in trace]
 
 
 def _decompose_reference(graph, counts, depth, mode):
@@ -305,10 +351,10 @@ def _decompose_reference(graph, counts, depth, mode):
     if center.side == "Y":
         fas_s, trace_s = _split_reference(graph.swap_sides(), xv(center.index), depth, mode)
         trace = [
-            TraceNode(t.depth, t.mode, t.center.swapped(), t.cut_size, t.sub_bounds)
+            TraceNode(t.depth, t.mode, swap_vertex(t.center), t.cut_size, t.sub_bounds)
             for t in trace_s
         ]
-        return {a.swapped() for a in fas_s}, trace
+        return set(map(swap_arc, fas_s)), trace
     return _split_reference(graph, center, depth, mode)
 
 
@@ -337,12 +383,12 @@ def _split_reference(graph, center, depth, mode):
     trace = [node]
     trace.extend(_lift_reference(t, half1) for t in trace1)
     trace.extend(_lift_reference(t, half2) for t in trace2)
-    return half1.to_parent_arcs(fas1) | half2.to_parent_arcs(fas2) | cut, trace
+    return to_parent_arcs(half1, fas1) | to_parent_arcs(half2, fas2) | cut, trace
 
 
 def _lift_reference(node: TraceNode, sub: Subgraph) -> TraceNode:
     return TraceNode(
-        node.depth, node.mode, sub.to_parent_vertex(node.center), node.cut_size, node.sub_bounds
+        node.depth, node.mode, to_parent_vertex(sub, node.center), node.cut_size, node.sub_bounds
     )
 
 
@@ -424,6 +470,11 @@ def c4free_blowup(seed: int) -> BipartiteDigraph:
             if rng.random() < 0.5:
                 orient[i * n + j] = TO_X
 
+    return _shuffled(rng, m, n, orient)
+
+
+def _shuffled(rng: random.Random, m: int, n: int, orient: bytearray) -> BipartiteDigraph:
+    """The graph on the pair states ``orient`` with both sides' labels shuffled."""
     perm_x, perm_y = list(range(m)), list(range(n))
     rng.shuffle(perm_x)
     rng.shuffle(perm_y)
@@ -570,3 +621,92 @@ def verify_fas_reference(text: str, doc: dict, k=None) -> tuple[int, str, str]:
     if reason is not None:
         return fail(reason)
     return 0, emit({"valid": True, "size": len(set(arcs)), "bound": bound}), ""
+
+
+# ----------------------------------------------------------------------
+# reference for check_packing: the Arc-set check it replaced
+
+# A fragment of each reason check_packing gives.
+PACKING_REASONS = ("is not a 4-cycle here", "cycles share an arc", "cycles, need")
+
+
+def check_packing_reference(graph: BipartiteDigraph, cycles, k=None):
+    """check_packing over Arcs: a cycle counts if its 4 distinct vertices close a cycle."""
+    seen = set()
+    for cycle in cycles:
+        try:
+            ok = len(cycle.vertices) == 4 and is_cycle_sequence(graph, cycle.vertices)
+        except PreconditionError:  # Arc rejects two consecutive same-side vertices
+            ok = False
+        if not ok:
+            return f"{[str(v) for v in cycle.vertices]} is not a 4-cycle here"
+        if not seen.isdisjoint(cycle.arcs()):
+            return "cycles share an arc"
+        seen.update(cycle.arcs())
+    if k is not None and len(cycles) < k:
+        return f"only {len(cycles)} cycles, need {k}"
+    return None
+
+
+def candidate_packing(rng: random.Random, graph: BipartiteDigraph, genuine) -> list[FourCycle]:
+    """0 to 3 candidate cycles for a packing check, valid or not.
+
+    Each is one of the ``genuine`` 4-cycles rotated (so two may share
+    arcs), one reversed or with a repeated vertex, an alternating
+    sequence of random indices, a sequence of random sides and indices
+    (foreign, same-side and out-of-range vertices, some negative), or a
+    walk along arcs of at most 3, 5 or 6 vertices, which may close a 6-cycle.
+    """
+    size = max(graph.m, graph.n) + 1
+    cycles = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(7)
+        if kind <= 2 and genuine:
+            vertices = list(rng.choice(genuine).vertices)
+            r = rng.randrange(4)
+            vertices = vertices[r:] + vertices[:r]
+            if kind == 1:
+                vertices.reverse()
+            elif kind == 2:
+                vertices[rng.randrange(4)] = vertices[rng.randrange(4)]
+        elif kind == 3:
+            vertices = [make(rng.randrange(size)) for make in (xv, yv, xv, yv)]
+        elif kind == 6 and graph.m:
+            length, vertices = rng.choice((3, 5, 6)), [xv(rng.randrange(graph.m))]
+            while len(vertices) < length and out_neighbors(graph, vertices[-1]):
+                vertices.append(rng.choice(out_neighbors(graph, vertices[-1])))
+        else:
+            vertices = [VertexRef(rng.choice("XY"), rng.randrange(-1, size)) for _ in range(4)]
+        cycles.append(FourCycle(tuple(vertices)))
+    return cycles
+
+
+# ----------------------------------------------------------------------
+# planted tournaments whose greedy residual keeps a cycle
+
+
+def planted_bt(seed: int, blocks: int) -> BipartiteDigraph:
+    """A bipartite tournament with 2 * blocks vertices per side.
+
+    A long-cycle blow-up X_b -> Y_b -> X_{b+1} over 2-vertex blocks, with
+    every other 2x2 block pair oriented as a 4-cycle in one of its two
+    directions, chosen at random.  Labels are shuffled at the end.  Greedy
+    packing mostly takes the planted 4-cycles, and what it leaves of the
+    blow-up often still holds a longer cycle.
+    """
+    rng = random.Random(seed)
+    side = 2 * blocks
+    orient = bytearray(side * side)
+    for a in range(blocks):  # X block a against Y block c
+        for c in range(blocks):
+            flip = rng.random() < 0.5
+            for s in range(2):
+                for t in range(2):
+                    if c == a:
+                        state = TO_Y
+                    elif c == (a - 1) % blocks:
+                        state = TO_X
+                    else:  # x_a0 -> y_c0 -> x_a1 -> y_c1 -> x_a0, or its reverse
+                        state = TO_Y if (s == t) != flip else TO_X
+                    orient[(2 * a + s) * side + 2 * c + t] = state
+    return _shuffled(rng, side, side, orient)

@@ -32,7 +32,6 @@ from btfas import (
     max_c4_packing_exact,
     random_bt,
     random_c4free,
-    reverse_arcs,
     sec_count,
     solve,
     xv,
@@ -40,7 +39,7 @@ from btfas import (
 )
 from btfas.cli import run
 
-from helpers import four_cycle_bt, random_digraph, six_cycle
+from helpers import four_cycle_bt, random_digraph, reverse_arcs, six_cycle
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

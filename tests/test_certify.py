@@ -22,7 +22,16 @@ from btfas.certify import check_fas, check_fas_sized, check_packing
 from btfas.errors import InternalInvariantError
 from btfas.graph_core import ABSENT, FourCycle
 
-from helpers import all_oriented, four_cycle_bt, six_cycle, topological_order_reference
+from helpers import (
+    PACKING_REASONS,
+    all_oriented,
+    candidate_packing,
+    check_packing_reference,
+    four_cycle_bt,
+    random_digraph,
+    six_cycle,
+    topological_order_reference,
+)
 
 
 def without(graph: BipartiteDigraph, arcs) -> BipartiteDigraph:
@@ -114,6 +123,12 @@ def test_check_packing_reasons_for_bad_cycles():
         FourCycle((xv(1), yv(0), xv(0), yv(1))),  # reversed arcs
     ):
         assert check_packing(g, [bad]) == f"{[str(v) for v in bad.vertices]} is not a 4-cycle here"
+    hexagon = six_cycle()
+    for bad in (
+        FourCycle((xv(0), yv(0), xv(1), yv(1), xv(2), yv(2))),  # a 6-cycle
+        FourCycle((xv(0), yv(0), xv(1))),  # too short
+    ):
+        assert check_packing(hexagon, [bad]) == f"{[str(v) for v in bad.vertices]} is not a 4-cycle here"
 
 
 # ----------------------------------------------------------------------
@@ -140,3 +155,21 @@ def test_fas_c4free_rejects_an_empty_decomposition(monkeypatch):
     monkeypatch.setattr(c4free_fas, "_decomposition", lambda graph: (set(), []))
     with pytest.raises(InternalInvariantError, match="leaves a cycle"):
         fas_c4free(six_cycle())
+
+
+def test_check_packing_matches_the_arc_reference_on_a_seeded_corpus():
+    rng = random.Random(2024)
+    graphs = list(enumerate_bt(2, 3)) + list(enumerate_bt(3, 3))
+    graphs += [random_digraph(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(300)]
+    reasons, lists = set(), 0
+    for graph in graphs:
+        genuine = all_4cycles(graph)
+        for _ in range(12):
+            cycles = candidate_packing(rng, graph, genuine)
+            for k in (None, 0, 1, 2, 4):
+                lists += 1
+                reason = check_packing(graph, cycles, k)
+                assert reason == check_packing_reference(graph, cycles, k), (graph, cycles, k)
+                reasons.add(reason and next(r for r in PACKING_REASONS if r in reason))
+    assert lists > 30_000
+    assert reasons == {None, *PACKING_REASONS}, reasons

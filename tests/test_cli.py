@@ -2,15 +2,18 @@ import collections
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btfas import GenSpec, build, random_bt, xv, yv
+from btfas import GenSpec, all_4cycles, build, enumerate_bt, random_bt, xv, yv
 from btfas.cli import (
     MAX_SIDE,
     InstanceFormatError,
@@ -22,6 +25,9 @@ from btfas.cli import (
 )
 
 from helpers import (
+    PACKING_REASONS,
+    candidate_packing,
+    check_packing_reference,
     four_cycle_bt,
     parse_instance_reference,
     random_digraph,
@@ -30,6 +36,7 @@ from helpers import (
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parents[1] / "src"
 
 
 def write(tmp_path, name, graph):
@@ -325,6 +332,22 @@ def test_unreadable_files_exit_1(tmp_path, capsys):
     assert run(["verify", good, "--fas", str(cert)]) == 1
     assert run(["verify", good, "--fas", ""]) == 1
     assert capsys.readouterr().err.count("cannot read") == 3
+
+
+def test_stdin_is_read_as_strict_utf8_whatever_the_locale(tmp_path):
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict", PYTHONPATH=str(SRC))
+
+    def solve(source, data=None):
+        argv = [sys.executable, "-m", "btfas", "solve", source, "--k", "2"]
+        return subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+
+    bad = solve("-", b"p bt 1 1\n\x80\n")
+    assert bad.returncode == 1 and bad.stdout == b""
+    assert bad.stderr.startswith(b"btfas: error: cannot read -: 'utf-8' codec can't decode byte 0x80")
+    assert b"Traceback" not in bad.stderr
+    path = write(tmp_path, "c4.bt", four_cycle_bt())
+    piped = solve("-", pathlib.Path(path).read_bytes())
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, solve(path).stdout, b"")
 
 
 @pytest.mark.parametrize(
@@ -667,3 +690,29 @@ def test_verify_matches_the_reference_on_mutated_certificates(tmp_path):
     # Accepted, unparseable, and rejected for each kind of reason all occur.
     assert min(outcomes[code] for code in (0, 1, 2)) >= 20, outcomes
     assert reasons == {"not in the instance", "leaves a cycle", "exceed the bound"}
+
+
+def test_verify_packing_matches_the_reference_on_candidate_lists(tmp_path, capsys):
+    rng = random.Random(31)
+    graphs = list(enumerate_bt(2, 3))
+    graphs += [random_digraph(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(40)]
+    instance, cert = tmp_path / "i.bt", tmp_path / "c.json"
+    reasons = set()
+    for graph in graphs:
+        instance.write_text(render_instance(graph), encoding="utf-8")
+        genuine = all_4cycles(graph)
+        for _ in range(4):
+            # Cycles the certificate format can carry: four non-negative vertices.
+            cycles = [
+                c
+                for c in candidate_packing(rng, graph, genuine)
+                if len(c.vertices) == 4 and min(v.index for v in c.vertices) >= 0
+            ]
+            k = rng.choice((None, 0, 1, 2, 4))
+            doc = {"packing": [[str(v) for v in c.vertices] for c in cycles]}
+            cert.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["verify", str(instance), "--packing", str(cert)] + ([] if k is None else ["--k", str(k)])
+            reason = check_packing_reference(graph, cycles, k)
+            assert run_json(capsys, argv, expect=0 if reason is None else 2).get("reason") == reason
+            reasons.add(reason and next(r for r in PACKING_REASONS if r in reason))
+    assert reasons == {None, *PACKING_REASONS}, reasons

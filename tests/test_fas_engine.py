@@ -11,6 +11,7 @@ from btfas import (
     build,
     enumerate_bt,
     four_cycle,
+    greedy_pack,
     min_fas_exact,
     random_bt,
     solve,
@@ -19,7 +20,7 @@ from btfas import (
 )
 from btfas.errors import NotATournament, OutOfRange, VertexNotInOrder
 
-from helpers import all_x_to_y, four_cycle_bt
+from helpers import all_x_to_y, four_cycle_bt, planted_bt
 
 
 def test_backward_arcs_hand_checked():
@@ -140,3 +141,21 @@ def test_exact_minimum_never_exceeds_the_guarantee():
             out = solve(g, k)
             if isinstance(out, FasOutcome):
                 assert opt <= len(out.fas) <= 7 * (k - 1)
+
+
+def test_planted_tournaments_reach_the_residual_branch():
+    nonempty = set()
+    for blocks in (4, 6, 8, 16):
+        for seed in range(10):
+            g = planted_bt(seed, blocks)
+            k = len(greedy_pack(g).cycles) + 1  # one more than greedy finds: the FAS branch
+            out = solve(g, k)
+            assert isinstance(out, FasOutcome)
+            assert len(out.residual_part) <= 4 * (k - 1)
+            assert len(out.backward_part) <= 3 * (k - 1)
+            for cycle in out.packing.cycles:
+                assert 1 <= len(out.backward_part & set(cycle.arcs())) <= 3
+            if out.residual_part:
+                nonempty.add((blocks, seed))
+    assert {(4, 0), (4, 2), (6, 0), (6, 1), (8, 0), (8, 1), (16, 0), (16, 1)} <= nonempty, nonempty
+    assert len(nonempty) >= 20, nonempty

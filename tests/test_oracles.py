@@ -1,7 +1,10 @@
 import random
+import types
 
 import pytest
 
+import btfas
+from btfas import oracles
 from btfas import (
     all_4cycles,
     build,
@@ -17,6 +20,7 @@ from btfas import (
     xv,
     yv,
 )
+from btfas.certify import check_packing
 from btfas.errors import TooLarge
 
 from helpers import (
@@ -76,7 +80,7 @@ def test_all_4cycles_matches_permutation_recount():
         assert len(cycles) == len(four_cycles_oracle(g))
         assert len(set(cycles)) == len(cycles)
         for c in cycles:
-            assert c.is_cycle_of(g)
+            assert check_packing(g, [c]) is None
             assert c.vertices[0].index < c.vertices[2].index
     for _ in range(20):
         g = random_digraph(rng, 4, 3)
@@ -132,3 +136,13 @@ def test_oracle_heuristic_sandwich():
     for i in range(30):
         g = random_bt(GenSpec(3, 3, seed=3000 + i))
         assert len(greedy_pack(g).cycles) <= max_c4_packing_exact(g).value
+
+
+def test_package_exports_exactly_its_public_names():
+    public = {
+        name
+        for name, value in vars(btfas).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(btfas.__all__) == sorted(public)
+    assert btfas.census_sums is oracles.census_sums  # the P4 enumeration lives in oracles

@@ -25,6 +25,9 @@ from helpers import (
     path_graph,
     random_digraph,
     six_cycle,
+    swap_vertex,
+    x_vertices,
+    y_vertices,
 )
 
 
@@ -141,8 +144,8 @@ def test_partition_sets_cover_both_sides():
         g = random_digraph(rng, rng.randint(1, 5), rng.randint(1, 5))
         for v in g.vertices():
             part = partition_around(g, v)
-            opp = set(g.y_vertices() if v.side == "X" else g.x_vertices())
-            own = set(g.x_vertices() if v.side == "X" else g.y_vertices())
+            opp = set(y_vertices(g) if v.side == "X" else x_vertices(g))
+            own = set(x_vertices(g) if v.side == "X" else y_vertices(g))
             assert part.in_nbrs | part.out_nbrs | part.non_adjacent == opp
             assert not (part.in_nbrs & part.out_nbrs)
             assert part.two_step | part.rest | {v} == own
@@ -183,5 +186,5 @@ def test_side_symmetry_of_counts():
         g = random_digraph(rng, rng.randint(1, 4), rng.randint(1, 4))
         s = g.swap_sides()
         for v in g.vertices():
-            assert first_count(g, v) == first_count(s, v.swapped())
-            assert sec_count(g, v) == sec_count(s, v.swapped())
+            assert first_count(g, v) == first_count(s, swap_vertex(v))
+            assert sec_count(g, v) == sec_count(s, swap_vertex(v))
