@@ -17,11 +17,13 @@ certificate carries the trace and is re-verified before it is handed out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .certify import check_fas, require
+from .certify import check_fas_keys, require
 from .errors import HasFourCycle
 from .graph_core import (
+    TO_X,
+    TO_Y,
     Arc,
     BipartiteDigraph,
     FourCycle,
@@ -30,6 +32,7 @@ from .graph_core import (
     bit_indices,
     four_cycle,
     low_bit,
+    pair_arc,
     xv,
     yv,
 )
@@ -116,24 +119,35 @@ def trim_acyclic_vertices(graph: BipartiteDigraph) -> tuple[Subgraph, frozenset[
     return sub, removed
 
 
-def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
+# A certified cut as (pair index, state) keys, its trace, and the order that certified it.
+_Cut = NamedTuple("_Cut", [("keys", list), ("trace", tuple), ("order", tuple)])
+
+
+def fas_c4free(graph: BipartiteDigraph, *, _keys: bool = False) -> "FasCertificate | _Cut":
     """Feedback arc set of size at most the absent-pair count of the input.
 
     The input must contain no 4-cycle; otherwise :class:`HasFourCycle` is
     raised with a witness.  The certificate is verified (acyclic residual,
-    size within bound) before being returned.
+    size within bound) by one topological sort before being returned.
+
+    With ``_keys`` the result is a :class:`_Cut` instead: ``fas_engine.solve``
+    reuses the certifying order rather than sorting again, and still runs
+    this precheck and decomposition under this function's name.
     """
     witness = find_4cycle(graph)
     if witness is not None:
         raise HasFourCycle(witness)
-    fas, trace = _decomposition(graph)
+    keys, trace = _decomposition(graph)
     bound = graph.absent_pair_count()
-    require(check_fas(graph, fas, bound))
-    return FasCertificate(frozenset(fas), bound, tuple(trace))
+    reason, _, order = check_fas_keys(graph, keys, bound)
+    require(reason)
+    if _keys:
+        return _Cut(list(keys), tuple(trace), order)
+    return FasCertificate(frozenset(pair_arc(graph.n, *key) for key in keys), bound, tuple(trace))
 
 
-def _decomposition(graph: BipartiteDigraph) -> tuple[set[Arc], list[TraceNode]]:
-    """Cut arcs and preorder trace of the decomposition, in root labels.
+def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list[TraceNode]]:
+    """Cut arcs as (pair index, state) keys and preorder trace, in root labels.
 
     A work item (xs, ys, rev, x_side, depth) is a sub-instance: the live X
     and Y vertices as masks over the root graph, whether an odd number of
@@ -150,7 +164,8 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[set[Arc], list[TraceNode]]:
         ((x_masks, y_masks), (y_masks, x_masks)),
         ((x_masks[::-1], y_masks[::-1]), (y_masks[::-1], x_masks[::-1])),
     )
-    fas: set[Arc] = set()
+    n = graph.n
+    keys: list[tuple[int, int]] = []
     trace: list[TraceNode] = []
     stack = [((1 << graph.m) - 1, (1 << graph.n) - 1, 0, 0, 0)]
     while stack:
@@ -176,22 +191,23 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[set[Arc], list[TraceNode]]:
         p_masks = views[rev][side][0]
         # An arc from two into ins would close a 4-cycle through the center.
         assert not any(p_masks[0][a] & part.ins for a in bit_indices(part.two))
-        own, other = (xv, yv) if side == 0 else (yv, xv)
+        # The cut arcs run two -> non, or non -> two when reversed.
+        state = TO_Y if side == rev else TO_X
         cut = [
-            Arc(other(b), own(a)) if rev else Arc(own(a), other(b))
+            (a * n + b if side == 0 else b * n + a, state)
             for a in bit_indices(part.two)
             for b in bit_indices(p_masks[0][a] & part.non)
         ]
-        fas.update(cut)
+        keys += cut
         half1 = (part.rest, part.ins | part.non)
         half2 = (part.two | 1 << c, part.outs)
         bounds = (_absent_pairs(p_masks, *half1), _absent_pairs(p_masks, *half2))
-        trace.append(TraceNode(depth, mode, own(c), len(cut), bounds))
+        trace.append(TraceNode(depth, mode, (xv if side == 0 else yv)(c), len(cut), bounds))
         # half2 goes below half1, so half1's subtree is traced first.
         for ps, qs in (half2, half1):
             xs, ys = (ps, qs) if side == 0 else (qs, ps)
             stack.append((xs, ys, rev, side, depth + 1))
-    return fas, trace
+    return keys, trace
 
 
 def _census_all(view, xs: int, ys: int) -> dict[tuple[int, int], tuple[MaskPartition, int, int]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InternalInvariantError
-from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef, pair_state
+from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef, pair_arc, pair_state
 
 
 def check_packing(
@@ -73,17 +73,41 @@ def check_fas_sized(
         if found is None or orient[found[0]] != found[1]:
             return f"arc {tail}>{head} is not in the instance", 0
         deleted.add(found[0])
+    return _check_deletion(graph, deleted, bound, order)[:2]
+
+
+def check_fas_keys(
+    graph: BipartiteDigraph,
+    keys: Iterable[tuple[int, int]],
+    bound: Optional[int] = None,
+    order: Optional[Sequence[VertexRef]] = None,
+) -> tuple[Optional[str], int, Optional[Sequence[VertexRef]]]:
+    """:func:`check_fas_sized` on (pair index, state) keys, plus the certifying order.
+
+    That is ``order`` itself, or else the topological order found.
+    """
+    n, orient = graph.n, graph.orient
+    deleted: set[int] = set()
+    for p, state in keys:
+        if orient[p] != state:
+            return f"arc {pair_arc(n, p, state)} is not in the instance", 0, None
+        deleted.add(p)
+    return _check_deletion(graph, deleted, bound, order)
+
+
+def _check_deletion(graph: BipartiteDigraph, deleted: set[int], bound, order):
+    """The body of both checks, once every pair in ``deleted`` is known to carry its arc."""
     size = len(deleted)
     remaining = graph.clear_pairs(deleted)
     if order is None:
-        acyclic = remaining.topological_order().order is not None
-    else:
-        acyclic = remaining.is_forward_order(order)
-    if not acyclic:
-        return "deleting the arcs leaves a cycle", size
+        order = remaining.topological_order().order
+    elif not remaining.is_forward_order(order):
+        order = None
+    if order is None:
+        return "deleting the arcs leaves a cycle", size, None
     if bound is not None and size > bound:
-        return f"{size} arcs exceed the bound {bound}", size
-    return None, size
+        return f"{size} arcs exceed the bound {bound}", size, order
+    return None, size, order
 
 
 def require(reason: Optional[str]) -> None:

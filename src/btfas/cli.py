@@ -218,7 +218,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             f"gen needs 0 <= m, n <= {MAX_SIDE} and m*n <= {MAX_PAIRS}, got {args.m}x{args.n}"
         )
     make = instance_gen.random_bt if args.mode == "random" else instance_gen.random_c4free
+    seed = 0 if args.seed is None else args.seed
+    bias = 0.5 if args.bias is None else args.bias
     if args.mode == "enumerate":
+        for option in ("count", "seed", "bias"):
+            if getattr(args, option) is not None:
+                raise _UsageError(f"gen --mode enumerate does not take --{option}")
         if args.out is None:
             raise _UsageError("gen --mode enumerate requires --out PREFIX")
         graphs = instance_gen.enumerate_bt(args.m, args.n)
@@ -227,10 +232,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise _UsageError(f"gen --count must be non-negative, got {args.count}")
         if args.out is None:
             raise _UsageError("gen --count requires --out PREFIX")
-        seeds = range(args.seed, args.seed + args.count)
-        graphs = (make(instance_gen.GenSpec(args.m, args.n, s, args.bias)) for s in seeds)
+        seeds = range(seed, seed + args.count)
+        graphs = (make(instance_gen.GenSpec(args.m, args.n, s, bias)) for s in seeds)
     else:
-        text = render_instance(make(instance_gen.GenSpec(args.m, args.n, args.seed, args.bias)))
+        text = render_instance(make(instance_gen.GenSpec(args.m, args.n, seed, bias)))
         if args.out is None or args.out == "-":
             sys.stdout.write(text)
         else:
@@ -484,8 +489,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--mode", choices=("random", "random-c4free", "enumerate"), default="random")
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0, help="decimal 64-bit seed")
-    gen.add_argument("--bias", type=float, default=0.5)
+    gen.add_argument("--seed", type=int, help="decimal 64-bit seed")  # default 0, set in _cmd_gen
+    gen.add_argument("--bias", type=float)  # default 0.5, set in _cmd_gen
     gen.add_argument("--out", help="output file, or prefix with --count/enumerate")
     gen.add_argument("--count", type=int, help="generate this many instances (seed, seed+1, ...)")
     gen.set_defaults(handler=_cmd_gen)

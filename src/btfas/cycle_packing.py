@@ -37,7 +37,8 @@ def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing
     Each round takes the first 4-cycle of the lexicographic scan, clearing
     its arcs in place in the one copy of the X-row masks that
     :func:`find_4cycle` reads through a view, so the result is deterministic.
-    Without a limit the packing is maximal: the residual contains no 4-cycle.
+    The residual takes those masks as they are left.  Without a limit the
+    packing is maximal: the residual contains no 4-cycle.
     """
     if limit is not None and limit < 0:
         raise OutOfRange(f"limit must be non-negative, got {limit}")
@@ -54,10 +55,11 @@ def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing
         if cycle is None:
             break
         cycles.append(cycle)
-        xi, yj, xk, yl = (v.index for v in cycle.vertices)
+        a, b, c, d = cycle.vertices
+        xi, yj, xk, yl = a.index, b.index, c.index, d.index
         out[xi] ^= 1 << yj  # x_i -> y_j
         inn[xk] ^= 1 << yj  # y_j -> x_k
         out[xk] ^= 1 << yl  # x_k -> y_l
         inn[xi] ^= 1 << yl  # y_l -> x_i
         pairs += (xi * n + yj, xk * n + yj, xk * n + yl, xi * n + yl)
-    return Packing(tuple(cycles), graph.clear_pairs(pairs))
+    return Packing(tuple(cycles), graph.clear_pairs(pairs, x_masks=(tuple(out), tuple(inn))))

@@ -34,7 +34,7 @@ class HasFourCycle(PreconditionError):
     """The input contains a 4-cycle where none is allowed."""
 
     def __init__(self, cycle):
-        super().__init__(f"input contains the 4-cycle {cycle}")
+        super().__init__(f"input contains the 4-cycle {'>'.join(map(str, cycle.vertices))}")
         self.cycle = cycle
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .c4free_fas import fas_c4free
-from .certify import check_fas, check_packing, require
+from .certify import check_fas_keys, check_packing, require
 from .cycle_packing import Packing, greedy_pack
 from .errors import NotATournament, OutOfRange, VertexNotInOrder
-from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef
+from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, FourCycle, VertexRef, pair_arc
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,30 @@ def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> fr
     arcs: a cycle cannot be fully forward, and its closing arc guarantees
     at least one backward arc.
     """
+    n = 1 + max((v.index for v in order if v.side == "Y"), default=0)
+    return frozenset(pair_arc(n, p, state) for p, state in _backward_keys(order, cycles, n))
+
+
+def _backward_keys(order: Sequence[VertexRef], cycles: Iterable[FourCycle], n: int) -> list:
+    """:func:`backward_arcs` as (pair index, state) keys over n Y vertices."""
     # Per side, vertex index -> position: int keys hash in C, VertexRefs do not.
-    position = {s: {v.index: i for i, v in enumerate(order) if v.side == s} for s in "XY"}
-    backward = []
+    pos_x, pos_y = ({v.index: t for t, v in enumerate(order) if v.side == s} for s in "XY")
+    keys = []
     for cycle in cycles:
-        verts = cycle.vertices
-        pos = [position[v.side].get(v.index) for v in verts]
+        a, b, c, d = verts = cycle.vertices  # x_i -> y_j -> x_k -> y_l -> x_i
+        i, j, k, l = a.index, b.index, c.index, d.index
+        pi, pj, pk, pl = pos = (pos_x.get(i), pos_y.get(j), pos_x.get(k), pos_y.get(l))
         if None in pos:
             raise VertexNotInOrder(f"cycle vertex {verts[pos.index(None)]} missing from the order")
-        backward.extend(
-            Arc(verts[t], verts[(t + 1) % 4]) for t in range(4) if pos[t] > pos[(t + 1) % 4]
-        )
-    return frozenset(backward)
+        if pi > pj:
+            keys.append((i * n + j, TO_Y))
+        if pj > pk:
+            keys.append((k * n + j, TO_X))
+        if pk > pl:
+            keys.append((k * n + l, TO_Y))
+        if pl > pi:
+            keys.append((i * n + l, TO_X))
+    return keys
 
 
 def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
@@ -90,20 +102,13 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
 
     # The limit was not reached, so the packing is maximal and the residual
     # has no 4-cycle; its absent pairs are exactly the deleted arcs.
-    residual = packing.residual
-    certificate = fas_c4free(residual)
-    # fas_c4free certified the residual by this same sort, so it succeeds.
-    topo = residual.delete_arcs(certificate.fas).topological_order()
-    backward = backward_arcs(topo.order, packing.cycles)
-    fas = certificate.fas | backward
+    cut = fas_c4free(packing.residual, _keys=True)
+    n = tournament.n
+    backward = _backward_keys(cut.order, packing.cycles, n)
     bound = 7 * (k - 1)
-    require(check_fas(tournament, fas, bound, order=topo.order))
-    return FasOutcome(
-        requested=k,
-        packing=packing,
-        fas=fas,
-        residual_part=certificate.fas,
-        backward_part=backward,
-        order=topo.order,
-        bound=bound,
-    )
+    # Every kept arc is forward in the order that certified the residual cut.
+    require(check_fas_keys(tournament, cut.keys + backward, bound, cut.order)[0])
+    residual_part = frozenset(pair_arc(n, p, state) for p, state in cut.keys)
+    backward_part = frozenset(pair_arc(n, p, state) for p, state in backward)
+    fas = residual_part | backward_part
+    return FasOutcome(k, packing, fas, residual_part, backward_part, cut.order, bound)

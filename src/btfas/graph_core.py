@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArcNotPresent, DuplicatePair, OutOfRange, SameSideArc
@@ -65,10 +65,14 @@ class VertexRef:
         return f"{self.side.lower()}{self.index}"
 
 
+# One shared VertexRef per index for the FourCycles and Arcs that solve
+# returns; bounded, so indices from any source cannot grow it for good.
+@lru_cache(maxsize=1 << 16)
 def xv(i: int) -> VertexRef:
     return VertexRef("X", i)
 
 
+@lru_cache(maxsize=1 << 16)
 def yv(j: int) -> VertexRef:
     return VertexRef("Y", j)
 
@@ -172,18 +176,10 @@ class BipartiteDigraph:
 
     def arcs(self) -> list[Arc]:
         """All arcs in canonical order: X-tail arcs by (i, j), then Y-tail by (j, i)."""
-        out = [
-            Arc(xv(i), yv(j))
-            for i in range(self.m)
-            for j in range(self.n)
-            if self.orient[i * self.n + j] == TO_Y
-        ]
-        out.extend(
-            Arc(yv(j), xv(i))
-            for j in range(self.n)
-            for i in range(self.m)
-            if self.orient[i * self.n + j] == TO_X
-        )
+        n, orient = self.n, self.orient
+        out = [pair_arc(n, p, TO_Y) for p, state in enumerate(orient) if state == TO_Y]
+        for j in range(n):  # Y-tail arcs by (j, i): pair column j
+            out += [pair_arc(n, i * n + j, TO_X) for i, s in enumerate(orient[j::n]) if s == TO_X]
         return out
 
     @cached_property
@@ -247,21 +243,24 @@ class BipartiteDigraph:
             pairs.append(found[0])
         return self.clear_pairs(pairs)
 
-    def clear_pairs(self, pairs: Iterable[int]) -> "BipartiteDigraph":
+    def clear_pairs(self, pairs: Iterable[int], x_masks=None) -> "BipartiteDigraph":
         """The graph with the pairs at the given row-major indices made absent.
 
         Masks cached on this graph are handed on with the cleared bits
-        removed instead of being rebuilt.  Clearing a pair twice is harmless.
+        removed instead of being rebuilt; ``x_masks``, if given, are the
+        result's X-row masks with those bits already cleared.  Clearing a
+        pair twice is harmless.
         """
         n = self.n
         orient = bytearray(self.orient)
-        x_masks, y_masks = self.__dict__.get("x_masks"), self.__dict__.get("y_masks")
-        x_out, x_in = map(list, x_masks or ((), ()))
+        old_x = None if x_masks else self.__dict__.get("x_masks")
+        y_masks = self.__dict__.get("y_masks")
+        x_out, x_in = map(list, old_x or ((), ()))
         y_out, y_in = map(list, y_masks or ((), ()))
         for p in pairs:
             orient[p] = ABSENT
             i, j = divmod(p, n)
-            if x_masks:  # the pair's bit is set in out or in; clear both
+            if old_x:  # the pair's bit is set in out or in; clear both
                 x_out[i] &= ~(1 << j)
                 x_in[i] &= ~(1 << j)
             if y_masks:
@@ -270,8 +269,10 @@ class BipartiteDigraph:
         child = BipartiteDigraph(self.m, n, bytes(orient))
         # cached_property reads the instance dict first; frozen only
         # guards attribute assignment.
+        if old_x:
+            x_masks = (tuple(x_out), tuple(x_in))
         if x_masks:
-            child.__dict__["x_masks"] = (tuple(x_out), tuple(x_in))
+            child.__dict__["x_masks"] = x_masks
         if y_masks:
             child.__dict__["y_masks"] = (tuple(y_out), tuple(y_in))
         return child
@@ -417,6 +418,12 @@ def pair_state(m: int, n: int, tail: VertexRef, head: VertexRef) -> Optional[tup
     if not (0 <= i < m and 0 <= j < n):
         return None
     return i * n + j, state
+
+
+def pair_arc(n: int, p: int, state: int) -> Arc:
+    """The arc that state ``state`` of pair ``p`` carries: :func:`pair_state` inverted."""
+    i, j = divmod(p, n)
+    return Arc(xv(i), yv(j)) if state == TO_Y else Arc(yv(j), xv(i))
 
 
 def build(m: int, n: int, arcs: Iterable[Arc | tuple[VertexRef, VertexRef]] = ()) -> BipartiteDigraph:

@@ -17,20 +17,25 @@ from btfas import (
     Arc,
     BipartiteDigraph,
     FasCertificate,
+    FasOutcome,
     FourCycle,
     NeighborhoodPartition,
     P4,
+    PackingOutcome,
     Subgraph,
     TraceNode,
     VertexRef,
     all_4cycles,
     build,
+    fas_c4free,
     four_cycle,
+    greedy_pack,
     xv,
     yv,
 )
+from btfas.certify import check_fas, check_packing, require
 from btfas.cli import MAX_PAIRS, InstanceFormatError
-from btfas.errors import DuplicatePair, OutOfRange, PreconditionError
+from btfas.errors import DuplicatePair, NotATournament, OutOfRange, PreconditionError, VertexNotInOrder
 from btfas.graph_core import TO_X, TO_Y, TopoResult, is_cycle_sequence
 
 
@@ -710,3 +715,44 @@ def planted_bt(seed: int, blocks: int) -> BipartiteDigraph:
                         state = TO_Y if (s == t) != flip else TO_X
                     orient[(2 * a + s) * side + 2 * c + t] = state
     return _shuffled(rng, side, side, orient)
+
+
+# ----------------------------------------------------------------------
+# reference for solve: the object-based pipeline the integer core replaced
+
+
+def backward_arcs_reference(order, cycles) -> frozenset[Arc]:
+    """Cycle arcs whose tail comes after their head, by a VertexRef position map."""
+    position = {v: i for i, v in enumerate(order)}
+    backward = []
+    for cycle in cycles:
+        verts = cycle.vertices
+        for v in verts:
+            if v not in position:
+                raise VertexNotInOrder(f"cycle vertex {v} missing from the order")
+        backward.extend(
+            Arc(verts[t], verts[(t + 1) % 4])
+            for t in range(4)
+            if position[verts[t]] > position[verts[(t + 1) % 4]]
+        )
+    return frozenset(backward)
+
+
+def solve_reference(tournament: BipartiteDigraph, k: int):
+    """solve over Arcs: the residual cut as Arcs, a second sort, Arc backward arcs."""
+    if k < 0:
+        raise OutOfRange(f"k must be non-negative, got {k}")
+    absent = tournament.absent_pair_count()
+    if absent != 0:
+        raise NotATournament(f"{absent} cross pairs carry no arc")
+    packing = greedy_pack(tournament, limit=k)
+    if len(packing.cycles) >= k:
+        require(check_packing(tournament, packing.cycles, k))
+        return PackingOutcome(k, packing)
+    certificate = fas_c4free(packing.residual)
+    topo = packing.residual.delete_arcs(certificate.fas).topological_order()
+    backward = backward_arcs_reference(topo.order, packing.cycles)
+    fas = certificate.fas | backward
+    bound = 7 * (k - 1)
+    require(check_fas(tournament, fas, bound, order=topo.order))
+    return FasOutcome(k, packing, fas, certificate.fas, backward, topo.order, bound)

@@ -136,7 +136,7 @@ def test_check_packing_reasons_for_bad_cycles():
 
 
 def test_solve_fas_branch_rejects_a_missing_backward_part(monkeypatch):
-    monkeypatch.setattr(fas_engine, "backward_arcs", lambda order, cycles: frozenset())
+    monkeypatch.setattr(fas_engine, "_backward_keys", lambda order, cycles, n: [])
     with pytest.raises(InternalInvariantError, match="leaves a cycle"):
         solve(four_cycle_bt(), 2)
 

@@ -258,6 +258,32 @@ def test_gen_count_and_enumerate(tmp_path, capsys):
     assert doc["count"] == 4
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--count", "1"], "--count"),
+        (["--seed", "0"], "--seed"),
+        (["--bias", "0.5"], "--bias"),
+        (["--seed", "3", "--count", "2"], "--count"),
+    ],
+)
+def test_gen_enumerate_rejects_random_options(tmp_path, capsys, extra, named):
+    prefix = str(tmp_path / "enum-")
+    argv = ["gen", "--mode", "enumerate", "--m", "1", "--n", "1", "--out", prefix, *extra]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"gen --mode enumerate does not take {named}\n" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_defaults_match_explicit_seed_and_bias(capsys):
+    assert run(["gen", "--m", "5", "--n", "4"]) == 0
+    default = capsys.readouterr().out
+    assert run(["gen", "--m", "5", "--n", "4", "--seed", "0", "--bias", "0.5"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_gen_rejects_a_negative_count(tmp_path, capsys):
     prefix = str(tmp_path / "neg-")
     assert run(["gen", "--m", "2", "--n", "2", "--count", "-1", "--out", prefix]) == 1
@@ -398,7 +424,9 @@ def test_precondition_violations_exit_2(tmp_path, capsys):
     incomplete = write(tmp_path, "inc.bt", build(2, 2, [(xv(0), yv(0))]))
     assert run(["solve", incomplete, "--k", "1"]) == 2
     has_cycle = write(tmp_path, "c4.bt", four_cycle_bt())
+    capsys.readouterr()
     assert run(["fas-c4free", has_cycle]) == 2
+    assert capsys.readouterr().err == "btfas: error: input contains the 4-cycle x0>y0>x1>y1\n"
     big = write(tmp_path, "big.bt", build(12, 11, []))
     assert run(["oracle", big, "--min-fas"]) == 2
     capsys.readouterr()

@@ -109,9 +109,9 @@ def test_packing_builds_one_residual(monkeypatch):
     for name in calls:
         original = getattr(BipartiteDigraph, name)
 
-        def counting(self, pairs, name=name, original=original):
+        def counting(self, *args, name=name, original=original, **kwargs):
             calls[name] += 1
-            return original(self, pairs)
+            return original(self, *args, **kwargs)
 
         monkeypatch.setattr(BipartiteDigraph, name, counting)
     g = random_bt(GenSpec(20, 20, seed=3))

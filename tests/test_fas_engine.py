@@ -4,6 +4,7 @@ import pytest
 
 from btfas import (
     Arc,
+    BipartiteDigraph,
     FasOutcome,
     GenSpec,
     PackingOutcome,
@@ -20,7 +21,7 @@ from btfas import (
 )
 from btfas.errors import NotATournament, OutOfRange, VertexNotInOrder
 
-from helpers import all_x_to_y, four_cycle_bt, planted_bt
+from helpers import all_x_to_y, backward_arcs_reference, four_cycle_bt, planted_bt, solve_reference
 
 
 def test_backward_arcs_hand_checked():
@@ -159,3 +160,73 @@ def test_planted_tournaments_reach_the_residual_branch():
                 nonempty.add((blocks, seed))
     assert {(4, 0), (4, 2), (6, 0), (6, 1), (8, 0), (8, 1), (16, 0), (16, 1)} <= nonempty, nonempty
     assert len(nonempty) >= 20, nonempty
+
+
+def test_backward_arcs_matches_the_reference_on_random_orders():
+    rng = random.Random(31)
+    for _ in range(300):
+        g = random_bt(GenSpec(rng.randint(2, 7), rng.randint(2, 7), seed=rng.randrange(10**6)))
+        cycles = greedy_pack(g).cycles
+        order = list(g.vertices())
+        rng.shuffle(order)
+        assert backward_arcs(order, cycles) == backward_arcs_reference(order, cycles)
+
+
+def test_solve_matches_the_object_reference_on_exhaustive_small_tournaments():
+    for g in list(enumerate_bt(2, 2)) + list(enumerate_bt(3, 3)):
+        for k in range(5):
+            assert solve(g, k) == solve_reference(g, k)
+
+
+def test_solve_matches_the_object_reference_on_random_tournaments():
+    for seed in range(200):
+        g = random_bt(GenSpec(24, 24, seed=seed))
+        k = 24 * 24 // 4 + 1
+        assert solve(g, k) == solve_reference(g, k)
+    for side in (64, 128):
+        g = random_bt(GenSpec(side, side, seed=side))
+        for k in (len(greedy_pack(g).cycles) + 1, 3):
+            assert solve(g, k) == solve_reference(g, k)
+
+
+def test_solve_matches_the_object_reference_on_planted_tournaments():
+    nonempty = 0
+    for blocks in (4, 6, 8, 16):
+        for seed in range(40):
+            g = planted_bt(seed, blocks)
+            k = len(greedy_pack(g).cycles) + 1
+            out = solve(g, k)
+            assert out == solve_reference(g, k)
+            nonempty += bool(out.residual_part)
+    assert nonempty >= 100, nonempty
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(BipartiteDigraph, name)
+
+        def counting(self, *args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BipartiteDigraph, name, counting)
+    return calls
+
+
+def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
+    """One FAS-branch solve: the residual cut's sort is the only one, and no delete_arcs."""
+    planted = planted_bt(0, 8)
+    cases = [
+        (random_bt(GenSpec(24, 24, seed=5)), 24 * 24 // 4 + 1),
+        (planted, len(greedy_pack(planted).cycles) + 1),
+    ]
+    for g, k in cases:
+        calls = _count_calls(monkeypatch, ("topological_order", "clear_pairs", "delete_arcs"))
+        out = solve(g, k)
+        assert isinstance(out, FasOutcome)
+        assert calls["topological_order"] == 1
+        assert calls["clear_pairs"] <= 3
+        assert calls["delete_arcs"] == 0
+        monkeypatch.undo()
+    assert out.residual_part  # the planted instance runs the residual branch

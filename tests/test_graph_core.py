@@ -12,7 +12,7 @@ from btfas import (
     yv,
 )
 from btfas.errors import ArcNotPresent, DuplicatePair, OutOfRange, SameSideArc
-from btfas.graph_core import TO_X, TO_Y
+from btfas.graph_core import TO_X, TO_Y, pair_arc, pair_state
 
 from helpers import (
     all_oriented,
@@ -306,3 +306,12 @@ def test_is_forward_order_rejects_foreign_vertices_and_arcs():
     assert not g.is_forward_order((yv(0), xv(0), xv(1), yv(1)))
     with pytest.raises(ArcNotPresent):
         g.delete_arcs({Arc(yv(0), xv(0))}).is_forward_order((xv(0), xv(1), yv(0), yv(1)))
+
+
+def test_pair_arc_inverts_pair_state():
+    for m, n in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        for p in range(m * n):
+            for state in (TO_Y, TO_X):
+                arc = pair_arc(n, p, state)
+                assert pair_state(m, n, arc.tail, arc.head) == (p, state)
+                assert (arc.tail.side == "X") == (state == TO_Y)
