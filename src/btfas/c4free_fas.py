@@ -11,13 +11,14 @@ arc-reversed graph.  Each step first drops vertices that lie on no cycle.
 Sub-instances are never copied: each is a pair of live-vertex masks over
 the root graph's cached adjacency masks, kept on an explicit work stack,
 so cut arcs and trace nodes come out in root labels.  The returned
-certificate carries the trace and is re-verified before it is handed out.
+certificate carries the trace and the topological order that re-verified
+it before it was handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .certify import check_fas_keys, require
 from .errors import HasFourCycle
@@ -52,11 +53,12 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class FasCertificate:
-    """A feedback arc set together with its proven size bound and trace."""
+    """A feedback arc set with its proven size bound, its trace and its certifying order."""
 
     fas: frozenset[Arc]
     bound: int
     trace: tuple[TraceNode, ...]
+    order: tuple[VertexRef, ...]  # topological order of the input minus fas
 
 
 def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> Optional[FourCycle]:
@@ -119,20 +121,14 @@ def trim_acyclic_vertices(graph: BipartiteDigraph) -> tuple[Subgraph, frozenset[
     return sub, removed
 
 
-# A certified cut as (pair index, state) keys, its trace, and the order that certified it.
-_Cut = NamedTuple("_Cut", [("keys", list), ("trace", tuple), ("order", tuple)])
-
-
-def fas_c4free(graph: BipartiteDigraph, *, _keys: bool = False) -> "FasCertificate | _Cut":
+def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     """Feedback arc set of size at most the absent-pair count of the input.
 
     The input must contain no 4-cycle; otherwise :class:`HasFourCycle` is
     raised with a witness.  The certificate is verified (acyclic residual,
-    size within bound) by one topological sort before being returned.
-
-    With ``_keys`` the result is a :class:`_Cut` instead: ``fas_engine.solve``
-    reuses the certifying order rather than sorting again, and still runs
-    this precheck and decomposition under this function's name.
+    size within bound) by one topological sort before being returned; the
+    certificate keeps that sort's order, so ``fas_engine.solve`` need not
+    sort again.
     """
     witness = find_4cycle(graph)
     if witness is not None:
@@ -141,9 +137,8 @@ def fas_c4free(graph: BipartiteDigraph, *, _keys: bool = False) -> "FasCertifica
     bound = graph.absent_pair_count()
     reason, _, order = check_fas_keys(graph, keys, bound)
     require(reason)
-    if _keys:
-        return _Cut(list(keys), tuple(trace), order)
-    return FasCertificate(frozenset(pair_arc(graph.n, *key) for key in keys), bound, tuple(trace))
+    fas = frozenset(pair_arc(graph.n, *key) for key in keys)
+    return FasCertificate(fas, bound, tuple(trace), order)
 
 
 def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list[TraceNode]]:

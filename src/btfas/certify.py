@@ -96,9 +96,12 @@ def check_fas_keys(
 
 
 def _check_deletion(graph: BipartiteDigraph, deleted: set[int], bound, order):
-    """The body of both checks, once every pair in ``deleted`` is known to carry its arc."""
+    """The body of both checks, once every pair in ``deleted`` is known to carry its arc.
+
+    With nothing deleted the graph itself is checked, without a copy.
+    """
     size = len(deleted)
-    remaining = graph.clear_pairs(deleted)
+    remaining = graph.clear_pairs(deleted) if deleted else graph
     if order is None:
         order = remaining.topological_order().order
     elif not remaining.is_forward_order(order):

@@ -49,7 +49,7 @@ _VERTEX_RE = re.compile(r"([xy])([0-9]{1,4300})\Z")
 
 # Largest m*n an instance file may declare.  Storage takes one byte per
 # cross pair and is allocated before any arc is read, so the header is
-# checked first; 2**26 is far above the largest instances solved (512x512).
+# checked first; 2**26 is 8192x8192, above the 2048x2048 solved in-process.
 MAX_PAIRS = 2**26
 # Largest side size: masks are allocated per vertex even when m*n is 0.
 MAX_SIDE = 2**16
@@ -338,6 +338,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
+    sums = oracles.census_sums(graph)  # checks the size limit first
     per_vertex = [
         {
             "vertex": str(v),
@@ -346,7 +347,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
         }
         for v in graph.vertices()
     ]
-    sums = oracles.census_sums(graph)
     _emit(
         {
             "mode": "census",

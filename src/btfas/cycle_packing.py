@@ -37,8 +37,8 @@ def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing
     Each round takes the first 4-cycle of the lexicographic scan, clearing
     its arcs in place in the one copy of the X-row masks that
     :func:`find_4cycle` reads through a view, so the result is deterministic.
-    The residual takes those masks as they are left.  Without a limit the
-    packing is maximal: the residual contains no 4-cycle.
+    The residual is the input with the packed pairs cleared, by one copy.
+    Without a limit the packing is maximal: the residual contains no 4-cycle.
     """
     if limit is not None and limit < 0:
         raise OutOfRange(f"limit must be non-negative, got {limit}")
@@ -62,4 +62,4 @@ def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing
         out[xk] ^= 1 << yl  # x_k -> y_l
         inn[xi] ^= 1 << yl  # y_l -> x_i
         pairs += (xi * n + yj, xk * n + yj, xk * n + yl, xi * n + yl)
-    return Packing(tuple(cycles), graph.clear_pairs(pairs, x_masks=(tuple(out), tuple(inn))))
+    return Packing(tuple(cycles), graph.clear_pairs(pairs))

@@ -17,7 +17,7 @@ from .c4free_fas import fas_c4free
 from .certify import check_fas_keys, check_packing, require
 from .cycle_packing import Packing, greedy_pack
 from .errors import NotATournament, OutOfRange, VertexNotInOrder
-from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, FourCycle, VertexRef, pair_arc
+from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, FourCycle, VertexRef, pair_arc, pair_state
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,13 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
 
     # The limit was not reached, so the packing is maximal and the residual
     # has no 4-cycle; its absent pairs are exactly the deleted arcs.
-    cut = fas_c4free(packing.residual, _keys=True)
-    n = tournament.n
-    backward = _backward_keys(cut.order, packing.cycles, n)
+    certificate = fas_c4free(packing.residual)
+    m, n, order = tournament.m, tournament.n, certificate.order
+    cut = [pair_state(m, n, arc.tail, arc.head) for arc in certificate.fas]
+    backward = _backward_keys(order, packing.cycles, n)
     bound = 7 * (k - 1)
     # Every kept arc is forward in the order that certified the residual cut.
-    require(check_fas_keys(tournament, cut.keys + backward, bound, cut.order)[0])
-    residual_part = frozenset(pair_arc(n, p, state) for p, state in cut.keys)
+    require(check_fas_keys(tournament, cut + backward, bound, order)[0])
     backward_part = frozenset(pair_arc(n, p, state) for p, state in backward)
-    fas = residual_part | backward_part
-    return FasOutcome(k, packing, fas, residual_part, backward_part, cut.order, bound)
+    fas = certificate.fas | backward_part
+    return FasOutcome(k, packing, fas, certificate.fas, backward_part, order, bound)

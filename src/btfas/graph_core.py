@@ -22,7 +22,7 @@ ABSENT = 0
 TO_Y = 1  # pair (x_i, y_j) carries the arc x_i -> y_j
 TO_X = 2  # pair (x_i, y_j) carries the arc y_j -> x_i
 
-# Byte translation table swapping TO_Y and TO_X, used by reverse().
+# Byte translation table swapping TO_Y and TO_X, used by reverse() and swap_sides().
 _REVERSE_TABLE = bytes(
     TO_X if b == TO_Y else TO_Y if b == TO_X else b for b in range(256)
 )
@@ -220,17 +220,8 @@ class BipartiteDigraph:
         so the pair matrix is transposed and each oriented state flips.
         An involution.
         """
-        transposed = bytearray(self.m * self.n)
-        for i in range(self.m):
-            row = i * self.n
-            for j in range(self.n):
-                state = self.orient[row + j]
-                if state == TO_Y:
-                    state = TO_X
-                elif state == TO_X:
-                    state = TO_Y
-                transposed[j * self.m + i] = state
-        return BipartiteDigraph(self.n, self.m, bytes(transposed))
+        columns = b"".join(self.orient[j :: self.n] for j in range(self.n))
+        return BipartiteDigraph(self.n, self.m, columns.translate(_REVERSE_TABLE))
 
     def delete_arcs(self, arcs: Iterable[Arc]) -> "BipartiteDigraph":
         """Remove the listed arcs; their pairs become absent."""
@@ -243,39 +234,16 @@ class BipartiteDigraph:
             pairs.append(found[0])
         return self.clear_pairs(pairs)
 
-    def clear_pairs(self, pairs: Iterable[int], x_masks=None) -> "BipartiteDigraph":
+    def clear_pairs(self, pairs: Iterable[int]) -> "BipartiteDigraph":
         """The graph with the pairs at the given row-major indices made absent.
 
-        Masks cached on this graph are handed on with the cleared bits
-        removed instead of being rebuilt; ``x_masks``, if given, are the
-        result's X-row masks with those bits already cleared.  Clearing a
-        pair twice is harmless.
+        Only ``orient`` is copied; the result derives its own masks on first
+        use.  Clearing a pair twice is harmless.
         """
-        n = self.n
         orient = bytearray(self.orient)
-        old_x = None if x_masks else self.__dict__.get("x_masks")
-        y_masks = self.__dict__.get("y_masks")
-        x_out, x_in = map(list, old_x or ((), ()))
-        y_out, y_in = map(list, y_masks or ((), ()))
         for p in pairs:
             orient[p] = ABSENT
-            i, j = divmod(p, n)
-            if old_x:  # the pair's bit is set in out or in; clear both
-                x_out[i] &= ~(1 << j)
-                x_in[i] &= ~(1 << j)
-            if y_masks:
-                y_out[j] &= ~(1 << i)
-                y_in[j] &= ~(1 << i)
-        child = BipartiteDigraph(self.m, n, bytes(orient))
-        # cached_property reads the instance dict first; frozen only
-        # guards attribute assignment.
-        if old_x:
-            x_masks = (tuple(x_out), tuple(x_in))
-        if x_masks:
-            child.__dict__["x_masks"] = x_masks
-        if y_masks:
-            child.__dict__["y_masks"] = (tuple(y_out), tuple(y_in))
-        return child
+        return BipartiteDigraph(self.m, self.n, bytes(orient))
 
     def induced_subgraph(self, xs: Iterable[int], ys: Iterable[int]) -> "Subgraph":
         """Induced subgraph on the given side indices, with compacted labels.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .certify import check_fas, check_packing, require
 from .errors import InternalInvariantError, TooLarge
@@ -33,6 +33,8 @@ from .p4_census import first_count, sec_count
 
 MAX_EXACT_VERTICES = 22
 DEFAULT_CYCLE_CAP = 10_000
+# The induced-P4 enumeration loops over O(m^2 n^2) tuples: 32x32 takes seconds.
+MAX_CENSUS_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,10 @@ def min_fas_exact(graph: BipartiteDigraph) -> OracleResult:
 
 def all_4cycles(graph: BipartiteDigraph) -> tuple[FourCycle, ...]:
     """Every 4-cycle, canonicalized to start at its smaller X-vertex."""
-    found = []
+    return tuple(_iter_4cycles(graph))
+
+
+def _iter_4cycles(graph: BipartiteDigraph) -> Iterator[FourCycle]:
     for xi in range(graph.m):
         for xk in range(xi + 1, graph.m):
             for yj in range(graph.n):
@@ -116,8 +121,7 @@ def all_4cycles(graph: BipartiteDigraph) -> tuple[FourCycle, ...]:
                         and graph.pair(xk, yl) == TO_Y
                         and graph.pair(xi, yl) == TO_X
                     ):
-                        found.append(four_cycle(xi, yj, xk, yl))
-    return tuple(found)
+                        yield four_cycle(xi, yj, xk, yl)
 
 
 def max_c4_packing_exact(
@@ -128,9 +132,9 @@ def max_c4_packing_exact(
     Branch and bound over the full 4-cycle list in canonical order, with
     an arc-occupancy bitmap and the remaining-cycle count as the bound.
     """
-    cycles = all_4cycles(graph)
+    cycles = tuple(itertools.islice(_iter_4cycles(graph), cap + 1))  # stop past the cap
     if len(cycles) > cap:
-        raise TooLarge(f"{len(cycles)} 4-cycles exceed the configured cap of {cap}")
+        raise TooLarge(f"more than {cap} 4-cycles exceed the configured cap")
     m, n = graph.m, graph.n
     masks = [sum(1 << pair_state(m, n, a.tail, a.head)[0] for a in c.arcs()) for c in cycles]
 
@@ -226,9 +230,10 @@ class ClassKey3:
 def enumerate_induced_p4(graph: BipartiteDigraph) -> list[P4]:
     """All induced P4s, deduplicated, in sorted order.
 
-    Brute force over ordered 4-tuples with O(1) pair lookups; fine at the
-    instance sizes this package targets.
+    Brute force over ordered 4-tuples with O(1) pair lookups, so instances
+    over ``MAX_CENSUS_PAIRS`` cross pairs raise :class:`TooLarge`.
     """
+    _require_census_size(graph)
     found: list[P4] = []
     for first_side in ("X", "Y"):
         a_range = range(graph.m) if first_side == "X" else range(graph.n)
@@ -305,9 +310,15 @@ def census_sums(graph: BipartiteDigraph) -> CensusSums:
     number of (first, third, fourth) classes, and likewise for the second
     kind.
     """
+    _require_census_size(graph)  # before the per-vertex counts build any mask
     sum_first = 0
     sum_sec = 0
     for v in graph.vertices():
         sum_first += first_count(graph, v)
         sum_sec += sec_count(graph, v)
     return CensusSums(sum_first, sum_sec, len(classes2(graph)), len(classes3(graph)))
+
+
+def _require_census_size(graph: BipartiteDigraph) -> None:
+    if graph.m * graph.n > MAX_CENSUS_PAIRS:
+        raise TooLarge(f"{graph.m}x{graph.n} exceeds the census limit of {MAX_CENSUS_PAIRS} cross pairs")

@@ -329,7 +329,8 @@ def _trim_reference(graph: BipartiteDigraph) -> Subgraph:
 def fas_c4free_reference(graph: BipartiteDigraph) -> FasCertificate:
     """Certificate of the recursive decomposition; the input must be 4-cycle-free."""
     fas, trace = _solve_reference(graph, 0)
-    return FasCertificate(frozenset(fas), graph.absent_pair_count(), tuple(trace))
+    order = graph.delete_arcs(fas).topological_order().order
+    return FasCertificate(frozenset(fas), graph.absent_pair_count(), tuple(trace), order)
 
 
 def _solve_reference(graph: BipartiteDigraph, depth: int):

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,22 @@ def test_census_subcommand(tmp_path, capsys):
     assert doc["sum_first"] == doc["classes2"] == 6
     assert doc["sum_sec"] == doc["classes3"] == 6
     assert {"vertex": "x0", "first": 1, "sec": 1} in doc["per_vertex"]
+
+
+def test_census_and_max_packing_refuse_large_instances_quickly(tmp_path, capsys):
+    """Both limits are checked before the O(m^2 n^2) enumerations, and before any mask."""
+    t64 = write(tmp_path, "t64.bt", random_bt(GenSpec(64, 64, seed=1)))
+    header = tmp_path / "header.bt"
+    header.write_text("p bt 8000 8000\n", encoding="utf-8")
+    for argv, reason in (
+        (["census", t64], "exceeds the census limit of 1024 cross pairs"),
+        (["census", str(header)], "exceeds the census limit of 1024 cross pairs"),
+        (["oracle", t64, "--max-packing"], "more than 10000 4-cycles exceed the configured cap"),
+    ):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0, argv
+        assert reason in capsys.readouterr().err
 
 
 def test_emitted_certificates_reverify(tmp_path, capsys):

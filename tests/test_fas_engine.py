@@ -217,16 +217,18 @@ def _count_calls(monkeypatch, names):
 def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
     """One FAS-branch solve: the residual cut's sort is the only one, and no delete_arcs."""
     planted = planted_bt(0, 8)
+    # Copies: the residual, the residual cut's check unless the cut is
+    # empty, and the final check.
     cases = [
-        (random_bt(GenSpec(24, 24, seed=5)), 24 * 24 // 4 + 1),
-        (planted, len(greedy_pack(planted).cycles) + 1),
+        (random_bt(GenSpec(24, 24, seed=5)), 24 * 24 // 4 + 1, 2),
+        (planted, len(greedy_pack(planted).cycles) + 1, 3),
     ]
-    for g, k in cases:
+    for g, k, copies in cases:
         calls = _count_calls(monkeypatch, ("topological_order", "clear_pairs", "delete_arcs"))
         out = solve(g, k)
         assert isinstance(out, FasOutcome)
         assert calls["topological_order"] == 1
-        assert calls["clear_pairs"] <= 3
+        assert calls["clear_pairs"] == copies
         assert calls["delete_arcs"] == 0
         monkeypatch.undo()
     assert out.residual_part  # the planted instance runs the residual branch

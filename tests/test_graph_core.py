@@ -246,19 +246,15 @@ def _masks_from_orient(g):
 
 def test_cached_masks_match_orient_after_any_chain_of_transforms():
     rng = random.Random(23)
-    carried = 0
     for _ in range(150):
         g = random_digraph(rng, rng.randint(0, 6), rng.randint(0, 6))
         for _ in range(8):
             if rng.random() < 0.7:
-                _ = g.x_masks  # cache them, so delete_arcs hands them on
+                _ = g.x_masks  # cached first: the result must still match its own orient
             op = rng.choice(("delete", "delete", "reverse", "swap", "induced"))
             if op == "delete":
                 arcs = g.arcs()
-                cached = ("x_masks" in g.__dict__, "y_masks" in g.__dict__)
                 g = g.delete_arcs(rng.sample(arcs, rng.randint(0, len(arcs))))
-                assert ("x_masks" in g.__dict__, "y_masks" in g.__dict__) == cached
-                carried += cached[0]
             elif op == "reverse":
                 g = g.reverse()
             elif op == "swap":
@@ -268,7 +264,6 @@ def test_cached_masks_match_orient_after_any_chain_of_transforms():
                 ys = [j for j in range(g.n) if rng.random() < 0.7]
                 g = g.induced_subgraph(xs, ys).graph
             assert (g.x_masks, g.y_masks) == _masks_from_orient(g)
-    assert carried > 100
 
 
 def test_masks_take_no_part_in_equality_hash_or_repr():

@@ -8,7 +8,9 @@ from btfas import oracles
 from btfas import (
     all_4cycles,
     build,
+    census_sums,
     enumerate_bt,
+    enumerate_induced_p4,
     fas_c4free,
     find_4cycle,
     four_cycle,
@@ -123,6 +125,17 @@ def test_max_packing_cap():
     assert len(all_4cycles(g)) > 2
     with pytest.raises(TooLarge):
         max_c4_packing_exact(g, cap=2)
+    assert max_c4_packing_exact(g, cap=len(all_4cycles(g))).value >= 1  # the cap itself is allowed
+
+
+def test_census_limit_is_on_cross_pairs():
+    assert enumerate_induced_p4(build(32, 32, [])) == []
+    assert census_sums(build(1, 1024, [])).count2 == 0
+    for g in (build(1, 1025, []), build(33, 32, [])):
+        with pytest.raises(TooLarge):
+            enumerate_induced_p4(g)
+        with pytest.raises(TooLarge):
+            census_sums(g)
 
 
 def test_oracle_heuristic_sandwich():
