@@ -366,6 +366,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
     kind = "fas" if args.fas is not None else "packing"
+    bound = None if args.k is None else fas_engine.fas_bound(args.k)  # rejects a negative k
     raw = _load_json(getattr(args, kind)).get(kind)
 
     def fail(reason: str) -> int:
@@ -381,7 +382,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not isinstance(token, str):
                 return fail(f"arc token {token!r} is not a string")
         arcs = [_vertex_pair(token, vertices) for token in raw]
-        bound = None if args.k is None else 7 * (args.k - 1)
         reason, size = certify.check_fas_sized(graph, arcs, bound)
         result = {"size": size, "bound": bound}
     else:
@@ -401,72 +401,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     del args
+    tournaments = [g for size in (1, 2, 3) for g in instance_gen.enumerate_bt(size, size)]
+    digraphs_2x2 = [BipartiteDigraph(2, 2, bytes(s)) for s in itertools.product(range(3), repeat=4)]
+    c4free = [g for g in tournaments if c4free_fas.find_4cycle(g) is None]
+    suites = (
+        ("census-identities-exhaustive", [(g,) for g in tournaments], oracles.check_census),
+        ("acyclicity-vs-brute-2x2", [(g,) for g in digraphs_2x2], oracles.check_acyclicity),
+        ("c4free-certificates", [(g,) for g in c4free], oracles.check_c4free),
+        ("dichotomy-exhaustive", [(g, k) for g in tournaments for k in range(4)], oracles.check_dichotomy),
+        ("min-fas-vs-packing-oracles", [(g,) for g in tournaments if g.m > 1], oracles.check_oracles),
+    )
     checks: list[dict] = []
-
-    def record(name: str, instances: int) -> None:
-        checks.append({"name": name, "instances": instances})
-        _note(f"ok {name} ({instances} instances)")
-
-    count = 0
-    for size in (1, 2, 3):
-        for graph in instance_gen.enumerate_bt(size, size):
-            count += 1
-            sums = oracles.census_sums(graph)
-            buckets = oracles.first_sec_by_buckets(graph)
-            if sums.sum_first != sums.count2 or sums.sum_sec != sums.count3:
-                raise InternalInvariantError(f"census sums disagree on {graph}")
-            for v in graph.vertices():
-                closed = (p4_census.first_count(graph, v), p4_census.sec_count(graph, v))
-                if closed != buckets[v]:
-                    raise InternalInvariantError(f"count routes disagree at {v} on {graph}")
-            flipped = graph.reverse()
-            rsums = oracles.census_sums(flipped)
-            if (sums.sum_first, sums.sum_sec) != (rsums.sum_sec, rsums.sum_first):
-                raise InternalInvariantError(f"reversal sums disagree on {graph}")
-    record("census-identities-exhaustive", count)
-
-    count = 0
-    for states in itertools.product(range(3), repeat=4):
-        graph = BipartiteDigraph(2, 2, bytes(states))
-        count += 1
-        topo = graph.topological_order()
-        brute = oracles.find_cycle_brute(graph)
-        if (topo.order is None) != (brute is not None):
-            raise InternalInvariantError(f"cycle detection routes disagree on {graph}")
-    record("acyclicity-vs-brute-2x2", count)
-
-    count = 0
-    for size in (1, 2, 3):
-        for graph in instance_gen.enumerate_bt(size, size):
-            if c4free_fas.find_4cycle(graph) is not None:
-                continue
-            count += 1
-            certificate = c4free_fas.fas_c4free(graph)
-            certify.require(certify.check_fas(graph, certificate.fas, graph.absent_pair_count()))
-    record("c4free-certificates", count)
-
-    count = 0
-    for size in (1, 2, 3):
-        for graph in instance_gen.enumerate_bt(size, size):
-            for k in range(4):
-                count += 1
-                outcome = fas_engine.solve(graph, k)
-                if isinstance(outcome, fas_engine.PackingOutcome):
-                    certify.require(certify.check_packing(graph, outcome.packing.cycles, k))
-                else:
-                    certify.require(certify.check_fas(graph, outcome.fas, 7 * (k - 1)))
-    record("dichotomy-exhaustive", count)
-
-    count = 0
-    for size in (2, 3):
-        for graph in instance_gen.enumerate_bt(size, size):
-            count += 1
-            best_fas = oracles.min_fas_exact(graph).value
-            best_pack = oracles.max_c4_packing_exact(graph).value
-            if best_fas > 7 * best_pack:
-                raise InternalInvariantError(f"oracle inequality violated on {graph}")
-    record("min-fas-vs-packing-oracles", count)
-
+    for name, cases, check in suites:
+        for case in cases:
+            reason = check(*case)
+            if reason is not None:
+                raise InternalInvariantError(f"{name}: {reason} on {case}")
+        checks.append({"name": name, "instances": len(cases)})
+        _note(f"ok {name} ({len(cases)} instances)")
     _emit({"mode": "selftest", "ok": True, "checks": checks})
     return 0
 

@@ -83,14 +83,20 @@ def _backward_keys(order: Sequence[VertexRef], cycles: Iterable[FourCycle], n: i
     return keys
 
 
+def fas_bound(k: int) -> int:
+    """7(k-1), the feedback arc set size the dichotomy allows for k >= 0."""
+    if k < 0:
+        raise OutOfRange(f"k must be non-negative, got {k}")
+    return 7 * (k - 1)
+
+
 def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     """Find k arc-disjoint 4-cycles or a feedback arc set of size <= 7(k-1).
 
     The input must be a bipartite tournament (every cross pair oriented).
     For k = 0 the packing branch is vacuously satisfied by zero cycles.
     """
-    if k < 0:
-        raise OutOfRange(f"k must be non-negative, got {k}")
+    bound = fas_bound(k)
     absent = tournament.absent_pair_count()
     if absent != 0:
         raise NotATournament(f"{absent} cross pairs carry no arc")
@@ -106,7 +112,6 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     m, n, order = tournament.m, tournament.n, certificate.order
     cut = [pair_state(m, n, arc.tail, arc.head) for arc in certificate.fas]
     backward = _backward_keys(order, packing.cycles, n)
-    bound = 7 * (k - 1)
     # Every kept arc is forward in the order that certified the residual cut.
     require(check_fas_keys(tournament, cut + backward, bound, order)[0])
     backward_part = frozenset(pair_arc(n, p, state) for p, state in backward)

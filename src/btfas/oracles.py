@@ -1,11 +1,11 @@
-"""Exponential-time exact references used by tests and the verify paths.
+"""Exponential-time exact references and the self-checks built on them.
 
 Nothing here is needed on the fast path; these routines exist so that
 every polynomial-time result in the package can be checked against a
 ground truth on small instances: exact minimum feedback arc sets and
-maximum packings, a brute-force cycle search, and the enumeration of
-induced P4s and their classes behind the ``census`` and ``selftest``
-commands, which cross-checks the closed forms of ``p4_census``.
+maximum packings, a brute-force cycle search, the enumeration of induced
+P4s and their classes behind ``census``, and the five ``check_*``
+self-checks that ``selftest`` and the tests share.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
+from .c4free_fas import fas_c4free
 from .certify import check_fas, check_packing, require
 from .errors import InternalInvariantError, TooLarge
+from .fas_engine import PackingOutcome, fas_bound, solve
 from .graph_core import (
     ABSENT,
     TO_X,
@@ -33,7 +35,7 @@ from .p4_census import first_count, sec_count
 
 MAX_EXACT_VERTICES = 22
 DEFAULT_CYCLE_CAP = 10_000
-# The induced-P4 enumeration loops over O(m^2 n^2) tuples: 32x32 takes seconds.
+# The induced-P4 and 4-cycle enumerations loop over O(m^2 n^2) tuples: 32x32 takes seconds.
 MAX_CENSUS_PAIRS = 1024
 
 
@@ -109,6 +111,7 @@ def all_4cycles(graph: BipartiteDigraph) -> tuple[FourCycle, ...]:
 
 
 def _iter_4cycles(graph: BipartiteDigraph) -> Iterator[FourCycle]:
+    _require_census_size(graph)  # on the first next(), before any tuple is visited
     for xi in range(graph.m):
         for xk in range(xi + 1, graph.m):
             for yj in range(graph.n):
@@ -308,17 +311,70 @@ def census_sums(graph: BipartiteDigraph) -> CensusSums:
 
     The two routes must agree: the sum of per-vertex first counts is the
     number of (first, third, fourth) classes, and likewise for the second
-    kind.
+    kind.  One enumeration counts both class kinds.
     """
-    _require_census_size(graph)  # before the per-vertex counts build any mask
-    sum_first = 0
-    sum_sec = 0
-    for v in graph.vertices():
-        sum_first += first_count(graph, v)
-        sum_sec += sec_count(graph, v)
-    return CensusSums(sum_first, sum_sec, len(classes2(graph)), len(classes3(graph)))
+    paths = enumerate_induced_p4(graph)  # checks the size limit before any mask is built
+    sum_first = sum(first_count(graph, v) for v in graph.vertices())
+    sum_sec = sum(sec_count(graph, v) for v in graph.vertices())
+    return CensusSums(sum_first, sum_sec, len({p.key2() for p in paths}), len({p.key3() for p in paths}))
 
 
 def _require_census_size(graph: BipartiteDigraph) -> None:
     if graph.m * graph.n > MAX_CENSUS_PAIRS:
         raise TooLarge(f"{graph.m}x{graph.n} exceeds the census limit of {MAX_CENSUS_PAIRS} cross pairs")
+
+
+def check_census(graph: BipartiteDigraph) -> Optional[str]:
+    """Closed forms against the enumeration: per vertex, summed, and under reversal."""
+    buckets = first_sec_by_buckets(graph)
+    for v in graph.vertices():
+        closed = (first_count(graph, v), sec_count(graph, v))
+        if closed != buckets[v]:
+            return f"closed-form counts {closed} at {v}, enumerated {buckets[v]}"
+    flipped = graph.reverse()
+    sums, rsums = census_sums(graph), census_sums(flipped)
+    if sums[:2] != sums[2:] or sums[:2] != (rsums.sum_sec, rsums.sum_first):
+        return f"census sums {tuple(sums)} and {tuple(rsums)} reversed break the identities"
+    mirrored = {
+        ClassKey3(key.fourth, key.third, key.first): frozenset(p.reversed() for p in group)
+        for key, group in classes2(graph).items()
+    }
+    if mirrored != classes3(flipped):
+        return "reversal does not mirror classes2 onto classes3"
+    return None
+
+
+def check_acyclicity(graph: BipartiteDigraph) -> Optional[str]:
+    """The topological sort finds an order exactly when brute force finds no cycle."""
+    if (graph.topological_order().order is None) != (find_cycle_brute(graph) is not None):
+        return "the topological sort and the brute-force cycle search disagree"
+    return None
+
+
+def check_c4free(graph: BipartiteDigraph) -> Optional[str]:
+    """``fas_c4free`` gives a feedback arc set within a bound equal to the absent-pair count."""
+    certificate = fas_c4free(graph)
+    if certificate.bound != graph.absent_pair_count():
+        return f"bound {certificate.bound} is not the absent-pair count {graph.absent_pair_count()}"
+    return check_fas(graph, certificate.fas, certificate.bound)
+
+
+def check_dichotomy(graph: BipartiteDigraph, k: int) -> Optional[str]:
+    """``solve`` gives k valid cycles, or at most 7(k-1) arcs in parts of 4(k-1) and 3(k-1)."""
+    outcome = solve(graph, k)
+    if not outcome.packing.validate(graph):
+        return "the packing does not validate"
+    if isinstance(outcome, PackingOutcome):
+        return check_packing(graph, outcome.packing.cycles, k)
+    parts = (len(outcome.residual_part), len(outcome.backward_part))
+    if parts[0] > 4 * (k - 1) or parts[1] > 3 * (k - 1):
+        return f"parts of {parts[0]} and {parts[1]} arcs exceed 4(k-1) and 3(k-1) at k = {k}"
+    return check_fas(graph, outcome.fas, fas_bound(k))
+
+
+def check_oracles(graph: BipartiteDigraph) -> Optional[str]:
+    """The exact minimum feedback arc set is at most 7 times the exact maximum packing."""
+    best_fas, best_pack = min_fas_exact(graph).value, max_c4_packing_exact(graph).value
+    if best_fas > 7 * best_pack:
+        return f"minimum feedback arc set {best_fas} exceeds 7 * {best_pack}"
+    return None

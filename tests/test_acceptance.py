@@ -16,28 +16,20 @@ from btfas import (
     Arc,
     FasOutcome,
     GenSpec,
-    PackingOutcome,
-    census_sums,
-    classes2,
-    classes3,
-    ClassKey3,
     backward_arcs,
     enumerate_bt,
     fas_c4free,
     find_4cycle,
-    first_count,
-    first_sec_by_buckets,
     four_cycle,
     min_fas_exact,
-    max_c4_packing_exact,
     random_bt,
     random_c4free,
-    sec_count,
     solve,
     xv,
     yv,
 )
 from btfas.cli import run
+from btfas.oracles import check_c4free, check_census, check_dichotomy, check_oracles
 
 from helpers import four_cycle_bt, random_digraph, reverse_arcs, six_cycle
 
@@ -52,56 +44,32 @@ def _finish(name: str, detail: str, started: float, budget: float) -> None:
 
 def test_criterion_1_c4free_bound():
     started = time.perf_counter()
-    checked = 0
-    for i in range(500):
-        spec = GenSpec(2 + i % 7, 2 + (i // 7) % 7, seed=i)
-        g = random_c4free(spec)
-        cert = fas_c4free(g)
-        assert len(cert.fas) <= cert.bound == g.absent_pair_count()
-        assert g.is_feedback_arc_set(cert.fas)
-        checked += 1
-    for g in enumerate_bt(3, 3):
-        if find_4cycle(g) is not None:
-            continue
-        cert = fas_c4free(g)
-        assert len(cert.fas) <= g.absent_pair_count()
-        assert g.is_feedback_arc_set(cert.fas)
-        checked += 1
-    _finish("criterion-1 c4free-bound", f"{checked} instances", started, 10.0)
+    graphs = [random_c4free(GenSpec(2 + i % 7, 2 + (i // 7) % 7, seed=i)) for i in range(500)]
+    graphs += [g for g in enumerate_bt(3, 3) if find_4cycle(g) is None]
+    for g in graphs:
+        assert check_c4free(g) is None
+    _finish("criterion-1 c4free-bound", f"{len(graphs)} instances", started, 10.0)
 
 
 def test_criterion_2_dichotomy():
     started = time.perf_counter()
-    checked = 0
     tournaments = list(enumerate_bt(3, 3))
     tournaments += [
         random_bt(GenSpec(4 + i % 3, 4 + (i // 3) % 3, seed=1000 + i)) for i in range(200)
     ]
     for g in tournaments:
         for k in range(6):
-            outcome = solve(g, k)
-            if isinstance(outcome, PackingOutcome):
-                assert len(outcome.packing.cycles) >= k
-                assert outcome.packing.validate(g)
-            else:
-                assert isinstance(outcome, FasOutcome)
-                assert len(outcome.residual_part) <= 4 * (k - 1)
-                assert len(outcome.backward_part) <= 3 * (k - 1)
-                assert len(outcome.fas) <= 7 * (k - 1)
-                assert g.is_feedback_arc_set(outcome.fas)
-            checked += 1
-    _finish("criterion-2 dichotomy", f"{checked} (instance, k) pairs", started, 30.0)
+            assert check_dichotomy(g, k) is None
+    _finish("criterion-2 dichotomy", f"{6 * len(tournaments)} (instance, k) pairs", started, 30.0)
 
 
 def test_criterion_3_exact_oracle_inequality():
     started = time.perf_counter()
-    checked = 0
-    for m, n in ((3, 3), (2, 3)):
-        for g in enumerate_bt(m, n):
-            assert min_fas_exact(g).value <= 7 * max_c4_packing_exact(g).value
-            checked += 1
-    assert checked == 512 + 64
-    _finish("criterion-3 exact-oracle-inequality", f"{checked} tournaments", started, 60.0)
+    graphs = list(enumerate_bt(3, 3)) + list(enumerate_bt(2, 3))
+    assert len(graphs) == 512 + 64
+    for g in graphs:
+        assert check_oracles(g) is None
+    _finish("criterion-3 exact-oracle-inequality", f"{len(graphs)} tournaments", started, 60.0)
 
 
 def test_criterion_4_census_identities():
@@ -118,26 +86,8 @@ def test_criterion_4_census_identities():
     rng = random.Random(424242)
     for i in range(200):
         instances.append(random_digraph(rng, 1 + i % 7, 1 + (i // 7) % 7))
-
     for g in instances:
-        sums = census_sums(g)
-        assert sums.sum_first == sums.count2
-        assert sums.sum_sec == sums.count3
-        flipped = g.reverse()
-        rsums = census_sums(flipped)
-        assert sums.sum_first == rsums.sum_sec
-        assert sums.sum_sec == rsums.sum_first
-
-        mirror = classes3(flipped)
-        c2 = classes2(g)
-        assert len(c2) == len(mirror)
-        for key, group in c2.items():
-            target = ClassKey3(key.fourth, key.third, key.first)
-            assert {p.reversed() for p in group} == mirror[target]
-
-        buckets = first_sec_by_buckets(g)
-        for v in g.vertices():
-            assert (first_count(g, v), sec_count(g, v)) == buckets[v]
+        assert check_census(g) is None
     _finish("criterion-4 census-identities", f"{len(instances)} instances", started, 30.0)
 
 

@@ -156,14 +156,24 @@ def test_census_subcommand(tmp_path, capsys):
 
 
 def test_census_and_max_packing_refuse_large_instances_quickly(tmp_path, capsys):
-    """Both limits are checked before the O(m^2 n^2) enumerations, and before any mask."""
+    """The cross-pair limit is checked before either O(m^2 n^2) enumeration and any mask.
+
+    Within it, the 4-cycle cap stops the max-packing enumeration early.
+    """
     t64 = write(tmp_path, "t64.bt", random_bt(GenSpec(64, 64, seed=1)))
-    header = tmp_path / "header.bt"
-    header.write_text("p bt 8000 8000\n", encoding="utf-8")
+    t32 = write(tmp_path, "t32.bt", random_bt(GenSpec(32, 32, seed=1)))
+    headers = {}
+    for m, n in ((8000, 8000), (100, 100), (65536, 1)):  # no arcs: only the pair count is large
+        headers[m] = tmp_path / f"header{m}.bt"
+        headers[m].write_text(f"p bt {m} {n}\n", encoding="utf-8")
+    limit = "exceeds the census limit of 1024 cross pairs"
     for argv, reason in (
-        (["census", t64], "exceeds the census limit of 1024 cross pairs"),
-        (["census", str(header)], "exceeds the census limit of 1024 cross pairs"),
-        (["oracle", t64, "--max-packing"], "more than 10000 4-cycles exceed the configured cap"),
+        (["census", t64], limit),
+        (["census", str(headers[8000])], limit),
+        (["oracle", t64, "--max-packing"], limit),
+        (["oracle", str(headers[100]), "--max-packing"], limit),
+        (["oracle", str(headers[65536]), "--max-packing"], limit),
+        (["oracle", t32, "--max-packing"], "more than 10000 4-cycles exceed the configured cap"),
     ):
         start = time.perf_counter()
         assert run(argv) == 2
@@ -449,6 +459,21 @@ def test_precondition_violations_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_k_exits_2_for_solve_and_both_verify_kinds(tmp_path, capsys):
+    instance = str(GOLDEN / "c4_bt.bt")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"fas": [], "packing": []}), encoding="utf-8")
+    for argv in (
+        ["solve", instance, "--k", "-1"],
+        ["verify", instance, "--fas", str(cert), "--k", "-1"],
+        ["verify", instance, "--packing", str(cert), "--k", "-1"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "btfas: error: k must be non-negative, got -1\n"
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
@@ -489,7 +514,13 @@ def test_selftest_passes(capsys):
     assert run(["selftest"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
-    assert len(doc["checks"]) == 5
+    assert [(c["name"], c["instances"]) for c in doc["checks"]] == [
+        ("census-identities-exhaustive", 530),
+        ("acyclicity-vs-brute-2x2", 81),
+        ("c4free-certificates", 246),
+        ("dichotomy-exhaustive", 2120),
+        ("min-fas-vs-packing-oracles", 528),
+    ]
 
 
 # ----------------------------------------------------------------------

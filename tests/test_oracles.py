@@ -1,11 +1,13 @@
 import random
 import types
+from dataclasses import replace
 
 import pytest
 
 import btfas
 from btfas import oracles
 from btfas import (
+    FasOutcome,
     all_4cycles,
     build,
     census_sums,
@@ -23,6 +25,7 @@ from btfas import (
     yv,
 )
 from btfas.certify import check_packing
+from btfas.cli import run
 from btfas.errors import TooLarge
 
 from helpers import (
@@ -129,13 +132,15 @@ def test_max_packing_cap():
 
 
 def test_census_limit_is_on_cross_pairs():
+    """The same limit holds for both O(m^2 n^2) enumerations: induced P4s and 4-cycles."""
     assert enumerate_induced_p4(build(32, 32, [])) == []
     assert census_sums(build(1, 1024, [])).count2 == 0
+    assert all_4cycles(build(1, 1024, [])) == ()
+    assert max_c4_packing_exact(build(1, 1024, [])).value == 0
     for g in (build(1, 1025, []), build(33, 32, [])):
-        with pytest.raises(TooLarge):
-            enumerate_induced_p4(g)
-        with pytest.raises(TooLarge):
-            census_sums(g)
+        for enumeration in (enumerate_induced_p4, census_sums, all_4cycles, max_c4_packing_exact):
+            with pytest.raises(TooLarge):
+                enumeration(g)
 
 
 def test_oracle_heuristic_sandwich():
@@ -159,3 +164,80 @@ def test_package_exports_exactly_its_public_names():
     }
     assert sorted(btfas.__all__) == sorted(public)
     assert btfas.census_sums is oracles.census_sums  # the P4 enumeration lives in oracles
+
+
+# ----------------------------------------------------------------------
+# the shared self-checks catch a fault in what they check
+
+
+def _without_backward_part(real):
+    def solve(graph, k):
+        outcome = real(graph, k)
+        return replace(outcome, fas=outcome.residual_part) if isinstance(outcome, FasOutcome) else outcome
+
+    return solve
+
+
+def _one_cycle_short(real):
+    def solve(graph, k):
+        outcome = real(graph, k)
+        return replace(outcome, packing=replace(outcome.packing, cycles=outcome.packing.cycles[1:]))
+
+    return solve
+
+
+# name: (check, its arguments, the oracles global it reads, a wrapper that breaks that global)
+FAULTS = {
+    "first-count-off-by-one": (
+        oracles.check_census,
+        (six_cycle(),),
+        "first_count",
+        lambda real: lambda graph, v: real(graph, v) + (v == xv(0)),
+    ),
+    "brute-force-finds-no-cycle": (
+        oracles.check_acyclicity,
+        (four_cycle_bt(),),
+        "find_cycle_brute",
+        lambda real: lambda graph: None,
+    ),
+    "c4free-bound-one-high": (
+        oracles.check_c4free,
+        (six_cycle(),),
+        "fas_c4free",
+        lambda real: lambda graph: replace(real(graph), bound=real(graph).bound + 1),
+    ),
+    "c4free-set-is-every-arc": (
+        oracles.check_c4free,
+        (six_cycle(),),
+        "fas_c4free",
+        lambda real: lambda graph: replace(real(graph), fas=frozenset(graph.arcs())),
+    ),
+    "solve-drops-the-backward-part": (
+        oracles.check_dichotomy,
+        (four_cycle_bt(), 2),
+        "solve",
+        _without_backward_part,
+    ),
+    "solve-drops-a-packed-cycle": (
+        oracles.check_dichotomy,
+        (four_cycle_bt(), 1),
+        "solve",
+        _one_cycle_short,
+    ),
+    "max-packing-reads-zero": (
+        oracles.check_oracles,
+        (four_cycle_bt(),),
+        "max_c4_packing_exact",
+        lambda real: lambda graph: oracles.OracleResult(0, ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_shared_checks_and_selftest_catch_a_broken_input(monkeypatch, capsys, fault):
+    check, args, name, wrap = FAULTS[fault]
+    assert check(*args) is None
+    monkeypatch.setattr(oracles, name, wrap(getattr(oracles, name)))
+    assert check(*args) is not None
+    assert run(["selftest"]) == 3
+    assert "internal invariant violation" in capsys.readouterr().err

@@ -3,19 +3,18 @@ import random
 
 from btfas import (
     ClassKey2,
-    ClassKey3,
     build,
     census_sums,
     classes2,
     classes3,
     enumerate_induced_p4,
     first_count,
-    first_sec_by_buckets,
     partition_around,
     sec_count,
     xv,
     yv,
 )
+from btfas.oracles import check_census
 
 from helpers import (
     all_oriented,
@@ -86,21 +85,6 @@ def test_class_maps_partition_the_paths():
             assert same_class == differ_second_only
 
 
-def test_class_reversal_bijection():
-    rng = random.Random(57)
-    graphs = [g for g in all_oriented(2, 2)]
-    graphs += [random_digraph(rng, rng.randint(1, 4), rng.randint(1, 3)) for _ in range(40)]
-    for g in graphs:
-        r = g.reverse()
-        c2 = classes2(g)
-        c3r = classes3(r)
-        assert len(c2) == len(c3r)
-        for key, group in c2.items():
-            mirrored = ClassKey3(key.fourth, key.third, key.first)
-            assert mirrored in c3r
-            assert {p.reversed() for p in group} == c3r[mirrored]
-
-
 def test_six_cycle_counts_and_partition():
     g = six_cycle()
     assert first_count(g, xv(0)) == 1
@@ -157,27 +141,32 @@ def test_six_cycle_census_sums():
     assert census_sums(build(2, 3, [])) == (0, 0, 0, 0)
 
 
-def test_closed_form_matches_buckets_everywhere():
-    rng = random.Random(101)
+def _census_corpus(seed, count, m_max, n_max):
+    """All 2x2 digraphs plus `count` seeded random ones of up to m_max x n_max."""
+    rng = random.Random(seed)
     graphs = list(all_oriented(2, 2))
-    graphs += [random_digraph(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60)]
-    for g in graphs:
-        buckets = first_sec_by_buckets(g)
-        for v in g.vertices():
-            assert (first_count(g, v), sec_count(g, v)) == buckets[v]
+    graphs += [
+        random_digraph(rng, rng.randint(1, m_max), rng.randint(1, n_max)) for _ in range(count)
+    ]
+    return graphs
+
+
+def test_closed_form_matches_buckets_everywhere():
+    """The census check (buckets, sum identities, reversal) on its seeded corpus."""
+    for g in _census_corpus(101, 60, 5, 5):
+        assert check_census(g) is None
+
+
+def test_class_reversal_bijection():
+    """Reversal maps classes2 onto classes3: asserted by the census check."""
+    for g in _census_corpus(57, 40, 4, 3):
+        assert check_census(g) is None
 
 
 def test_sum_identities_and_reversal():
-    rng = random.Random(73)
-    graphs = list(all_oriented(2, 2))
-    graphs += [random_digraph(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60)]
-    for g in graphs:
-        sums = census_sums(g)
-        assert sums.sum_first == sums.count2
-        assert sums.sum_sec == sums.count3
-        rsums = census_sums(g.reverse())
-        assert sums.sum_first == rsums.sum_sec
-        assert sums.sum_sec == rsums.sum_first
+    """sum_first == count2, sum_sec == count3, swapped under reversal: the census check."""
+    for g in _census_corpus(73, 60, 5, 5):
+        assert check_census(g) is None
 
 
 def test_side_symmetry_of_counts():
