@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .certify import check_fas_keys, require
-from .errors import HasFourCycle
+from .certify import check_fas_sized, require
+from .errors import HasFourCycle, InternalInvariantError
 from .graph_core import (
     TO_X,
     TO_Y,
@@ -133,16 +133,15 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     witness = find_4cycle(graph)
     if witness is not None:
         raise HasFourCycle(witness)
-    keys, trace = _decomposition(graph)
+    fas, trace = _decomposition(graph)
     bound = graph.absent_pair_count()
-    reason, _, order = check_fas_keys(graph, keys, bound)
+    reason, _, order = check_fas_sized(graph, fas, bound)
     require(reason)
-    fas = frozenset(pair_arc(graph.n, *key) for key in keys)
-    return FasCertificate(fas, bound, tuple(trace), order)
+    return FasCertificate(frozenset(fas), bound, tuple(trace), order)
 
 
-def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list[TraceNode]]:
-    """Cut arcs as (pair index, state) keys and preorder trace, in root labels.
+def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]:
+    """Cut arcs and preorder trace, in root labels.
 
     A work item (xs, ys, rev, x_side, depth) is a sub-instance: the live X
     and Y vertices as masks over the root graph, whether an odd number of
@@ -160,7 +159,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
         ((x_masks[::-1], y_masks[::-1]), (y_masks[::-1], x_masks[::-1])),
     )
     n = graph.n
-    keys: list[tuple[int, int]] = []
+    fas: list[Arc] = []
     trace: list[TraceNode] = []
     stack = [((1 << graph.m) - 1, (1 << graph.n) - 1, 0, 0, 0)]
     while stack:
@@ -182,18 +181,20 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
             key=lambda key: (counts[key][1] - counts[key][2], key[0] ^ x_side, key[1]),
         )
         part = counts[side, c][0]
-        assert part.ins and part.outs, "trimming leaves no one-sided vertices"
+        if not (part.ins and part.outs):
+            raise InternalInvariantError(f"trimming left a one-sided center {c}")
         p_masks = views[rev][side][0]
         # An arc from two into ins would close a 4-cycle through the center.
-        assert not any(p_masks[0][a] & part.ins for a in bit_indices(part.two))
+        if any(p_masks[0][a] & part.ins for a in bit_indices(part.two)):
+            raise InternalInvariantError(f"an arc runs from two into ins at center {c}")
         # The cut arcs run two -> non, or non -> two when reversed.
         state = TO_Y if side == rev else TO_X
         cut = [
-            (a * n + b if side == 0 else b * n + a, state)
+            pair_arc(n, a * n + b if side == 0 else b * n + a, state)
             for a in bit_indices(part.two)
             for b in bit_indices(p_masks[0][a] & part.non)
         ]
-        keys += cut
+        fas += cut
         half1 = (part.rest, part.ins | part.non)
         half2 = (part.two | 1 << c, part.outs)
         bounds = (_absent_pairs(p_masks, *half1), _absent_pairs(p_masks, *half2))
@@ -202,7 +203,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
         for ps, qs in (half2, half1):
             xs, ys = (ps, qs) if side == 0 else (qs, ps)
             stack.append((xs, ys, rev, side, depth + 1))
-    return keys, trace
+    return fas, trace
 
 
 def _census_all(view, xs: int, ys: int) -> dict[tuple[int, int], tuple[MaskPartition, int, int]]:

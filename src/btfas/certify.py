@@ -3,14 +3,15 @@
 Each check returns None for a valid certificate and otherwise the reason
 it is not.  Neither raises on certificate content: a foreign vertex, an
 out-of-range index, a same-side arc or a non-alternating cycle is a reason.
+An arc is any (tail, head) pair of vertices; an ``Arc`` is one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef, pair_arc, pair_state
+from .graph_core import BipartiteDigraph, FourCycle, VertexRef, pair_state
 
 
 def check_packing(
@@ -39,11 +40,11 @@ def check_packing(
 
 def check_fas(
     graph: BipartiteDigraph,
-    arcs: Iterable[Union[Arc, tuple[VertexRef, VertexRef]]],
+    arcs: Iterable[tuple[VertexRef, VertexRef]],
     bound: Optional[int] = None,
     order: Optional[Sequence[VertexRef]] = None,
 ) -> Optional[str]:
-    """Why deleting ``arcs`` (Arcs or (tail, head) pairs) does not leave graph acyclic.
+    """Why deleting the (tail, head) ``arcs`` does not leave graph acyclic.
 
     A repeated arc counts once, in the size and against ``bound``.  With
     ``order``, acyclicity is certified by every other arc running forward
@@ -54,52 +55,26 @@ def check_fas(
 
 def check_fas_sized(
     graph: BipartiteDigraph,
-    arcs: Iterable[Union[Arc, tuple[VertexRef, VertexRef]]],
-    bound: Optional[int] = None,
-    order: Optional[Sequence[VertexRef]] = None,
-) -> tuple[Optional[str], int]:
-    """:func:`check_fas`'s reason plus the number of distinct arcs.
-
-    Each arc becomes its pair index and the state that pair must hold,
-    tested against the unmodified graph, so x0>y0 and y0>x0 listed
-    together still reject one of them.  The count is 0 when an arc is
-    not in the graph.
-    """
-    m, n, orient = graph.m, graph.n, graph.orient
-    deleted: set[int] = set()
-    for a in arcs:
-        tail, head = (a.tail, a.head) if isinstance(a, Arc) else a
-        found = pair_state(m, n, tail, head)
-        if found is None or orient[found[0]] != found[1]:
-            return f"arc {tail}>{head} is not in the instance", 0
-        deleted.add(found[0])
-    return _check_deletion(graph, deleted, bound, order)[:2]
-
-
-def check_fas_keys(
-    graph: BipartiteDigraph,
-    keys: Iterable[tuple[int, int]],
+    arcs: Iterable[tuple[VertexRef, VertexRef]],
     bound: Optional[int] = None,
     order: Optional[Sequence[VertexRef]] = None,
 ) -> tuple[Optional[str], int, Optional[Sequence[VertexRef]]]:
-    """:func:`check_fas_sized` on (pair index, state) keys, plus the certifying order.
+    """:func:`check_fas`'s reason, the number of distinct arcs and the certifying order.
 
-    That is ``order`` itself, or else the topological order found.
+    Each arc becomes its pair index and the state that pair must hold,
+    tested against the unmodified graph, so x0>y0 and y0>x0 listed
+    together still reject one of them.  The count is 0 and the order None
+    when an arc is not in the graph.  The order is ``order`` itself, or
+    else the topological order found; with nothing deleted the graph
+    itself is sorted, without a copy.
     """
-    n, orient = graph.n, graph.orient
+    m, n, orient = graph.m, graph.n, graph.orient
     deleted: set[int] = set()
-    for p, state in keys:
-        if orient[p] != state:
-            return f"arc {pair_arc(n, p, state)} is not in the instance", 0, None
-        deleted.add(p)
-    return _check_deletion(graph, deleted, bound, order)
-
-
-def _check_deletion(graph: BipartiteDigraph, deleted: set[int], bound, order):
-    """The body of both checks, once every pair in ``deleted`` is known to carry its arc.
-
-    With nothing deleted the graph itself is checked, without a copy.
-    """
+    for tail, head in arcs:
+        found = pair_state(m, n, tail, head)
+        if found is None or orient[found[0]] != found[1]:
+            return f"arc {tail}>{head} is not in the instance", 0, None
+        deleted.add(found[0])
     size = len(deleted)
     remaining = graph.clear_pairs(deleted) if deleted else graph
     if order is None:

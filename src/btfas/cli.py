@@ -382,7 +382,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not isinstance(token, str):
                 return fail(f"arc token {token!r} is not a string")
         arcs = [_vertex_pair(token, vertices) for token in raw]
-        reason, size = certify.check_fas_sized(graph, arcs, bound)
+        reason, size, _ = certify.check_fas_sized(graph, arcs, bound)
         result = {"size": size, "bound": bound}
     else:
         cycles = []
@@ -402,8 +402,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     del args
     tournaments = [g for size in (1, 2, 3) for g in instance_gen.enumerate_bt(size, size)]
-    digraphs_2x2 = [BipartiteDigraph(2, 2, bytes(s)) for s in itertools.product(range(3), repeat=4)]
-    c4free = [g for g in tournaments if c4free_fas.find_4cycle(g) is None]
+    digraphs_2x2, digraphs_3x3 = (
+        [BipartiteDigraph(m, m, bytes(s)) for s in itertools.product(range(3), repeat=m * m)]
+        for m in (2, 3)
+    )
+    # A 4-cycle-free tournament is acyclic; the cyclic 3x3 digraphs give non-empty sets.
+    small = [g for g in tournaments if g.m < 3] + digraphs_3x3
+    c4free = [g for g in small if c4free_fas.find_4cycle(g) is None]
     suites = (
         ("census-identities-exhaustive", [(g,) for g in tournaments], oracles.check_census),
         ("acyclicity-vs-brute-2x2", [(g,) for g in digraphs_2x2], oracles.check_acyclicity),

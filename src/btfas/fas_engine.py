@@ -1,11 +1,11 @@
 """The k-cycles-or-small-feedback-arc-set pipeline for bipartite tournaments.
 
 ``solve`` either returns k arc-disjoint 4-cycles or a feedback arc set of
-size at most 7(k-1), built from three ingredients: a greedy maximal
-packing with fewer than k cycles, a certified feedback arc set of the
-4-cycle-free residual, and the packed-cycle arcs that run backward in a
-topological order of the residual minus that set.  Both outcomes are
-machine-checked by ``certify`` before they are returned.
+size at most 7(k-1), built from a greedy maximal packing with fewer than
+k cycles, a certified feedback arc set of the 4-cycle-free residual, and
+the packed-cycle arcs that :func:`backward_arcs` finds running backward in
+the order that certified that set.  Both outcomes, sets of ``Arc`` tuples,
+are machine-checked by ``certify`` before they are returned.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .c4free_fas import fas_c4free
-from .certify import check_fas_keys, check_packing, require
+from .certify import check_fas, check_packing, require
 from .cycle_packing import Packing, greedy_pack
 from .errors import NotATournament, OutOfRange, VertexNotInOrder
-from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, FourCycle, VertexRef, pair_arc, pair_state
+from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef
 
 
 @dataclass(frozen=True)
@@ -57,30 +57,15 @@ def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> fr
     arcs: a cycle cannot be fully forward, and its closing arc guarantees
     at least one backward arc.
     """
-    n = 1 + max((v.index for v in order if v.side == "Y"), default=0)
-    return frozenset(pair_arc(n, p, state) for p, state in _backward_keys(order, cycles, n))
-
-
-def _backward_keys(order: Sequence[VertexRef], cycles: Iterable[FourCycle], n: int) -> list:
-    """:func:`backward_arcs` as (pair index, state) keys over n Y vertices."""
-    # Per side, vertex index -> position: int keys hash in C, VertexRefs do not.
-    pos_x, pos_y = ({v.index: t for t, v in enumerate(order) if v.side == s} for s in "XY")
-    keys = []
+    position = {v: t for t, v in enumerate(order)}
+    backward = []
     for cycle in cycles:
-        a, b, c, d = verts = cycle.vertices  # x_i -> y_j -> x_k -> y_l -> x_i
-        i, j, k, l = a.index, b.index, c.index, d.index
-        pi, pj, pk, pl = pos = (pos_x.get(i), pos_y.get(j), pos_x.get(k), pos_y.get(l))
+        verts = cycle.vertices
+        pos = [position.get(v) for v in verts]
         if None in pos:
             raise VertexNotInOrder(f"cycle vertex {verts[pos.index(None)]} missing from the order")
-        if pi > pj:
-            keys.append((i * n + j, TO_Y))
-        if pj > pk:
-            keys.append((k * n + j, TO_X))
-        if pk > pl:
-            keys.append((k * n + l, TO_Y))
-        if pl > pi:
-            keys.append((i * n + l, TO_X))
-    return keys
+        backward += [Arc(verts[t - 1], verts[t]) for t in range(4) if pos[t - 1] > pos[t]]
+    return frozenset(backward)
 
 
 def fas_bound(k: int) -> int:
@@ -109,11 +94,8 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     # The limit was not reached, so the packing is maximal and the residual
     # has no 4-cycle; its absent pairs are exactly the deleted arcs.
     certificate = fas_c4free(packing.residual)
-    m, n, order = tournament.m, tournament.n, certificate.order
-    cut = [pair_state(m, n, arc.tail, arc.head) for arc in certificate.fas]
-    backward = _backward_keys(order, packing.cycles, n)
-    # Every kept arc is forward in the order that certified the residual cut.
-    require(check_fas_keys(tournament, cut + backward, bound, order)[0])
-    backward_part = frozenset(pair_arc(n, p, state) for p, state in backward)
+    backward_part = backward_arcs(certificate.order, packing.cycles)
     fas = certificate.fas | backward_part
-    return FasOutcome(k, packing, fas, certificate.fas, backward_part, order, bound)
+    # Every kept arc is forward in the order that certified the residual cut.
+    require(check_fas(tournament, fas, bound, certificate.order))
+    return FasOutcome(k, packing, fas, certificate.fas, backward_part, certificate.order, bound)

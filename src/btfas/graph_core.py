@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import ArcNotPresent, DuplicatePair, OutOfRange, SameSideArc
+from .errors import ArcNotPresent, DuplicatePair, InternalInvariantError, OutOfRange, SameSideArc
 
 ABSENT = 0
 TO_Y = 1  # pair (x_i, y_j) carries the arc x_i -> y_j
@@ -50,11 +50,10 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, order=True)
-class VertexRef:
+class VertexRef(NamedTuple):
     """Handle for one vertex: side "X" or "Y" plus the position in that side.
 
-    Ordering is (side, index) with "X" before "Y"; the deterministic
+    A tuple ordered (side, index), "X" before "Y"; the deterministic
     tie-breaks below depend on it.
     """
 
@@ -77,16 +76,23 @@ def yv(j: int) -> VertexRef:
     return VertexRef("Y", j)
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """A directed cross-pair edge from tail to head."""
-
+class _ArcFields(NamedTuple):
     tail: VertexRef
     head: VertexRef
 
-    def __post_init__(self) -> None:
-        if self.tail.side == self.head.side:
-            raise SameSideArc(f"arc {self.tail}->{self.head} does not cross the bipartition")
+
+class Arc(_ArcFields):
+    """A directed cross-pair edge: the (tail, head) pair, checked to cross sides.
+
+    ``_make`` and ``_replace`` skip the check; :func:`pair_state` still rejects the pair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tail: VertexRef, head: VertexRef) -> "Arc":
+        if tail.side == head.side:
+            raise SameSideArc(f"arc {tail}->{head} does not cross the bipartition")
+        return tuple.__new__(cls, (tail, head))
 
     def __str__(self) -> str:
         return f"{self.tail}>{self.head}"
@@ -112,9 +118,7 @@ def is_cycle_sequence(graph: "BipartiteDigraph", seq: Sequence[VertexRef]) -> bo
     """Check that seq lists the distinct vertices of a directed cycle in graph."""
     if len(seq) < 4 or len(set(seq)) != len(seq):
         return False
-    return all(
-        graph.has_arc(Arc(seq[i], seq[(i + 1) % len(seq)])) for i in range(len(seq))
-    )
+    return all(graph.has_arc((seq[i - 1], seq[i])) for i in range(len(seq)))
 
 
 class TopoResult(NamedTuple):
@@ -157,9 +161,9 @@ class BipartiteDigraph:
             raise OutOfRange(f"pair (x{xi}, y{yj}) outside a {self.m}x{self.n} graph")
         return self.orient[xi * self.n + yj]
 
-    def has_arc(self, arc: Arc) -> bool:
-        """False also for an arc with an endpoint outside this graph."""
-        found = pair_state(self.m, self.n, arc.tail, arc.head)
+    def has_arc(self, arc: tuple[VertexRef, VertexRef]) -> bool:
+        """False also for a pair that does not cross sides or leaves this graph."""
+        found = pair_state(self.m, self.n, *arc)
         return found is not None and self.orient[found[0]] == found[1]
 
     def arc_count(self) -> int:
@@ -223,14 +227,14 @@ class BipartiteDigraph:
         columns = b"".join(self.orient[j :: self.n] for j in range(self.n))
         return BipartiteDigraph(self.n, self.m, columns.translate(_REVERSE_TABLE))
 
-    def delete_arcs(self, arcs: Iterable[Arc]) -> "BipartiteDigraph":
-        """Remove the listed arcs; their pairs become absent."""
+    def delete_arcs(self, arcs: Iterable[tuple[VertexRef, VertexRef]]) -> "BipartiteDigraph":
+        """Remove the listed (tail, head) arcs; their pairs become absent."""
         m, n, orient = self.m, self.n, self.orient
         pairs = []
-        for arc in arcs:
-            found = pair_state(m, n, arc.tail, arc.head)
+        for tail, head in arcs:
+            found = pair_state(m, n, tail, head)
             if found is None or orient[found[0]] != found[1]:
-                raise ArcNotPresent(f"arc {arc} not in the graph")
+                raise ArcNotPresent(f"arc {tail}>{head} not in the graph")
             pairs.append(found[0])
         return self.clear_pairs(pairs)
 
@@ -322,7 +326,7 @@ class BipartiteDigraph:
             seen_at[prev] = len(path)
             path.append(prev)
         if not is_cycle_sequence(self, cycle):
-            raise AssertionError(f"extracted witness {cycle} is not a cycle")
+            raise InternalInvariantError(f"extracted witness {cycle} is not a cycle")
         return TopoResult(None, tuple(cycle))
 
     def _vertex(self, v: int) -> VertexRef:
@@ -394,7 +398,7 @@ def pair_arc(n: int, p: int, state: int) -> Arc:
     return Arc(xv(i), yv(j)) if state == TO_Y else Arc(yv(j), xv(i))
 
 
-def build(m: int, n: int, arcs: Iterable[Arc | tuple[VertexRef, VertexRef]] = ()) -> BipartiteDigraph:
+def build(m: int, n: int, arcs: Iterable[tuple[VertexRef, VertexRef]] = ()) -> BipartiteDigraph:
     """Validated construction from side sizes and an arc list.
 
     Rejects same-side arcs, out-of-range endpoints and any pair listed
@@ -403,8 +407,7 @@ def build(m: int, n: int, arcs: Iterable[Arc | tuple[VertexRef, VertexRef]] = ()
     if m < 0 or n < 0:
         raise OutOfRange(f"side sizes must be non-negative, got {m}, {n}")
     orient = bytearray(m * n)
-    for item in arcs:
-        tail, head = (item.tail, item.head) if isinstance(item, Arc) else item
+    for tail, head in arcs:
         found = pair_state(m, n, tail, head)
         if found is None:
             if tail.side == head.side:

@@ -67,10 +67,9 @@ def min_fas_exact(graph: BipartiteDigraph) -> OracleResult:
         return OracleResult(0, frozenset())
     verts = list(graph.vertices())
     in_mask = [0] * total
-    for arc in graph.arcs():
-        tail = arc.tail.index if arc.tail.side == "X" else graph.m + arc.tail.index
-        head = arc.head.index if arc.head.side == "X" else graph.m + arc.head.index
-        in_mask[head] |= 1 << tail
+    ids = {v: t for t, v in enumerate(verts)}  # x_i is i, y_j is m + j
+    for tail, head in graph.arcs():
+        in_mask[ids[head]] |= 1 << ids[tail]
     full = (1 << total) - 1
     infinity = total * total + 1
     dp = [infinity] * (full + 1)

@@ -520,7 +520,7 @@ def build_reference(m: int, n: int, arcs=()) -> BipartiteDigraph:
         raise OutOfRange(f"side sizes must be non-negative, got {m}, {n}")
     orient = bytearray(m * n)
     for item in arcs:
-        arc = item if isinstance(item, Arc) else Arc(item[0], item[1])
+        arc = Arc(*item)
         if arc.tail.side == "X":
             xi, yj, state = arc.tail.index, arc.head.index, TO_Y
         else:
@@ -582,10 +582,10 @@ def check_fas_reference(graph: BipartiteDigraph, arcs, bound=None):
             return False
 
     try:
-        distinct = {a if isinstance(a, Arc) else Arc(*a) for a in arcs}
+        distinct = {Arc(*a) for a in arcs}
         acyclic = graph.delete_arcs(distinct).topological_order().order is not None
     except PreconditionError:
-        for tail, head in ((a.tail, a.head) if isinstance(a, Arc) else a for a in arcs):
+        for tail, head in arcs:
             if not present(tail, head):
                 return f"arc {tail}>{head} is not in the instance"
         raise
@@ -640,11 +640,7 @@ def check_packing_reference(graph: BipartiteDigraph, cycles, k=None):
     """check_packing over Arcs: a cycle counts if its 4 distinct vertices close a cycle."""
     seen = set()
     for cycle in cycles:
-        try:
-            ok = len(cycle.vertices) == 4 and is_cycle_sequence(graph, cycle.vertices)
-        except PreconditionError:  # Arc rejects two consecutive same-side vertices
-            ok = False
-        if not ok:
+        if not (len(cycle.vertices) == 4 and is_cycle_sequence(graph, cycle.vertices)):
             return f"{[str(v) for v in cycle.vertices]} is not a 4-cycle here"
         if not seen.isdisjoint(cycle.arcs()):
             return "cycles share an arc"

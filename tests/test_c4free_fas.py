@@ -20,7 +20,7 @@ from btfas import (
     yv,
 )
 from btfas import c4free_fas, certify
-from btfas.errors import HasFourCycle
+from btfas.errors import HasFourCycle, InternalInvariantError
 
 from helpers import (
     all_oriented,
@@ -212,19 +212,19 @@ def _frame_depth(frame) -> int:
 def _deepest_frames(monkeypatch, g):
     """fas_c4free's certificate, its deepest frame outside the final check, and check entries.
 
-    Depths count frames above this helper's.  The final ``check_fas_keys`` is
+    Depths count frames above this helper's.  The final ``check_fas_sized`` is
     patched to record the depth it is entered at; the frames of its leaf
     call chain are the checker's, not the decomposition's, and not counted.
     """
     base = _frame_depth(sys._getframe())
     deepest, check_entries, checking = 0, [], False
 
-    def check_fas_keys_recorded(*args, **kwargs):
+    def check_fas_sized_recorded(*args, **kwargs):
         nonlocal checking
         check_entries.append(_frame_depth(sys._getframe()) - base)
         checking = True
         try:
-            return certify.check_fas_keys(*args, **kwargs)
+            return certify.check_fas_sized(*args, **kwargs)
         finally:
             checking = False
 
@@ -233,7 +233,7 @@ def _deepest_frames(monkeypatch, g):
         if event == "call" and not checking:
             deepest = max(deepest, _frame_depth(frame) - base)
 
-    monkeypatch.setattr(c4free_fas, "check_fas_keys", check_fas_keys_recorded)
+    monkeypatch.setattr(c4free_fas, "check_fas_sized", check_fas_sized_recorded)
     previous = sys.getprofile()
     sys.setprofile(on_event)
     try:
@@ -275,3 +275,22 @@ def test_trace_properties_on_blowups(seed):
     depths = [node.depth for node in cert.trace]
     assert depths[0] == 0
     assert all(b <= a + 1 for a, b in zip(depths, depths[1:]))
+
+
+@pytest.mark.parametrize(
+    "broken, reason",
+    [
+        (lambda part: part._replace(ins=0), "one-sided center"),
+        (lambda part: part._replace(ins=part.ins | part.non), "from two into ins"),
+    ],
+)
+def test_a_broken_partition_is_an_internal_invariant_violation(monkeypatch, broken, reason):
+    real = c4free_fas.mask_census
+
+    def census(*args):
+        part, first, sec = real(*args)
+        return broken(part), first, sec
+
+    monkeypatch.setattr(c4free_fas, "mask_census", census)
+    with pytest.raises(InternalInvariantError, match=reason):
+        fas_c4free(six_cycle())

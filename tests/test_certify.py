@@ -48,12 +48,13 @@ def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
     acyclic = find_cycle_brute(rest) is None
     order = topological_order_reference(rest).order
     size = len(set(subset))
-    pairs = [(a.tail, a.head) for a in subset]
-    assert check_fas_sized(graph, pairs) == (check_fas(graph, subset), size)
+    pairs = [tuple(a) for a in subset]
+    # The certifying order is the sort of the graph minus the arcs, or None.
+    assert check_fas_sized(graph, pairs) == (check_fas(graph, subset), size, order)
     for arcs in (subset, pairs):
         assert (check_fas(graph, arcs) is None) == acyclic
         if acyclic:
-            assert check_fas(graph, arcs, order=order) is None
+            assert check_fas_sized(graph, arcs, order=order) == (None, size, order)
             assert check_fas(graph, arcs, bound=size) is None
             if subset:
                 assert check_fas(graph, arcs, bound=size - 1) == f"{size} arcs exceed the bound {size - 1}"
@@ -88,12 +89,12 @@ def test_check_fas_reasons_for_foreign_arcs():
     order = (xv(0), xv(1), yv(0), yv(1))
     # y1>y0 would name the present y1>x0 if only its indices were read.
     for foreign in (Arc(yv(0), xv(0)), (xv(0), xv(1)), (yv(1), yv(0)), (xv(9), yv(0)), (yv(0), yv(-1))):
-        tail, head = (foreign.tail, foreign.head) if isinstance(foreign, Arc) else foreign
+        tail, head = foreign
         reason = f"arc {tail}>{head} is not in the instance"
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign, (xv(5), yv(5))]) == reason
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign], order=order) == reason
         assert check_fas(g, [foreign], order=order[1:]) == reason  # a foreign arc outranks a bad order
-        assert check_fas_sized(g, [(yv(1), xv(0)), foreign]) == (reason, 0)
+        assert check_fas_sized(g, [(yv(1), xv(0)), foreign]) == (reason, 0, None)
     assert check_fas(g, [(yv(1), xv(0)), (yv(1), xv(0))], bound=1) is None
 
 
@@ -136,7 +137,7 @@ def test_check_packing_reasons_for_bad_cycles():
 
 
 def test_solve_fas_branch_rejects_a_missing_backward_part(monkeypatch):
-    monkeypatch.setattr(fas_engine, "_backward_keys", lambda order, cycles, n: [])
+    monkeypatch.setattr(fas_engine, "backward_arcs", lambda order, cycles: frozenset())
     with pytest.raises(InternalInvariantError, match="leaves a cycle"):
         solve(four_cycle_bt(), 2)
 

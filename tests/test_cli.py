@@ -492,6 +492,16 @@ def test_internal_invariant_violations_exit_3(tmp_path, capsys, monkeypatch):
     assert "internal invariant" in capsys.readouterr().err
 
 
+def test_a_witness_that_is_no_cycle_exits_3(tmp_path, capsys, monkeypatch):
+    from btfas import graph_core
+
+    monkeypatch.setattr(graph_core, "is_cycle_sequence", lambda graph, seq: False)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"fas": []}), encoding="utf-8")
+    assert run(["verify", str(GOLDEN / "c4_bt.bt"), "--fas", str(cert)]) == 3
+    assert "internal invariant violation: extracted witness" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # goldens and selftest
 
@@ -517,7 +527,7 @@ def test_selftest_passes(capsys):
     assert [(c["name"], c["instances"]) for c in doc["checks"]] == [
         ("census-identities-exhaustive", 530),
         ("acyclicity-vs-brute-2x2", 81),
-        ("c4free-certificates", 246),
+        ("c4free-certificates", 16411),
         ("dichotomy-exhaustive", 2120),
         ("min-fas-vs-packing-oracles", 528),
     ]

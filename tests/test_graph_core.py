@@ -307,3 +307,51 @@ def test_pair_arc_inverts_pair_state():
                 arc = pair_arc(n, p, state)
                 assert pair_state(m, n, arc.tail, arc.head) == (p, state)
                 assert (arc.tail.side == "X") == (state == TO_Y)
+
+
+# ----------------------------------------------------------------------
+# labels are tuples
+
+
+def test_arcs_sort_by_tail_then_head_and_match_the_canonical_order():
+    rng = random.Random(29)
+    for _ in range(100):
+        g = random_digraph(rng, rng.randint(0, 6), rng.randint(0, 6))
+        canonical = g.arcs()
+        subset = [a for a in canonical if rng.random() < 0.5]
+        for arcs in (canonical, subset):
+            shuffled = rng.sample(arcs, len(arcs))
+            by_fields = sorted(shuffled, key=lambda a: (a.tail.side, a.tail.index, a.head.side, a.head.index))
+            assert sorted(shuffled) == by_fields == sorted(set(shuffled)) == arcs
+
+
+def test_labels_hash_and_compare_as_their_fields():
+    a, b = xv(2), yv(7)
+    assert hash(a) == hash(("X", 2)) and a == ("X", 2)
+    assert hash(Arc(a, b)) == hash((a, b)) and Arc(a, b) == (a, b)
+    tail, head = Arc(b, a)
+    assert (tail, head) == (b, a)
+    assert {Arc(a, b), (a, b)} == {Arc(a, b)}
+
+
+def test_labels_print_as_before():
+    assert str(xv(3)) == "x3" and str(yv(0)) == "y0"
+    assert str(Arc(yv(0), xv(12))) == "y0>x12"
+    assert repr(xv(3)) == "VertexRef(side='X', index=3)"
+    assert repr(Arc(xv(0), yv(1))) == "Arc(tail=VertexRef(side='X', index=0), head=VertexRef(side='Y', index=1))"
+
+
+def test_arc_rejects_a_same_side_pair():
+    with pytest.raises(SameSideArc):
+        Arc(xv(0), xv(1))
+    with pytest.raises(SameSideArc):
+        Arc(yv(1), yv(1))
+
+
+def test_is_cycle_sequence_is_false_on_a_non_cycle():
+    g = four_cycle_bt()  # x0>y0, y0>x1, x1>y1, y1>x0
+    assert is_cycle_sequence(g, [xv(0), yv(0), xv(1), yv(1)])
+    assert not is_cycle_sequence(g, [xv(0), xv(1), yv(0), yv(1)])  # not alternating
+    assert not is_cycle_sequence(g, [xv(0), yv(0), xv(2), yv(1)])  # out of range
+    assert not is_cycle_sequence(g, [yv(-1), xv(0), yv(0), xv(1)])
+    assert not g.has_arc((xv(0), xv(1)))

@@ -212,6 +212,12 @@ FAULTS = {
         "fas_c4free",
         lambda real: lambda graph: replace(real(graph), fas=frozenset(graph.arcs())),
     ),
+    "c4free-set-drops-an-arc": (
+        oracles.check_c4free,
+        (six_cycle(),),
+        "fas_c4free",
+        lambda real: lambda graph: replace(real(graph), fas=frozenset(sorted(real(graph).fas)[1:])),
+    ),
     "solve-drops-the-backward-part": (
         oracles.check_dichotomy,
         (four_cycle_bt(), 2),
