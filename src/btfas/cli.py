@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import heapq
 import itertools
 import json
 import os
@@ -269,10 +270,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         doc["branch"] = "fas"
         doc["packing"] = _cycle_lists(outcome.packing.cycles)
-        doc["fas"] = _arc_strings(outcome.fas)
+        # fas is the disjoint union of the two parts: merge their sorted runs.
+        residual = sorted(outcome.residual_part)
+        backward = sorted(outcome.backward_part)
+        residual_strings = [str(a) for a in residual]
+        backward_strings = [str(a) for a in backward]
+        merged = heapq.merge(zip(residual, residual_strings), zip(backward, backward_strings))
+        doc["fas"] = [text for _, text in merged]
         doc["bound"] = outcome.bound
-        doc["residual_fas"] = _arc_strings(outcome.residual_part)
-        doc["backward"] = _arc_strings(outcome.backward_part)
+        doc["residual_fas"] = residual_strings
+        doc["backward"] = backward_strings
         doc["order"] = [str(v) for v in outcome.order]
     _emit(doc)
     return 0

@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 from .c4free_fas import find_4cycle
 from .certify import check_packing
 from .errors import OutOfRange
-from .graph_core import BipartiteDigraph, FourCycle
+from .graph_core import BipartiteDigraph, FourCycle, pair_state
 
 
 @dataclass(frozen=True)
@@ -19,9 +19,12 @@ class Packing:
     residual: BipartiteDigraph
 
     def validate(self, source: BipartiteDigraph) -> bool:
-        """Re-check the packing against the graph it was taken from."""
-        residual_ok = self.residual.arc_count() == source.arc_count() - 4 * len(self.cycles)
-        return residual_ok and check_packing(source, self.cycles) is None
+        """Re-check the packing, and that the residual is ``source`` minus its arcs."""
+        if check_packing(source, self.cycles) is not None:
+            return False
+        m, n = source.m, source.n
+        pairs = [pair_state(m, n, *arc)[0] for cycle in self.cycles for arc in cycle.arcs()]
+        return self.residual == source.clear_pairs(pairs)
 
 
 class _MaskView(NamedTuple):

@@ -126,17 +126,16 @@ def _iter_4cycles(graph: BipartiteDigraph) -> Iterator[FourCycle]:
                         yield four_cycle(xi, yj, xk, yl)
 
 
-def max_c4_packing_exact(
-    graph: BipartiteDigraph, cap: int = DEFAULT_CYCLE_CAP
-) -> OracleResult:
+def max_c4_packing_exact(graph: BipartiteDigraph) -> OracleResult:
     """Exact maximum number of pairwise arc-disjoint 4-cycles.
 
     Branch and bound over the full 4-cycle list in canonical order, with
     an arc-occupancy bitmap and the remaining-cycle count as the bound.
+    More than ``DEFAULT_CYCLE_CAP`` 4-cycles raise ``TooLarge``.
     """
-    cycles = tuple(itertools.islice(_iter_4cycles(graph), cap + 1))  # stop past the cap
-    if len(cycles) > cap:
-        raise TooLarge(f"more than {cap} 4-cycles exceed the configured cap")
+    cycles = tuple(itertools.islice(_iter_4cycles(graph), DEFAULT_CYCLE_CAP + 1))  # stop past the cap
+    if len(cycles) > DEFAULT_CYCLE_CAP:
+        raise TooLarge(f"more than {DEFAULT_CYCLE_CAP} 4-cycles exceed the configured cap")
     m, n = graph.m, graph.n
     masks = [sum(1 << pair_state(m, n, a.tail, a.head)[0] for a in c.arcs()) for c in cycles]
 

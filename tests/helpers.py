@@ -19,16 +19,11 @@ from btfas import (
     FasCertificate,
     FasOutcome,
     FourCycle,
-    NeighborhoodPartition,
-    P4,
     PackingOutcome,
-    Subgraph,
     TraceNode,
     VertexRef,
-    all_4cycles,
     build,
     fas_c4free,
-    four_cycle,
     greedy_pack,
     xv,
     yv,
@@ -36,7 +31,9 @@ from btfas import (
 from btfas.certify import check_fas, check_packing, require
 from btfas.cli import MAX_PAIRS, InstanceFormatError
 from btfas.errors import DuplicatePair, NotATournament, OutOfRange, PreconditionError, VertexNotInOrder
-from btfas.graph_core import TO_X, TO_Y, TopoResult, is_cycle_sequence
+from btfas.graph_core import TO_X, TO_Y, Subgraph, TopoResult, four_cycle, is_cycle_sequence
+from btfas.oracles import P4, all_4cycles
+from btfas.p4_census import NeighborhoodPartition
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,8 @@ from btfas import (
     Arc,
     FasOutcome,
     GenSpec,
-    backward_arcs,
     enumerate_bt,
     fas_c4free,
-    find_4cycle,
-    four_cycle,
     min_fas_exact,
     random_bt,
     random_c4free,
@@ -28,7 +25,10 @@ from btfas import (
     xv,
     yv,
 )
+from btfas.c4free_fas import find_4cycle
 from btfas.cli import run
+from btfas.fas_engine import backward_arcs
+from btfas.graph_core import four_cycle
 from btfas.oracles import check_c4free, check_census, check_dichotomy, check_oracles
 
 from helpers import four_cycle_bt, random_digraph, reverse_arcs, six_cycle

@@ -11,16 +11,15 @@ from btfas import (
     build,
     enumerate_bt,
     fas_c4free,
-    find_4cycle,
-    four_cycle,
     min_fas_exact,
     random_c4free,
-    trim_acyclic_vertices,
     xv,
     yv,
 )
 from btfas import c4free_fas, certify
+from btfas.c4free_fas import find_4cycle, trim_acyclic_vertices
 from btfas.errors import HasFourCycle, InternalInvariantError
+from btfas.graph_core import four_cycle
 
 from helpers import (
     all_oriented,

@@ -7,20 +7,18 @@ from btfas import (
     Arc,
     BipartiteDigraph,
     Packing,
-    all_4cycles,
     c4free_fas,
     enumerate_bt,
     fas_c4free,
     fas_engine,
-    find_cycle_brute,
-    four_cycle,
     solve,
     xv,
     yv,
 )
 from btfas.certify import check_fas, check_fas_sized, check_packing
 from btfas.errors import InternalInvariantError
-from btfas.graph_core import ABSENT, FourCycle
+from btfas.graph_core import ABSENT, FourCycle, four_cycle
+from btfas.oracles import all_4cycles, find_cycle_brute
 
 from helpers import (
     PACKING_REASONS,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btfas import GenSpec, all_4cycles, build, enumerate_bt, random_bt, xv, yv
+from btfas import GenSpec, build, enumerate_bt, greedy_pack, random_bt, solve, xv, yv
 from btfas.cli import (
     MAX_SIDE,
     InstanceFormatError,
@@ -24,6 +24,7 @@ from btfas.cli import (
     render_instance,
     run,
 )
+from btfas.oracles import all_4cycles
 
 from helpers import (
     PACKING_REASONS,
@@ -31,6 +32,7 @@ from helpers import (
     check_packing_reference,
     four_cycle_bt,
     parse_instance_reference,
+    planted_bt,
     random_digraph,
     six_cycle,
     verify_fas_reference,
@@ -111,6 +113,22 @@ def test_solve_fas_branch(tmp_path, capsys):
     assert doc["fas"] == ["y0>x1", "y1>x0"]
     assert doc["bound"] == 7
     assert doc["order"] == ["x0", "x1", "y0", "y1"]
+
+
+def test_solve_lists_fas_as_the_sorted_union_of_its_parts(tmp_path, capsys):
+    """``fas`` is merged from the two sorted parts, with and without a residual part."""
+    cases = [planted_bt(seed, blocks) for seed, blocks in ((0, 4), (2, 4), (0, 6), (1, 6))]
+    cases += [random_bt(GenSpec(12, 12, seed=seed)) for seed in range(2)]
+    residual_sizes = []
+    for g in cases:
+        k = len(greedy_pack(g).cycles) + 1
+        outcome = solve(g, k)
+        doc = run_json(capsys, ["solve", write(tmp_path, "t.bt", g), "--k", str(k)])
+        assert doc["fas"] == [str(arc) for arc in sorted(outcome.fas)]
+        assert doc["residual_fas"] == [str(arc) for arc in sorted(outcome.residual_part)]
+        assert doc["backward"] == [str(arc) for arc in sorted(outcome.backward_part)]
+        residual_sizes.append(len(outcome.residual_part))
+    assert all(residual_sizes[:4]) and not any(residual_sizes[4:]), residual_sizes
 
 
 def test_solve_packing_branch(tmp_path, capsys):
@@ -589,7 +607,10 @@ def test_cli_boundary_never_raises(instance, certificate, k):
                 code = run(argv)
             assert code in (0, 1, 2), (argv, err.getvalue())
             if argv[0] == "verify" and code == 2:
-                assert json.loads(out.getvalue())["valid"] is False
+                if k < 0:  # refused before the certificate is read, as for solve
+                    assert out.getvalue() == "", argv
+                else:
+                    assert json.loads(out.getvalue())["valid"] is False
 
 
 # ----------------------------------------------------------------------

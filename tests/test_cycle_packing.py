@@ -2,14 +2,8 @@ import random
 
 import pytest
 
-from btfas import (
-    BipartiteDigraph,
-    GenSpec,
-    find_4cycle,
-    greedy_pack,
-    max_c4_packing_exact,
-    random_bt,
-)
+from btfas import BipartiteDigraph, GenSpec, Packing, greedy_pack, max_c4_packing_exact, random_bt
+from btfas.c4free_fas import find_4cycle
 from btfas.errors import OutOfRange
 
 from helpers import all_oriented, four_cycle_bt, greedy_pack_reference, random_digraph, six_cycle
@@ -52,6 +46,18 @@ def test_packings_validate_and_are_maximal():
         assert packing.residual.absent_pair_count() == (
             g.absent_pair_count() + 4 * len(packing.cycles)
         )
+
+
+def test_validate_rejects_a_residual_that_is_not_the_input_minus_the_packing():
+    g = random_bt(GenSpec(8, 8, seed=3))
+    packing = greedy_pack(g)
+    assert len(packing.cycles) == 6
+    assert packing.validate(g)
+    packed = {arc for cycle in packing.cycles for arc in cycle.arcs()}
+    others = [arc for arc in g.arcs() if arc not in packed][:24]
+    wrong = g.delete_arcs(others)  # as many arcs as the packing's, but the wrong ones
+    assert wrong.arc_count() == packing.residual.arc_count()
+    assert not Packing(packing.cycles, wrong).validate(g)
 
 
 def test_early_exit_stops_at_the_limit():

@@ -8,10 +8,8 @@ from btfas import (
     FasOutcome,
     GenSpec,
     PackingOutcome,
-    backward_arcs,
     build,
     enumerate_bt,
-    four_cycle,
     greedy_pack,
     min_fas_exact,
     random_bt,
@@ -20,6 +18,8 @@ from btfas import (
     yv,
 )
 from btfas.errors import NotATournament, OutOfRange, VertexNotInOrder
+from btfas.fas_engine import backward_arcs
+from btfas.graph_core import four_cycle
 
 from helpers import all_x_to_y, backward_arcs_reference, four_cycle_bt, planted_bt, solve_reference
 

@@ -2,16 +2,9 @@ import random
 
 import pytest
 
-from btfas import (
-    Arc,
-    BipartiteDigraph,
-    build,
-    is_cycle_sequence,
-    xv,
-    yv,
-)
+from btfas import Arc, BipartiteDigraph, build, xv, yv
 from btfas.errors import ArcNotPresent, DuplicatePair, OutOfRange, SameSideArc
-from btfas.graph_core import TO_X, TO_Y, pair_arc, pair_state
+from btfas.graph_core import TO_X, TO_Y, is_cycle_sequence, pair_arc, pair_state
 from btfas.oracles import check_acyclicity
 
 from helpers import (

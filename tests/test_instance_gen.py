@@ -1,13 +1,7 @@
 import pytest
 
-from btfas import (
-    GenSpec,
-    enumerate_bt,
-    find_4cycle,
-    greedy_pack,
-    random_bt,
-    random_c4free,
-)
+from btfas import GenSpec, enumerate_bt, greedy_pack, random_bt, random_c4free
+from btfas.c4free_fas import find_4cycle
 from btfas.cli import render_instance
 from btfas.errors import OutOfRange, TooLarge
 

@@ -8,25 +8,23 @@ import btfas
 from btfas import oracles
 from btfas import (
     FasOutcome,
-    all_4cycles,
+    GenSpec,
     build,
-    census_sums,
     enumerate_bt,
-    enumerate_induced_p4,
     fas_c4free,
-    find_4cycle,
-    four_cycle,
     greedy_pack,
     max_c4_packing_exact,
     min_fas_exact,
     random_bt,
-    GenSpec,
     xv,
     yv,
 )
+from btfas.c4free_fas import find_4cycle
 from btfas.certify import check_packing
 from btfas.cli import run
 from btfas.errors import TooLarge
+from btfas.graph_core import four_cycle
+from btfas.oracles import all_4cycles, census_sums, enumerate_induced_p4
 
 from helpers import (
     all_oriented,
@@ -123,12 +121,14 @@ def test_max_packing_matches_combination_search():
         assert max_c4_packing_exact(g).value == max_pack_combinations(g)
 
 
-def test_max_packing_cap():
+def test_max_packing_cap(monkeypatch):
     g = random_bt(GenSpec(4, 4, seed=2))
     assert len(all_4cycles(g)) > 2
-    with pytest.raises(TooLarge):
-        max_c4_packing_exact(g, cap=2)
-    assert max_c4_packing_exact(g, cap=len(all_4cycles(g))).value >= 1  # the cap itself is allowed
+    monkeypatch.setattr(oracles, "DEFAULT_CYCLE_CAP", 2)
+    with pytest.raises(TooLarge, match="more than 2 4-cycles"):
+        max_c4_packing_exact(g)
+    monkeypatch.setattr(oracles, "DEFAULT_CYCLE_CAP", len(all_4cycles(g)))
+    assert max_c4_packing_exact(g).value >= 1  # the cap itself is allowed
 
 
 def test_census_limit_is_on_cross_pairs():
@@ -163,7 +163,7 @@ def test_package_exports_exactly_its_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(btfas.__all__) == sorted(public)
-    assert btfas.census_sums is oracles.census_sums  # the P4 enumeration lives in oracles
+    assert census_sums.__module__ == oracles.__name__  # the P4 enumeration lives in oracles
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,16 @@
 import itertools
 import random
 
-from btfas import (
+from btfas import build, xv, yv
+from btfas.oracles import (
     ClassKey2,
-    build,
     census_sums,
+    check_census,
     classes2,
     classes3,
     enumerate_induced_p4,
-    first_count,
-    partition_around,
-    sec_count,
-    xv,
-    yv,
 )
-from btfas.oracles import check_census
+from btfas.p4_census import first_count, partition_around, sec_count
 
 from helpers import (
     all_oriented,
