@@ -37,7 +37,7 @@ from .graph_core import (
     xv,
     yv,
 )
-from .p4_census import MaskPartition, mask_census
+from .p4_census import Rows, census, mask_partition, pack_rows
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,8 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]
     ties between centers of equal slack.
     """
     x_masks, y_masks = graph.x_masks, graph.y_masks
-    # views[rev][side]: the (out, in) masks of that root side, then those of
-    # the other; reversal swaps out and in.
-    views = (
-        ((x_masks, y_masks), (y_masks, x_masks)),
-        ((x_masks[::-1], y_masks[::-1]), (y_masks[::-1], x_masks[::-1])),
-    )
+    # views[rev][side]: that root side's rows, packed for the first survivor of trimming.
+    views = None
     n = graph.n
     fas: list[Arc] = []
     trace: list[TraceNode] = []
@@ -169,35 +165,38 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]
         xs, ys = _trim(xs, ys, x_masks, y_masks)
         if xs.bit_count() < 2 or ys.bit_count() < 2:
             continue
+        if views is None:
+            sides = (pack_rows(*x_masks, n), pack_rows(*y_masks, graph.m))
+            views = (sides, [Rows(r.inn, r.out, r.in_bytes, r.out_bytes, r.stride) for r in sides])
         counts = _census_all(views[rev], xs, ys)
         mode = "direct"
-        if sum(c[1] for c in counts.values()) > sum(c[2] for c in counts.values()):
+        if sum(c[0] for c in counts.values()) > sum(c[1] for c in counts.values()):
             mode, rev = "reversed", rev ^ 1
             counts = _census_all(views[rev], xs, ys)
         # Maximize the slack sec - first; remaining ties go to the smallest
         # label, X before Y as this sub-instance names its sides.
         side, c = min(
-            (key for key, (_, first, sec) in counts.items() if first <= sec),
-            key=lambda key: (counts[key][1] - counts[key][2], key[0] ^ x_side, key[1]),
+            (key for key, (first, sec) in counts.items() if first <= sec),
+            key=lambda key: (counts[key][0] - counts[key][1], key[0] ^ x_side, key[1]),
         )
-        part = counts[side, c][0]
+        rows = views[rev][side]
+        part = mask_partition(rows, c, *((xs, ys) if side == 0 else (ys, xs)))
         if not (part.ins and part.outs):
             raise InternalInvariantError(f"trimming left a one-sided center {c}")
-        p_masks = views[rev][side][0]
         # An arc from two into ins would close a 4-cycle through the center.
-        if any(p_masks[0][a] & part.ins for a in bit_indices(part.two)):
+        if any(rows.out[a] & part.ins for a in bit_indices(part.two)):
             raise InternalInvariantError(f"an arc runs from two into ins at center {c}")
         # The cut arcs run two -> non, or non -> two when reversed.
         state = TO_Y if side == rev else TO_X
         cut = [
             pair_arc(n, a * n + b if side == 0 else b * n + a, state)
             for a in bit_indices(part.two)
-            for b in bit_indices(p_masks[0][a] & part.non)
+            for b in bit_indices(rows.out[a] & part.non)
         ]
         fas += cut
         half1 = (part.rest, part.ins | part.non)
         half2 = (part.two | 1 << c, part.outs)
-        bounds = (_absent_pairs(p_masks, *half1), _absent_pairs(p_masks, *half2))
+        bounds = (_absent_pairs(rows, *half1), _absent_pairs(rows, *half2))
         trace.append(TraceNode(depth, mode, (xv if side == 0 else yv)(c), len(cut), bounds))
         # half2 goes below half1, so half1's subtree is traced first.
         for ps, qs in (half2, half1):
@@ -206,17 +205,16 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]
     return fas, trace
 
 
-def _census_all(view, xs: int, ys: int) -> dict[tuple[int, int], tuple[MaskPartition, int, int]]:
-    """``mask_census`` of every live vertex, keyed by (root side, index)."""
-    return {
-        (side, v): mask_census(v, *view[side], live, other)
-        for side, live, other in ((0, xs, ys), (1, ys, xs))
-        for v in bit_indices(live)
-    }
+def _census_all(view, xs: int, ys: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """(first, sec) of every live vertex, keyed by (root side, index)."""
+    counts = {}
+    for side, live, other in ((0, xs, ys), (1, ys, xs)):
+        keys = ((side, v) for v in bit_indices(live))
+        counts.update(zip(keys, census(view[side], live, other)))
+    return counts
 
 
-def _absent_pairs(p_masks, ps: int, qs: int) -> int:
-    """Non-adjacent pairs between ``ps`` on a side with masks ``p_masks`` and ``qs`` opposite."""
-    p_out, p_in = p_masks
-    arcs = sum(((p_out[a] | p_in[a]) & qs).bit_count() for a in bit_indices(ps))
+def _absent_pairs(rows: Rows, ps: int, qs: int) -> int:
+    """Non-adjacent pairs between ``ps`` on the side of ``rows`` and ``qs`` opposite."""
+    arcs = sum(((rows.out[a] | rows.inn[a]) & qs).bit_count() for a in bit_indices(ps))
     return ps.bit_count() * qs.bit_count() - arcs

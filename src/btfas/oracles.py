@@ -111,6 +111,8 @@ def all_4cycles(graph: BipartiteDigraph) -> tuple[FourCycle, ...]:
 
 def _iter_4cycles(graph: BipartiteDigraph) -> Iterator[FourCycle]:
     _require_census_size(graph)  # on the first next(), before any tuple is visited
+    if graph.m < 2 or graph.n < 2:  # no 4-cycle; m(m-1)/2 empty X pairs could still be many
+        return
     for xi in range(graph.m):
         for xk in range(xi + 1, graph.m):
             for yj in range(graph.n):

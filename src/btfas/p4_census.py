@@ -6,10 +6,11 @@ being non-adjacent.  Paths sharing (first, third, fourth) form one class,
 paths sharing (first, second, fourth) another.  ``first_count`` and
 ``sec_count`` report, per vertex, how many classes of the first kind start
 at it and how many of the second kind have it second, by a closed form
-over the neighborhood partition around the vertex.  ``mask_census``
-computes that partition and both counts at once on bitmasks, for a center
-on either side; it is what the decomposition in ``c4free_fas`` uses.  The
-path enumeration that checks these closed forms lives in ``oracles``.
+over the neighborhood partition around the vertex.  ``census`` gives
+both counts for every vertex of one side at once, from the side's rows
+packed into integers, and ``mask_partition`` the partition around one
+vertex; the decomposition in ``c4free_fas`` uses the same two.  The path
+enumeration that checks the closed forms lives in ``oracles``.
 """
 
 from __future__ import annotations
@@ -52,48 +53,77 @@ class MaskPartition(NamedTuple):
     rest: int
 
 
-def mask_census(
-    c: int,
-    p: tuple[Sequence[int], Sequence[int]],
-    q: tuple[Sequence[int], Sequence[int]],
-    ps: int,
-    qs: int,
-) -> tuple[MaskPartition, int, int]:
-    """Partition around vertex c of side P, with its first and sec counts.
+class Rows(NamedTuple):
+    """One side's (out, in) masks over the other side, and the same rows packed.
 
-    ``p`` and ``q`` are the (out, in) per-vertex masks of P and of the
-    opposite side Q; passing each pair swapped counts in the reversed
-    graph.  Only the vertices in the live masks ``ps`` and ``qs`` count.
-    first is the number of arcs from ``two`` to ``non``, sec the number of
-    non-adjacent pairs between ``ins`` and ``two``.
+    A packed row is ``stride`` little-endian bytes, at least one bit wider than the
+    other side: its top bit is the guard bit.  Out and in swap under reversal.
     """
-    p_out, p_in = p
-    q_out, q_in = q
-    ins = p_in[c] & qs
-    outs = p_out[c] & qs
-    non = qs & ~(ins | outs)
-    two = 0
-    for b in bit_indices(outs):
-        two |= q_out[b]
-    two &= ps
+
+    out: Sequence[int]
+    inn: Sequence[int]
+    out_bytes: tuple[bytes, ...]
+    in_bytes: tuple[bytes, ...]
+    stride: int
+
+
+def pack_rows(out: Sequence[int], inn: Sequence[int], width: int) -> Rows:
+    """The rows of one side whose masks span ``width`` vertices of the other."""
+    stride = width // 8 + 1
+    packed = (tuple(row.to_bytes(stride, "little") for row in masks) for masks in (out, inn))
+    return Rows(out, inn, *packed, stride)
+
+
+def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int]]:
+    """(first, sec) of each vertex in the live mask ``ps`` of this side, lowest index first.
+
+    Only the vertices in ``ps`` and ``qs`` count.  The live rows are gathered
+    into one integer per mask, so a center costs a few operations on live rows
+    x stride bytes: each row of ``in`` that meets the center's ``outs`` carries
+    into its guard bit, marking the row as in ``two``, and ``sel`` spreads that
+    bit over the row.  first counts the arcs from ``two`` to ``non``, sec the
+    non-adjacent pairs between ``two`` and ``ins``.
+    """
+    live = list(bit_indices(ps))
+    stride, k, out, inn = rows.stride, len(live), rows.out, rows.inn
+    width = 8 * stride - 1
+
+    def rep(mask: int) -> int:  # mask in every live row, by bytes repetition
+        return int.from_bytes(mask.to_bytes(stride, "little") * k, "little")
+
+    p_out = int.from_bytes(b"".join([rows.out_bytes[a] for a in live]), "little")
+    p_in = int.from_bytes(b"".join([rows.in_bytes[a] for a in live]), "little")
+    full, guard, live_q = rep((1 << width) - 1), rep(1 << width), rep(qs)
+    apart = full & ~(p_out | p_in)
+    counts = []
+    for c in live:
+        rep_outs, rep_ins = rep(out[c] & qs), rep(inn[c] & qs)
+        carry = ((p_in & rep_outs) + full) & guard
+        sel = carry - (carry >> width)
+        non = live_q ^ rep_outs ^ rep_ins  # ins and outs are disjoint parts of qs
+        counts.append(((p_out & sel & non).bit_count(), (apart & sel & rep_ins).bit_count()))
+    return counts
+
+
+def mask_partition(rows: Rows, c: int, ps: int, qs: int) -> MaskPartition:
+    """Partition around vertex c of the side of ``rows``, within the live masks."""
+    ins, outs = rows.inn[c] & qs, rows.out[c] & qs
+    two = sum(1 << a for a in bit_indices(ps) if rows.inn[a] & outs)
     # c is not in two: that would put both orientations on one pair.
-    rest = ps & ~two & ~(1 << c)
-    first = sum((p_out[a] & non).bit_count() for a in bit_indices(two))
-    sec = sum((two & ~(q_out[b] | q_in[b])).bit_count() for b in bit_indices(ins))
-    return MaskPartition(ins, outs, non, two, rest), first, sec
+    return MaskPartition(ins, outs, qs & ~(ins | outs), two, ps & ~two & ~(1 << c))
 
 
-def _census(graph: BipartiteDigraph, v: VertexRef) -> tuple[MaskPartition, int, int]:
+def _side(graph: BipartiteDigraph, v: VertexRef) -> tuple[Rows, int, int]:
+    """v's side packed, with the all-live masks of that side and the other."""
     graph._check_vertex(v)
-    all_x, all_y = (1 << graph.m) - 1, (1 << graph.n) - 1
-    if v.side == "X":
-        return mask_census(v.index, graph.x_masks, graph.y_masks, all_x, all_y)
-    return mask_census(v.index, graph.y_masks, graph.x_masks, all_y, all_x)
+    masks, width = (graph.x_masks, graph.n) if v.side == "X" else (graph.y_masks, graph.m)
+    return pack_rows(*masks, width), (1 << len(masks[0])) - 1, (1 << width) - 1
 
 
 def partition_around(graph: BipartiteDigraph, center: VertexRef) -> NeighborhoodPartition:
     """Neighborhood partition around a vertex of either side."""
-    part = _census(graph, center)[0]
+    rows, ps, qs = _side(graph, center)
+    part = mask_partition(rows, center.index, ps, qs)
     own, other = (xv, yv) if center.side == "X" else (yv, xv)
 
     def refs(mask: int, make) -> frozenset[VertexRef]:
@@ -115,7 +145,7 @@ def first_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     Closed form: the classes starting at v correspond exactly to the arcs
     from ``two_step`` to ``non_adjacent`` in the partition around v.
     """
-    return _census(graph, v)[1]
+    return census(*_side(graph, v))[v.index][0]
 
 
 def sec_count(graph: BipartiteDigraph, v: VertexRef) -> int:
@@ -124,4 +154,4 @@ def sec_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     Closed form: such classes correspond to the non-adjacent pairs between
     ``in_nbrs`` and ``two_step`` in the partition around v.
     """
-    return _census(graph, v)[2]
+    return census(*_side(graph, v))[v.index][1]

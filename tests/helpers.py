@@ -31,9 +31,17 @@ from btfas import (
 from btfas.certify import check_fas, check_packing, require
 from btfas.cli import MAX_PAIRS, InstanceFormatError
 from btfas.errors import DuplicatePair, NotATournament, OutOfRange, PreconditionError, VertexNotInOrder
-from btfas.graph_core import TO_X, TO_Y, Subgraph, TopoResult, four_cycle, is_cycle_sequence
+from btfas.graph_core import (
+    TO_X,
+    TO_Y,
+    Subgraph,
+    TopoResult,
+    bit_indices,
+    four_cycle,
+    is_cycle_sequence,
+)
 from btfas.oracles import P4, all_4cycles
-from btfas.p4_census import NeighborhoodPartition
+from btfas.p4_census import MaskPartition, NeighborhoodPartition
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +294,29 @@ def partition_around_reference(graph: BipartiteDigraph, center: VertexRef) -> Ne
     two_step = frozenset(w for v in outs for w in out_neighbors(graph, v))
     rest = frozenset(v for v in x_vertices(graph) if v not in two_step and v != center)
     return NeighborhoodPartition(center, ins, outs, non, two_step, rest)
+
+
+def mask_census(c: int, p, q, ps: int, qs: int) -> tuple[MaskPartition, int, int]:
+    """Partition around vertex c of side P, with its first and sec counts, bit by bit.
+
+    The reference for ``p4_census.census`` and ``mask_partition``.  ``p``
+    and ``q`` are the (out, in) per-vertex masks of P and of the opposite
+    side Q; passing each pair swapped counts in the reversed graph.  Only
+    the vertices in the live masks ``ps`` and ``qs`` count.
+    """
+    p_out, p_in = p
+    q_out, q_in = q
+    ins = p_in[c] & qs
+    outs = p_out[c] & qs
+    non = qs & ~(ins | outs)
+    two = 0
+    for b in bit_indices(outs):
+        two |= q_out[b]
+    two &= ps
+    rest = ps & ~two & ~(1 << c)
+    first = sum((p_out[a] & non).bit_count() for a in bit_indices(two))
+    sec = sum((two & ~(q_out[b] | q_in[b])).bit_count() for b in bit_indices(ins))
+    return MaskPartition(ins, outs, non, two, rest), first, sec
 
 
 def _counts_reference(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import collections
 import random
 import sys
 
@@ -12,7 +13,9 @@ from btfas import (
     enumerate_bt,
     fas_c4free,
     min_fas_exact,
+    random_bt,
     random_c4free,
+    solve,
     xv,
     yv,
 )
@@ -284,12 +287,30 @@ def test_trace_properties_on_blowups(seed):
     ],
 )
 def test_a_broken_partition_is_an_internal_invariant_violation(monkeypatch, broken, reason):
-    real = c4free_fas.mask_census
-
-    def census(*args):
-        part, first, sec = real(*args)
-        return broken(part), first, sec
-
-    monkeypatch.setattr(c4free_fas, "mask_census", census)
+    real = c4free_fas.mask_partition
+    monkeypatch.setattr(c4free_fas, "mask_partition", lambda *args: broken(real(*args)))
     with pytest.raises(InternalInvariantError, match=reason):
         fas_c4free(six_cycle())
+
+
+def test_an_acyclic_residual_packs_no_rows(monkeypatch):
+    """solve-fas-style requests trim their residual away before any row is packed or counted."""
+    entries = collections.Counter()
+
+    def counted(name):
+        real = getattr(c4free_fas, name)
+
+        def entry(*args):
+            entries[name] += 1
+            return real(*args)
+
+        return entry
+
+    for name in ("pack_rows", "census"):
+        monkeypatch.setattr(c4free_fas, name, counted(name))
+    for seed in range(20):
+        outcome = solve(random_bt(GenSpec(24, 24, seed=seed)), 24 * 24 // 4 + 1)
+        assert not outcome.residual_part and outcome.backward_part
+    assert entries == {}
+    fas_c4free(six_cycle())  # the same patches do count a decomposition
+    assert entries == {"pack_rows": 2, "census": 2}

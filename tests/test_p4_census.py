@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from btfas import build, xv, yv
+from btfas.graph_core import bit_indices
 from btfas.oracles import (
     ClassKey2,
     census_sums,
@@ -10,12 +13,13 @@ from btfas.oracles import (
     classes3,
     enumerate_induced_p4,
 )
-from btfas.p4_census import first_count, partition_around, sec_count
+from btfas.p4_census import census, first_count, mask_partition, pack_rows, partition_around, sec_count
 
 from helpers import (
     all_oriented,
     all_x_to_y,
     four_cycle_bt,
+    mask_census,
     p4_oracle,
     path_graph,
     random_digraph,
@@ -173,3 +177,33 @@ def test_side_symmetry_of_counts():
         for v in g.vertices():
             assert first_count(g, v) == first_count(s, swap_vertex(v))
             assert sec_count(g, v) == sec_count(s, swap_vertex(v))
+
+
+@pytest.mark.parametrize("width", [7, 8, 15, 16, 23, 24, 63, 64, 65])
+def test_census_matches_the_bit_loop_at_stride_boundaries(width):
+    """The packed kernel and ``mask_partition`` against the per-bit reference.
+
+    Random digraphs with absent pairs, the whole graph and random live
+    subsets, both directions and every center.  ``width`` is the row width
+    of the X side.  At 7, 15, 23 and 63 a row fills its bytes up to the
+    guard bit; at 8, 16, 24 and 64 it fills whole bytes and the guard bit
+    gets a byte of its own; at 65 it spills one bit into the guard's byte.
+    """
+    rng = random.Random(width)
+    checked = nonzero = 0
+    for m in (width, rng.randint(1, 9)):
+        g = random_digraph(rng, m, width)
+        for p, q, own, other in ((g.x_masks, g.y_masks, m, width), (g.y_masks, g.x_masks, width, m)):
+            for rev in (0, 1):
+                p_view, q_view = (p[::-1], q[::-1]) if rev else (p, q)
+                rows = pack_rows(*p_view, other)
+                lives = [((1 << own) - 1, (1 << other) - 1)]
+                lives += [(rng.getrandbits(own), rng.getrandbits(other)) for _ in range(3)]
+                for ps, qs in lives:
+                    expected = [mask_census(c, p_view, q_view, ps, qs) for c in bit_indices(ps)]
+                    assert census(rows, ps, qs) == [(first, sec) for _, first, sec in expected]
+                    for c, (part, first, sec) in zip(bit_indices(ps), expected):
+                        assert mask_partition(rows, c, ps, qs) == part
+                        checked += 1
+                        nonzero += first > 0 and sec > 0
+    assert checked > 4 * width and nonzero > width
