@@ -37,7 +37,7 @@ from .graph_core import (
     xv,
     yv,
 )
-from .p4_census import Rows, census, mask_partition, pack_rows
+from .p4_census import Rows, census, mask_partition
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,8 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]
     ties between centers of equal slack.
     """
     x_masks, y_masks = graph.x_masks, graph.y_masks
-    # views[rev][side]: that root side's rows, packed for the first survivor of trimming.
-    views = None
+    sides = (Rows(*x_masks), Rows(*y_masks))
+    views = (sides, [Rows(r.inn, r.out) for r in sides])  # views[rev][side]
     n = graph.n
     fas: list[Arc] = []
     trace: list[TraceNode] = []
@@ -165,9 +165,6 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]
         xs, ys = _trim(xs, ys, x_masks, y_masks)
         if xs.bit_count() < 2 or ys.bit_count() < 2:
             continue
-        if views is None:
-            sides = (pack_rows(*x_masks, n), pack_rows(*y_masks, graph.m))
-            views = (sides, [Rows(r.inn, r.out, r.in_bytes, r.out_bytes, r.stride) for r in sides])
         counts = _census_all(views[rev], xs, ys)
         mode = "direct"
         if sum(c[0] for c in counts.values()) > sum(c[1] for c in counts.values()):

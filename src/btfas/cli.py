@@ -346,14 +346,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
     sums = oracles.census_sums(graph)  # checks the size limit first
-    per_vertex = [
-        {
-            "vertex": str(v),
-            "first": p4_census.first_count(graph, v),
-            "sec": p4_census.sec_count(graph, v),
-        }
-        for v in graph.vertices()
-    ]
+    counts = p4_census.vertex_counts(graph)
+    per_vertex = [{"vertex": str(v), "first": counts[v][0], "sec": counts[v][1]} for v in graph.vertices()]
     _emit(
         {
             "mode": "census",

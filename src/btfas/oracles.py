@@ -31,7 +31,7 @@ from .graph_core import (
     xv,
     yv,
 )
-from .p4_census import first_count, sec_count
+from .p4_census import vertex_counts
 
 MAX_EXACT_VERTICES = 22
 DEFAULT_CYCLE_CAP = 10_000
@@ -314,8 +314,7 @@ def census_sums(graph: BipartiteDigraph) -> CensusSums:
     kind.  One enumeration counts both class kinds.
     """
     paths = enumerate_induced_p4(graph)  # checks the size limit before any mask is built
-    sum_first = sum(first_count(graph, v) for v in graph.vertices())
-    sum_sec = sum(sec_count(graph, v) for v in graph.vertices())
+    sum_first, sum_sec = map(sum, zip((0, 0), *vertex_counts(graph).values()))
     return CensusSums(sum_first, sum_sec, len({p.key2() for p in paths}), len({p.key3() for p in paths}))
 
 
@@ -326,11 +325,10 @@ def _require_census_size(graph: BipartiteDigraph) -> None:
 
 def check_census(graph: BipartiteDigraph) -> Optional[str]:
     """Closed forms against the enumeration: per vertex, summed, and under reversal."""
-    buckets = first_sec_by_buckets(graph)
+    buckets, closed = first_sec_by_buckets(graph), vertex_counts(graph)
     for v in graph.vertices():
-        closed = (first_count(graph, v), sec_count(graph, v))
-        if closed != buckets[v]:
-            return f"closed-form counts {closed} at {v}, enumerated {buckets[v]}"
+        if closed[v] != buckets[v]:
+            return f"closed-form counts {closed[v]} at {v}, enumerated {buckets[v]}"
     flipped = graph.reverse()
     sums, rsums = census_sums(graph), census_sums(flipped)
     if sums[:2] != sums[2:] or sums[:2] != (rsums.sum_sec, rsums.sum_first):

@@ -6,17 +6,18 @@ being non-adjacent.  Paths sharing (first, third, fourth) form one class,
 paths sharing (first, second, fourth) another.  ``first_count`` and
 ``sec_count`` report, per vertex, how many classes of the first kind start
 at it and how many of the second kind have it second, by a closed form
-over the neighborhood partition around the vertex.  ``census`` gives
-both counts for every vertex of one side at once, from the side's rows
-packed into integers, and ``mask_partition`` the partition around one
-vertex; the decomposition in ``c4free_fas`` uses the same two.  The path
-enumeration that checks the closed forms lives in ``oracles``.
+over the neighborhood partition around the vertex; ``vertex_counts``
+gives both for every vertex.  ``census`` counts a side's vertices from
+its live rows packed into integers, and ``mask_partition`` gives the
+partition around one vertex; the decomposition in ``c4free_fas`` uses the
+same two.  The path enumeration that checks the closed forms lives in
+``oracles``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graph_core import BipartiteDigraph, VertexRef, bit_indices, xv, yv
 
@@ -54,50 +55,45 @@ class MaskPartition(NamedTuple):
 
 
 class Rows(NamedTuple):
-    """One side's (out, in) masks over the other side, and the same rows packed.
-
-    A packed row is ``stride`` little-endian bytes, at least one bit wider than the
-    other side: its top bit is the guard bit.  Out and in swap under reversal.
-    """
+    """One side's out and in masks over the other side; reversal swaps them."""
 
     out: Sequence[int]
     inn: Sequence[int]
-    out_bytes: tuple[bytes, ...]
-    in_bytes: tuple[bytes, ...]
-    stride: int
 
 
-def pack_rows(out: Sequence[int], inn: Sequence[int], width: int) -> Rows:
-    """The rows of one side whose masks span ``width`` vertices of the other."""
-    stride = width // 8 + 1
-    packed = (tuple(row.to_bytes(stride, "little") for row in masks) for masks in (out, inn))
-    return Rows(out, inn, *packed, stride)
+def census(rows: Rows, ps: int, qs: int, centers: Optional[int] = None) -> list[tuple[int, int]]:
+    """(first, sec) of each vertex in ``centers`` (default: the live mask ``ps`` of this side).
 
-
-def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int]]:
-    """(first, sec) of each vertex in the live mask ``ps`` of this side, lowest index first.
-
-    Only the vertices in ``ps`` and ``qs`` count.  The live rows are gathered
-    into one integer per mask, so a center costs a few operations on live rows
-    x stride bytes: each row of ``in`` that meets the center's ``outs`` carries
-    into its guard bit, marking the row as in ``two``, and ``sel`` spreads that
-    bit over the row.  first counts the arcs from ``two`` to ``non``, sec the
-    non-adjacent pairs between ``two`` and ``ins``.
+    Lowest index first; only the vertices in ``ps`` and ``qs`` count.  The
+    live rows, cut to ``qs``, are packed into one integer per mask, each row
+    ``stride`` bytes with a guard bit above ``qs``'s top column, so a center
+    costs a few operations on live rows x stride bytes: each row of ``in``
+    that meets the center's ``outs`` carries into its guard bit, marking the
+    row as in ``two``, and ``sel`` spreads that bit over the row.  first
+    counts the arcs from ``two`` to ``non``, sec the non-adjacent pairs
+    between ``two`` and ``ins``.  A center without out-neighbours has no
+    ``two``, so both its counts are 0.
     """
     live = list(bit_indices(ps))
-    stride, k, out, inn = rows.stride, len(live), rows.out, rows.inn
+    stride, k, out, inn = qs.bit_length() // 8 + 1, len(live), rows.out, rows.inn
     width = 8 * stride - 1
 
     def rep(mask: int) -> int:  # mask in every live row, by bytes repetition
         return int.from_bytes(mask.to_bytes(stride, "little") * k, "little")
 
-    p_out = int.from_bytes(b"".join([rows.out_bytes[a] for a in live]), "little")
-    p_in = int.from_bytes(b"".join([rows.in_bytes[a] for a in live]), "little")
+    def pack(masks: Sequence[int]) -> int:
+        return int.from_bytes(b"".join([(masks[a] & qs).to_bytes(stride, "little") for a in live]), "little")
+
+    p_out, p_in = pack(out), pack(inn)
     full, guard, live_q = rep((1 << width) - 1), rep(1 << width), rep(qs)
     apart = full & ~(p_out | p_in)
     counts = []
-    for c in live:
-        rep_outs, rep_ins = rep(out[c] & qs), rep(inn[c] & qs)
+    for c in live if centers is None else bit_indices(centers):
+        outs = out[c] & qs
+        if not outs:
+            counts.append((0, 0))
+            continue
+        rep_outs, rep_ins = rep(outs), rep(inn[c] & qs)
         carry = ((p_in & rep_outs) + full) & guard
         sel = carry - (carry >> width)
         non = live_q ^ rep_outs ^ rep_ins  # ins and outs are disjoint parts of qs
@@ -113,16 +109,16 @@ def mask_partition(rows: Rows, c: int, ps: int, qs: int) -> MaskPartition:
     return MaskPartition(ins, outs, qs & ~(ins | outs), two, ps & ~two & ~(1 << c))
 
 
-def _side(graph: BipartiteDigraph, v: VertexRef) -> tuple[Rows, int, int]:
-    """v's side packed, with the all-live masks of that side and the other."""
-    graph._check_vertex(v)
-    masks, width = (graph.x_masks, graph.n) if v.side == "X" else (graph.y_masks, graph.m)
-    return pack_rows(*masks, width), (1 << len(masks[0])) - 1, (1 << width) - 1
+def _side(graph: BipartiteDigraph, side: str) -> tuple[Rows, int, int]:
+    """The rows of one side, with the all-live masks of that side and the other."""
+    (out, inn), width = (graph.x_masks, graph.n) if side == "X" else (graph.y_masks, graph.m)
+    return Rows(out, inn), (1 << len(out)) - 1, (1 << width) - 1
 
 
 def partition_around(graph: BipartiteDigraph, center: VertexRef) -> NeighborhoodPartition:
     """Neighborhood partition around a vertex of either side."""
-    rows, ps, qs = _side(graph, center)
+    graph._check_vertex(center)
+    rows, ps, qs = _side(graph, center.side)
     part = mask_partition(rows, center.index, ps, qs)
     own, other = (xv, yv) if center.side == "X" else (yv, xv)
 
@@ -139,13 +135,28 @@ def partition_around(graph: BipartiteDigraph, center: VertexRef) -> Neighborhood
     )
 
 
+def vertex_counts(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
+    """(first, sec) of every vertex, X side first: one ``census`` per side."""
+    return {
+        make(i): pair
+        for side, make in (("X", xv), ("Y", yv))
+        for i, pair in enumerate(census(*_side(graph, side)))
+    }
+
+
+def _counts(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:
+    graph._check_vertex(v)
+    rows, ps, qs = _side(graph, v.side)
+    return census(rows, ps, qs, 1 << v.index)[0]
+
+
 def first_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     """Number of (first, third, fourth) classes whose paths start at v.
 
     Closed form: the classes starting at v correspond exactly to the arcs
     from ``two_step`` to ``non_adjacent`` in the partition around v.
     """
-    return census(*_side(graph, v))[v.index][0]
+    return _counts(graph, v)[0]
 
 
 def sec_count(graph: BipartiteDigraph, v: VertexRef) -> int:
@@ -154,4 +165,4 @@ def sec_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     Closed form: such classes correspond to the non-adjacent pairs between
     ``in_nbrs`` and ``two_step`` in the partition around v.
     """
-    return census(*_side(graph, v))[v.index][1]
+    return _counts(graph, v)[1]

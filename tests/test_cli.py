@@ -204,6 +204,14 @@ def test_census_and_max_packing_refuse_large_instances_quickly(tmp_path, capsys)
     assert run(["oracle", str(empty), "--max-packing"]) == 0
     assert time.perf_counter() - start < 1.0
     assert json.loads(capsys.readouterr().out)["value"] == 0
+    # Lopsided sides within the limit: census counts each side once, not once per vertex.
+    t1024 = write(tmp_path, "t1024x1.bt", random_bt(GenSpec(1024, 1, seed=1)))
+    for path, size in ((str(empty), 65536), (t1024, 1025)):
+        start = time.perf_counter()
+        doc = run_json(capsys, ["census", path])
+        assert time.perf_counter() - start < 10.0, path
+        assert len(doc["per_vertex"]) == size
+        assert doc["sum_first"] == doc["sum_sec"] == doc["classes2"] == doc["classes3"] == 0
 
 
 def test_emitted_certificates_reverify(tmp_path, capsys):

@@ -191,8 +191,8 @@ FAULTS = {
     "first-count-off-by-one": (
         oracles.check_census,
         (six_cycle(),),
-        "first_count",
-        lambda real: lambda graph, v: real(graph, v) + (v == xv(0)),
+        "vertex_counts",
+        lambda real: lambda graph: {v: (f + (v == xv(0)), s) for v, (f, s) in real(graph).items()},
     ),
     "brute-force-finds-no-cycle": (
         oracles.check_acyclicity,

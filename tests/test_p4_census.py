@@ -13,7 +13,15 @@ from btfas.oracles import (
     classes3,
     enumerate_induced_p4,
 )
-from btfas.p4_census import census, first_count, mask_partition, pack_rows, partition_around, sec_count
+from btfas.p4_census import (
+    Rows,
+    census,
+    first_count,
+    mask_partition,
+    partition_around,
+    sec_count,
+    vertex_counts,
+)
 
 from helpers import (
     all_oriented,
@@ -179,15 +187,24 @@ def test_side_symmetry_of_counts():
             assert sec_count(g, v) == sec_count(s, swap_vertex(v))
 
 
+def test_one_vertex_counts_agree_with_the_whole_graph_census():
+    """first_count and sec_count count one center; vertex_counts counts every vertex."""
+    for g in _census_corpus(29, 40, 6, 6):
+        counts = vertex_counts(g)
+        assert list(counts) == list(g.vertices())
+        assert all(counts[v] == (first_count(g, v), sec_count(g, v)) for v in g.vertices())
+
+
 @pytest.mark.parametrize("width", [7, 8, 15, 16, 23, 24, 63, 64, 65])
 def test_census_matches_the_bit_loop_at_stride_boundaries(width):
     """The packed kernel and ``mask_partition`` against the per-bit reference.
 
     Random digraphs with absent pairs, the whole graph and random live
-    subsets, both directions and every center.  ``width`` is the row width
-    of the X side.  At 7, 15, 23 and 63 a row fills its bytes up to the
-    guard bit; at 8, 16, 24 and 64 it fills whole bytes and the guard bit
-    gets a byte of its own; at 65 it spills one bit into the guard's byte.
+    subsets, both directions and every center.  ``width`` is the size of
+    the Y side, so the width of the X rows when every Y vertex is live.  At
+    7, 15, 23 and 63 a row fills its bytes up to the guard bit; at 8, 16, 24
+    and 64 it fills whole bytes and the guard bit gets a byte of its own; at
+    65 it spills one bit into the guard's byte.
     """
     rng = random.Random(width)
     checked = nonzero = 0
@@ -196,7 +213,7 @@ def test_census_matches_the_bit_loop_at_stride_boundaries(width):
         for p, q, own, other in ((g.x_masks, g.y_masks, m, width), (g.y_masks, g.x_masks, width, m)):
             for rev in (0, 1):
                 p_view, q_view = (p[::-1], q[::-1]) if rev else (p, q)
-                rows = pack_rows(*p_view, other)
+                rows = Rows(*p_view)
                 lives = [((1 << own) - 1, (1 << other) - 1)]
                 lives += [(rng.getrandbits(own), rng.getrandbits(other)) for _ in range(3)]
                 for ps, qs in lives:
