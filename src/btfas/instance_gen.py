@@ -32,6 +32,8 @@ class GenSpec:
     bias: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.m < 0 or self.n < 0:
+            raise OutOfRange(f"side sizes must be non-negative, got {self.m}, {self.n}")
         if not 0.0 <= self.bias <= 1.0:
             raise OutOfRange(f"bias must lie in [0, 1], got {self.bias}")
 
@@ -60,6 +62,8 @@ def enumerate_bt(m: int, n: int) -> Iterator[BipartiteDigraph]:
     Bit p of the counter controls pair p in row-major order: 0 orients
     x -> y, 1 orients y -> x.
     """
+    if m < 0 or n < 0:
+        raise OutOfRange(f"side sizes must be non-negative, got {m}, {n}")
     if m * n > MAX_ENUMERATION_PAIRS:
         raise TooLarge(f"{m * n} pairs exceed the enumeration limit of {MAX_ENUMERATION_PAIRS}")
     pairs = m * n

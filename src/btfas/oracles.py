@@ -4,8 +4,9 @@ Nothing here is needed on the fast path; these routines exist so that
 every polynomial-time result in the package can be checked against a
 ground truth on small instances: exact minimum feedback arc sets and
 maximum packings, a brute-force cycle search, the enumeration of induced
-P4s and their classes behind ``census``, and the five ``check_*``
-self-checks that ``selftest`` and the tests share.
+P4s behind ``census`` as (v1, v2, v3, v4) tuples, whose two class kinds
+are keyed by the tuples (v1, v3, v4) and (v1, v2, v4), and the five
+``check_*`` self-checks that ``selftest`` and the tests share.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def max_c4_packing_exact(graph: BipartiteDigraph) -> OracleResult:
     """Exact maximum number of pairwise arc-disjoint 4-cycles.
 
     Branch and bound over the full 4-cycle list in canonical order, with
-    an arc-occupancy bitmap and the remaining-cycle count as the bound.
+    an arc-occupancy bitmap and the remaining-cycle count as the bound; the
+    search runs on an explicit stack, so it needs no recursion depth.
     More than ``DEFAULT_CYCLE_CAP`` 4-cycles raise ``TooLarge``.
     """
     cycles = tuple(itertools.islice(_iter_4cycles(graph), DEFAULT_CYCLE_CAP + 1))  # stop past the cap
@@ -141,26 +143,19 @@ def max_c4_packing_exact(graph: BipartiteDigraph) -> OracleResult:
     m, n = graph.m, graph.n
     masks = [sum(1 << pair_state(m, n, a.tail, a.head)[0] for a in c.arcs()) for c in cycles]
 
-    best_count = 0
-    best_set: tuple[FourCycle, ...] = ()
-    chosen: list[FourCycle] = []
-
-    def descend(idx: int, used: int) -> None:
-        nonlocal best_count, best_set
-        if len(chosen) > best_count:
-            best_count = len(chosen)
-            best_set = tuple(chosen)
-        if idx == len(cycles) or len(chosen) + (len(cycles) - idx) <= best_count:
-            return
+    best: tuple[FourCycle, ...] = ()
+    stack = [(0, 0, best)]  # (next cycle index, arcs used, cycles chosen); include pops before exclude
+    while stack:
+        idx, used, chosen = stack.pop()
+        if len(chosen) > len(best):
+            best = chosen
+        if idx == len(cycles) or len(chosen) + (len(cycles) - idx) <= len(best):
+            continue
+        stack.append((idx + 1, used, chosen))
         if not used & masks[idx]:
-            chosen.append(cycles[idx])
-            descend(idx + 1, used | masks[idx])
-            chosen.pop()
-        descend(idx + 1, used)
-
-    descend(0, 0)
-    require(check_packing(graph, best_set, best_count))
-    return OracleResult(best_count, best_set)
+            stack.append((idx + 1, used | masks[idx], chosen + (cycles[idx],)))
+    require(check_packing(graph, best, len(best)))
+    return OracleResult(len(best), best)
 
 
 def find_cycle_brute(graph: BipartiteDigraph) -> Optional[tuple[VertexRef, ...]]:
@@ -193,51 +188,14 @@ def find_cycle_brute(graph: BipartiteDigraph) -> Optional[tuple[VertexRef, ...]]
 # induced P4s by enumeration, the cross-check of the p4_census closed forms
 
 
-@dataclass(frozen=True, order=True)
-class P4:
-    """An induced directed path on four vertices."""
-
-    vertices: tuple[VertexRef, VertexRef, VertexRef, VertexRef]
-
-    def key2(self) -> "ClassKey2":
-        v1, _, v3, v4 = self.vertices
-        return ClassKey2(v1, v3, v4)
-
-    def key3(self) -> "ClassKey3":
-        v1, v2, _, v4 = self.vertices
-        return ClassKey3(v1, v2, v4)
-
-    def reversed(self) -> "P4":
-        a, b, c, d = self.vertices
-        return P4((d, c, b, a))
-
-
-@dataclass(frozen=True, order=True)
-class ClassKey2:
-    """Identifies the class of paths agreeing on first, third and fourth vertex."""
-
-    first: VertexRef
-    third: VertexRef
-    fourth: VertexRef
-
-
-@dataclass(frozen=True, order=True)
-class ClassKey3:
-    """Identifies the class of paths agreeing on first, second and fourth vertex."""
-
-    first: VertexRef
-    second: VertexRef
-    fourth: VertexRef
-
-
-def enumerate_induced_p4(graph: BipartiteDigraph) -> list[P4]:
-    """All induced P4s, deduplicated, in sorted order.
+def enumerate_induced_p4(graph: BipartiteDigraph) -> list[tuple[VertexRef, VertexRef, VertexRef, VertexRef]]:
+    """All induced P4s as sorted (v1, v2, v3, v4) tuples.
 
     Brute force over ordered 4-tuples with O(1) pair lookups, so instances
     over ``MAX_CENSUS_PAIRS`` cross pairs raise :class:`TooLarge`.
     """
     _require_census_size(graph)
-    found: list[P4] = []
+    found = []
     for first_side in ("X", "Y"):
         a_range = range(graph.m) if first_side == "X" else range(graph.n)
         b_range = range(graph.n) if first_side == "X" else range(graph.m)
@@ -247,55 +205,40 @@ def enumerate_induced_p4(graph: BipartiteDigraph) -> list[P4]:
             v1 = mk_a(i1)
             for j1 in b_range:
                 v2 = mk_b(j1)
-                if not graph.has_arc(Arc(v1, v2)):
+                if not graph.has_arc((v1, v2)):
                     continue
                 for i2 in a_range:
                     if i2 == i1:
                         continue
                     v3 = mk_a(i2)
-                    if not graph.has_arc(Arc(v2, v3)):
+                    if not graph.has_arc((v2, v3)):
                         continue
                     for j2 in b_range:
                         if j2 == j1:
                             continue
                         v4 = mk_b(j2)
-                        if not graph.has_arc(Arc(v3, v4)):
+                        if not graph.has_arc((v3, v4)):
                             continue
                         state = (
                             graph.pair(i1, j2) if first_side == "X" else graph.pair(j2, i1)
                         )
                         if state == ABSENT:
-                            found.append(P4((v1, v2, v3, v4)))
+                            found.append((v1, v2, v3, v4))
     found.sort()
     return found
-
-
-def classes2(graph: BipartiteDigraph) -> dict[ClassKey2, frozenset[P4]]:
-    """Partition of the induced P4s by (first, third, fourth), keys sorted."""
-    buckets: dict[ClassKey2, set[P4]] = {}
-    for path in enumerate_induced_p4(graph):
-        buckets.setdefault(path.key2(), set()).add(path)
-    return {k: frozenset(buckets[k]) for k in sorted(buckets)}
-
-
-def classes3(graph: BipartiteDigraph) -> dict[ClassKey3, frozenset[P4]]:
-    """Partition of the induced P4s by (first, second, fourth), keys sorted."""
-    buckets: dict[ClassKey3, set[P4]] = {}
-    for path in enumerate_induced_p4(graph):
-        buckets.setdefault(path.key3(), set()).add(path)
-    return {k: frozenset(buckets[k]) for k in sorted(buckets)}
 
 
 def first_sec_by_buckets(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
     """Enumeration-based first/sec counts for every vertex.
 
+    A path's classes are keyed by (v1, v3, v4) and (v1, v2, v4).
     Independent of the closed forms in ``p4_census``; used to cross-check them.
     """
-    firsts: dict[VertexRef, set[ClassKey2]] = {v: set() for v in graph.vertices()}
-    seconds: dict[VertexRef, set[ClassKey3]] = {v: set() for v in graph.vertices()}
-    for path in enumerate_induced_p4(graph):
-        firsts[path.vertices[0]].add(path.key2())
-        seconds[path.vertices[1]].add(path.key3())
+    firsts: dict[VertexRef, set] = {v: set() for v in graph.vertices()}
+    seconds: dict[VertexRef, set] = {v: set() for v in graph.vertices()}
+    for v1, v2, v3, v4 in enumerate_induced_p4(graph):
+        firsts[v1].add((v1, v3, v4))
+        seconds[v2].add((v1, v2, v4))
     return {v: (len(firsts[v]), len(seconds[v])) for v in graph.vertices()}
 
 
@@ -307,7 +250,7 @@ class CensusSums(NamedTuple):
 
 
 def census_sums(graph: BipartiteDigraph) -> CensusSums:
-    """Vertex sums of the closed-form counts next to the class-map sizes.
+    """Vertex sums of the closed-form counts next to the class counts.
 
     The two routes must agree: the sum of per-vertex first counts is the
     number of (first, third, fourth) classes, and likewise for the second
@@ -315,7 +258,9 @@ def census_sums(graph: BipartiteDigraph) -> CensusSums:
     """
     paths = enumerate_induced_p4(graph)  # checks the size limit before any mask is built
     sum_first, sum_sec = map(sum, zip((0, 0), *vertex_counts(graph).values()))
-    return CensusSums(sum_first, sum_sec, len({p.key2() for p in paths}), len({p.key3() for p in paths}))
+    count2 = len({(v1, v3, v4) for v1, _, v3, v4 in paths})
+    count3 = len({(v1, v2, v4) for v1, v2, _, v4 in paths})
+    return CensusSums(sum_first, sum_sec, count2, count3)
 
 
 def _require_census_size(graph: BipartiteDigraph) -> None:
@@ -333,12 +278,8 @@ def check_census(graph: BipartiteDigraph) -> Optional[str]:
     sums, rsums = census_sums(graph), census_sums(flipped)
     if sums[:2] != sums[2:] or sums[:2] != (rsums.sum_sec, rsums.sum_first):
         return f"census sums {tuple(sums)} and {tuple(rsums)} reversed break the identities"
-    mirrored = {
-        ClassKey3(key.fourth, key.third, key.first): frozenset(p.reversed() for p in group)
-        for key, group in classes2(graph).items()
-    }
-    if mirrored != classes3(flipped):
-        return "reversal does not mirror classes2 onto classes3"
+    if sorted(p[::-1] for p in enumerate_induced_p4(graph)) != enumerate_induced_p4(flipped):
+        return "the reversed induced P4s are not the induced P4s of the reversed graph"
     return None
 
 

@@ -9,35 +9,17 @@ at it and how many of the second kind have it second, by a closed form
 over the neighborhood partition around the vertex; ``vertex_counts``
 gives both for every vertex.  ``census`` counts a side's vertices from
 its live rows packed into integers, and ``mask_partition`` gives the
-partition around one vertex; the decomposition in ``c4free_fas`` uses the
-same two.  The path enumeration that checks the closed forms lives in
-``oracles``.
+partition around one vertex as masks over side indices;
+``partition_around`` returns that partition for a vertex of a whole
+graph.  The decomposition in ``c4free_fas`` uses the same two.  The path
+enumeration that checks the closed forms lives in ``oracles``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .graph_core import BipartiteDigraph, VertexRef, bit_indices, xv, yv
-
-
-@dataclass(frozen=True)
-class NeighborhoodPartition:
-    """The five-way split of the other vertices around a center vertex.
-
-    The opposite side falls into in-neighbors, out-neighbors and
-    non-adjacent vertices; the center's own side splits into the
-    out-neighbors of the center's out-neighbors (``two_step``) and the
-    rest.
-    """
-
-    center: VertexRef
-    in_nbrs: frozenset[VertexRef]
-    out_nbrs: frozenset[VertexRef]
-    non_adjacent: frozenset[VertexRef]
-    two_step: frozenset[VertexRef]
-    rest: frozenset[VertexRef]
 
 
 class MaskPartition(NamedTuple):
@@ -61,8 +43,8 @@ class Rows(NamedTuple):
     inn: Sequence[int]
 
 
-def census(rows: Rows, ps: int, qs: int, centers: Optional[int] = None) -> list[tuple[int, int]]:
-    """(first, sec) of each vertex in ``centers`` (default: the live mask ``ps`` of this side).
+def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int]]:
+    """(first, sec) of each vertex in the live mask ``ps`` of this side.
 
     Lowest index first; only the vertices in ``ps`` and ``qs`` count.  The
     live rows, cut to ``qs``, are packed into one integer per mask, each row
@@ -88,7 +70,7 @@ def census(rows: Rows, ps: int, qs: int, centers: Optional[int] = None) -> list[
     full, guard, live_q = rep((1 << width) - 1), rep(1 << width), rep(qs)
     apart = full & ~(p_out | p_in)
     counts = []
-    for c in live if centers is None else bit_indices(centers):
+    for c in live:
         outs = out[c] & qs
         if not outs:
             counts.append((0, 0))
@@ -115,24 +97,11 @@ def _side(graph: BipartiteDigraph, side: str) -> tuple[Rows, int, int]:
     return Rows(out, inn), (1 << len(out)) - 1, (1 << width) - 1
 
 
-def partition_around(graph: BipartiteDigraph, center: VertexRef) -> NeighborhoodPartition:
-    """Neighborhood partition around a vertex of either side."""
+def partition_around(graph: BipartiteDigraph, center: VertexRef) -> MaskPartition:
+    """Partition around a vertex of either side, as masks over side indices."""
     graph._check_vertex(center)
     rows, ps, qs = _side(graph, center.side)
-    part = mask_partition(rows, center.index, ps, qs)
-    own, other = (xv, yv) if center.side == "X" else (yv, xv)
-
-    def refs(mask: int, make) -> frozenset[VertexRef]:
-        return frozenset(make(i) for i in bit_indices(mask))
-
-    return NeighborhoodPartition(
-        center,
-        refs(part.ins, other),
-        refs(part.outs, other),
-        refs(part.non, other),
-        refs(part.two, own),
-        refs(part.rest, own),
-    )
+    return mask_partition(rows, center.index, ps, qs)
 
 
 def vertex_counts(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
@@ -146,15 +115,14 @@ def vertex_counts(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
 
 def _counts(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:
     graph._check_vertex(v)
-    rows, ps, qs = _side(graph, v.side)
-    return census(rows, ps, qs, 1 << v.index)[0]
+    return census(*_side(graph, v.side))[v.index]
 
 
 def first_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     """Number of (first, third, fourth) classes whose paths start at v.
 
     Closed form: the classes starting at v correspond exactly to the arcs
-    from ``two_step`` to ``non_adjacent`` in the partition around v.
+    from ``two`` to ``non`` in the partition around v.
     """
     return _counts(graph, v)[0]
 
@@ -163,6 +131,6 @@ def sec_count(graph: BipartiteDigraph, v: VertexRef) -> int:
     """Number of (first, second, fourth) classes whose paths have v second.
 
     Closed form: such classes correspond to the non-adjacent pairs between
-    ``in_nbrs`` and ``two_step`` in the partition around v.
+    ``ins`` and ``two`` in the partition around v.
     """
     return _counts(graph, v)[1]

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 import re
+from typing import NamedTuple
 
 from btfas import (
     Arc,
@@ -40,8 +41,8 @@ from btfas.graph_core import (
     four_cycle,
     is_cycle_sequence,
 )
-from btfas.oracles import P4, all_4cycles
-from btfas.p4_census import MaskPartition, NeighborhoodPartition
+from btfas.oracles import all_4cycles
+from btfas.p4_census import MaskPartition
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +147,7 @@ def adjacent(graph: BipartiteDigraph, a: VertexRef, b: VertexRef) -> bool:
     return arc_exists(graph, a, b) or arc_exists(graph, b, a)
 
 
-def p4_oracle(graph: BipartiteDigraph) -> set[P4]:
+def p4_oracle(graph: BipartiteDigraph) -> set[tuple[VertexRef, ...]]:
     """Induced P4s straight from the definition, via permutations of vertices."""
     found = set()
     for quad in itertools.permutations(list(graph.vertices()), 4):
@@ -159,7 +160,7 @@ def p4_oracle(graph: BipartiteDigraph) -> set[P4]:
             continue
         if adjacent(graph, v1, v3) or adjacent(graph, v2, v4) or adjacent(graph, v1, v4):
             continue
-        found.add(P4((v1, v2, v3, v4)))
+        found.add(quad)
     return found
 
 
@@ -282,18 +283,27 @@ def topological_order_reference(graph: BipartiteDigraph) -> TopoResult:
 # subgraphs, with Y centers and Y-side partitions handled by swap_sides()
 
 
-def partition_around_reference(graph: BipartiteDigraph, center: VertexRef) -> NeighborhoodPartition:
+class RefPartition(NamedTuple):
+    """The partition around a center as vertex sets, in ``MaskPartition``'s field order."""
+
+    in_nbrs: frozenset[VertexRef]
+    out_nbrs: frozenset[VertexRef]
+    non_adjacent: frozenset[VertexRef]
+    two_step: frozenset[VertexRef]
+    rest: frozenset[VertexRef]
+
+
+def partition_around_reference(graph: BipartiteDigraph, center: VertexRef) -> RefPartition:
     """Neighborhood partition from neighbor lists; a Y center goes through swap_sides()."""
     if center.side == "Y":
         part = partition_around_reference(graph.swap_sides(), xv(center.index))
-        sets = (part.in_nbrs, part.out_nbrs, part.non_adjacent, part.two_step, part.rest)
-        return NeighborhoodPartition(center, *(frozenset(map(swap_vertex, s)) for s in sets))
+        return RefPartition(*(frozenset(map(swap_vertex, s)) for s in part))
     ins = frozenset(in_neighbors(graph, center))
     outs = frozenset(out_neighbors(graph, center))
     non = frozenset(v for v in y_vertices(graph) if v not in ins and v not in outs)
     two_step = frozenset(w for v in outs for w in out_neighbors(graph, v))
     rest = frozenset(v for v in x_vertices(graph) if v not in two_step and v != center)
-    return NeighborhoodPartition(center, ins, outs, non, two_step, rest)
+    return RefPartition(ins, outs, non, two_step, rest)
 
 
 def mask_census(c: int, p, q, ps: int, qs: int) -> tuple[MaskPartition, int, int]:

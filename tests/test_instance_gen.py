@@ -46,6 +46,14 @@ def test_bias_is_validated():
         GenSpec(2, 2, seed=0, bias=1.5)
 
 
+def test_negative_sides_are_out_of_range():
+    for m, n in ((-1, 5), (3, -1), (-2, -3)):
+        with pytest.raises(OutOfRange, match="non-negative"):
+            GenSpec(m, n, seed=0)
+    with pytest.raises(OutOfRange, match="non-negative"):
+        list(enumerate_bt(-1, 3))
+
+
 def test_random_bt_is_a_tournament():
     for i in range(30):
         assert random_bt(GenSpec(1 + i % 6, 1 + (i // 6) % 6, seed=i)).absent_pair_count() == 0

@@ -1,4 +1,5 @@
 import random
+import sys
 import types
 from dataclasses import replace
 
@@ -129,6 +130,32 @@ def test_max_packing_cap(monkeypatch):
         max_c4_packing_exact(g)
     monkeypatch.setattr(oracles, "DEFAULT_CYCLE_CAP", len(all_4cycles(g)))
     assert max_c4_packing_exact(g).value >= 1  # the cap itself is allowed
+
+
+def test_max_packing_needs_no_recursion_depth():
+    """16 disjoint 4-cycles at exactly 1,024 pairs, with room for ten more frames.
+
+    The search takes one include step per cycle, so a recursive search
+    would need a frame per cycle.
+    """
+    arcs = []
+    for b in range(0, 32, 2):
+        arcs += [(xv(b), yv(b)), (yv(b), xv(b + 1)), (xv(b + 1), yv(b + 1)), (yv(b + 1), xv(b))]
+    g = build(32, 32, arcs)
+
+    def free_frames(n=0):  # calls left under the limit; C frames count too
+        try:
+            return free_frames(n + 1)
+        except RecursionError:
+            return n
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - free_frames() + 10)
+    try:
+        result = max_c4_packing_exact(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.value == len(result.witness) == 16
 
 
 def test_census_limit_is_on_cross_pairs():

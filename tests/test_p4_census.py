@@ -3,17 +3,11 @@ import random
 
 import pytest
 
-from btfas import build, xv, yv
+from btfas import BipartiteDigraph, build, xv, yv
 from btfas.graph_core import bit_indices
-from btfas.oracles import (
-    ClassKey2,
-    census_sums,
-    check_census,
-    classes2,
-    classes3,
-    enumerate_induced_p4,
-)
+from btfas.oracles import census_sums, check_census, enumerate_induced_p4
 from btfas.p4_census import (
+    MaskPartition,
     Rows,
     census,
     first_count,
@@ -29,20 +23,18 @@ from helpers import (
     four_cycle_bt,
     mask_census,
     p4_oracle,
+    partition_around_reference,
     path_graph,
     random_digraph,
     six_cycle,
     swap_vertex,
-    x_vertices,
-    y_vertices,
 )
 
 
 def test_four_cycle_has_no_induced_p4():
     g = four_cycle_bt()
     assert enumerate_induced_p4(g) == []
-    assert classes2(g) == {}
-    assert classes3(g) == {}
+    assert census_sums(g) == (0, 0, 0, 0)
     assert all(first_count(g, v) == 0 and sec_count(g, v) == 0 for v in g.vertices())
 
 
@@ -50,17 +42,14 @@ def test_six_cycle_has_the_six_windows():
     g = six_cycle()
     paths = enumerate_induced_p4(g)
     assert len(paths) == 6
-    assert any(p.vertices == (xv(0), yv(0), xv(1), yv(1)) for p in paths)
+    assert (xv(0), yv(0), xv(1), yv(1)) in paths
     assert set(paths) == p4_oracle(g)
 
 
 def test_path_graph_single_p4_and_class():
     g = path_graph()
-    paths = enumerate_induced_p4(g)
-    assert [p.vertices for p in paths] == [(xv(0), yv(0), xv(1), yv(1))]
-    c2 = classes2(g)
-    assert list(c2) == [ClassKey2(xv(0), xv(1), yv(1))]
-    assert len(next(iter(c2.values()))) == 1
+    assert enumerate_induced_p4(g) == [(xv(0), yv(0), xv(1), yv(1))]
+    assert census_sums(g) == (1, 1, 1, 1)
 
 
 def test_enumeration_matches_definition_oracle():
@@ -70,78 +59,52 @@ def test_enumeration_matches_definition_oracle():
         assert set(enumerate_induced_p4(g)) == p4_oracle(g)
 
 
-def test_class_maps_partition_the_paths():
+def test_class_keys_partition_the_paths():
+    """Paths are distinct; two share (v1, v3, v4) exactly when they differ only
+    in v2, and (v1, v2, v4) exactly when they differ only in v3."""
     rng = random.Random(13)
     for _ in range(40):
         g = random_digraph(rng, rng.randint(1, 4), rng.randint(1, 4))
-        paths = set(enumerate_induced_p4(g))
-        for mapping, key in ((classes2(g), "key2"), (classes3(g), "key3")):
-            members = [p for group in mapping.values() for p in group]
-            assert len(members) == len(paths)
-            assert set(members) == paths
-            for k, group in mapping.items():
-                for p in group:
-                    assert getattr(p, key)() == k
-        # Two paths share a key2 exactly when they differ only in the second vertex.
+        paths = enumerate_induced_p4(g)
+        assert len(set(paths)) == len(paths)
         for p, q in itertools.combinations(paths, 2):
-            same_class = p.key2() == q.key2()
-            differ_second_only = (
-                p.vertices[0] == q.vertices[0]
-                and p.vertices[2] == q.vertices[2]
-                and p.vertices[3] == q.vertices[3]
-            )
-            assert same_class == differ_second_only
+            differ = [t for t in range(4) if p[t] != q[t]]
+            assert ((p[0], p[2], p[3]) == (q[0], q[2], q[3])) == (differ == [1])
+            assert ((p[0], p[1], p[3]) == (q[0], q[1], q[3])) == (differ == [2])
 
 
 def test_six_cycle_counts_and_partition():
     g = six_cycle()
     assert first_count(g, xv(0)) == 1
     assert sec_count(g, xv(0)) == 1
-    part = partition_around(g, xv(0))
-    assert part.in_nbrs == {yv(2)}
-    assert part.out_nbrs == {yv(0)}
-    assert part.non_adjacent == {yv(1)}
-    assert part.two_step == {xv(1)}
-    assert part.rest == {xv(2)}
+    # x0 > y0 > x1 > y1 > x2 > y2 > x0: in y2, out y0, non y1; two-step x1, rest x2
+    assert partition_around(g, xv(0)) == MaskPartition(ins=0b100, outs=0b001, non=0b010, two=0b010, rest=0b100)
 
 
 def test_partition_degenerate_shapes():
-    g = all_x_to_y(3, 3)
-    part = partition_around(g, xv(0))
-    assert part.in_nbrs == frozenset()
-    assert part.out_nbrs == {yv(0), yv(1), yv(2)}
-    assert part.non_adjacent == frozenset()
-
+    assert partition_around(all_x_to_y(3, 3), xv(0)) == MaskPartition(0, 0b111, 0, 0, 0b110)
     lonely = build(2, 3, [(xv(1), yv(0))])
-    part = partition_around(lonely, xv(0))
-    assert part.in_nbrs == part.out_nbrs == part.two_step == frozenset()
-    assert part.non_adjacent == {yv(0), yv(1), yv(2)}
-    assert part.rest == {xv(1)}
+    assert partition_around(lonely, xv(0)) == MaskPartition(0, 0, 0b111, 0, 0b10)
 
 
 def test_partition_around_y_side_center():
-    g = six_cycle()
-    part = partition_around(g, yv(0))
-    assert part.center == yv(0)
-    assert part.in_nbrs == {xv(0)}
-    assert part.out_nbrs == {xv(1)}
-    assert part.non_adjacent == {xv(2)}
-    assert part.two_step == {yv(1)}
-    assert part.rest == {yv(2)}
+    assert partition_around(six_cycle(), yv(0)) == MaskPartition(0b001, 0b010, 0b100, 0b010, 0b100)
 
 
 def test_partition_sets_cover_both_sides():
+    """The masks equal the vertex-set reference and cover both sides around the center."""
     rng = random.Random(5)
     for _ in range(60):
         g = random_digraph(rng, rng.randint(1, 5), rng.randint(1, 5))
         for v in g.vertices():
             part = partition_around(g, v)
-            opp = set(y_vertices(g) if v.side == "X" else x_vertices(g))
-            own = set(x_vertices(g) if v.side == "X" else y_vertices(g))
-            assert part.in_nbrs | part.out_nbrs | part.non_adjacent == opp
-            assert not (part.in_nbrs & part.out_nbrs)
-            assert part.two_step | part.rest | {v} == own
-            assert v not in part.two_step
+            expected = partition_around_reference(g, v)
+            assert part == MaskPartition(*(sum(1 << w.index for w in s) for s in expected))
+            opp, own = (g.n, g.m) if v.side == "X" else (g.m, g.n)
+            assert part.ins | part.outs | part.non == (1 << opp) - 1
+            assert not part.ins & part.outs
+            assert part.two | part.rest | 1 << v.index == (1 << own) - 1
+            assert not part.two >> v.index & 1
 
 
 def test_six_cycle_census_sums():
@@ -159,22 +122,18 @@ def _census_corpus(seed, count, m_max, n_max):
     return graphs
 
 
-def test_closed_form_matches_buckets_everywhere():
-    """The census check (buckets, sum identities, reversal) on its seeded corpus."""
-    for g in _census_corpus(101, 60, 5, 5):
+@pytest.mark.parametrize("seed, count, m_max, n_max", [(101, 60, 5, 5), (57, 40, 4, 3), (73, 60, 5, 5)])
+def test_census_check_on_seeded_corpora(seed, count, m_max, n_max):
+    """Closed forms against enumerated buckets, the sum identities and reversal."""
+    for g in _census_corpus(seed, count, m_max, n_max):
         assert check_census(g) is None
 
 
-def test_class_reversal_bijection():
-    """Reversal maps classes2 onto classes3: asserted by the census check."""
-    for g in _census_corpus(57, 40, 4, 3):
-        assert check_census(g) is None
-
-
-def test_sum_identities_and_reversal():
-    """sum_first == count2, sum_sec == count3, swapped under reversal: the census check."""
-    for g in _census_corpus(73, 60, 5, 5):
-        assert check_census(g) is None
+def test_census_check_catches_a_reversal_that_changes_nothing(monkeypatch):
+    """On the six-cycle the sums are symmetric, so only the reversal comparison sees this."""
+    monkeypatch.setattr(BipartiteDigraph, "reverse", lambda self: self)
+    reason = check_census(six_cycle())
+    assert reason is not None and "reversed induced P4s" in reason
 
 
 def test_side_symmetry_of_counts():

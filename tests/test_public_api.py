@@ -41,16 +41,11 @@ MODULE_ONLY = {
     "graph_core": ["ABSENT", "TO_X", "TO_Y", "Subgraph", "TopoResult", "four_cycle", "is_cycle_sequence"],
     "c4free_fas": ["find_4cycle", "trim_acyclic_vertices"],
     "fas_engine": ["backward_arcs"],
-    "p4_census": ["first_count", "sec_count", "partition_around", "NeighborhoodPartition"],
+    "p4_census": ["first_count", "sec_count", "partition_around"],
     "oracles": [
-        "P4",
-        "ClassKey2",
-        "ClassKey3",
         "CensusSums",
         "all_4cycles",
         "census_sums",
-        "classes2",
-        "classes3",
         "enumerate_induced_p4",
         "find_cycle_brute",
         "first_sec_by_buckets",
