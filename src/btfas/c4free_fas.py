@@ -115,9 +115,7 @@ def trim_acyclic_vertices(graph: BipartiteDigraph) -> tuple[Subgraph, frozenset[
     """
     xs, ys = _trim((1 << graph.m) - 1, (1 << graph.n) - 1, graph.x_masks, graph.y_masks)
     sub = graph.induced_subgraph(bit_indices(xs), bit_indices(ys))
-    removed = frozenset(
-        v for v in graph.vertices() if not (xs if v.side == "X" else ys) >> v.index & 1
-    )
+    removed = frozenset(v for v in graph.vertices() if not (xs if v.side == "X" else ys) >> v.index & 1)
     return sub, removed
 
 

@@ -8,10 +8,14 @@ An arc is any (tail, head) pair of vertices; an ``Arc`` is one.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalInvariantError
 from .graph_core import BipartiteDigraph, FourCycle, VertexRef, pair_state
+
+Arcs = Iterable[tuple[VertexRef, VertexRef]]
+Order = Optional[Sequence[VertexRef]]
+Sized = tuple[Optional[str], int, Order]  # the reason, the number of distinct arcs, the order
 
 
 def check_packing(
@@ -39,10 +43,7 @@ def check_packing(
 
 
 def check_fas(
-    graph: BipartiteDigraph,
-    arcs: Iterable[tuple[VertexRef, VertexRef]],
-    bound: Optional[int] = None,
-    order: Optional[Sequence[VertexRef]] = None,
+    graph: BipartiteDigraph, arcs: Arcs, bound: Optional[int] = None, order: Order = None
 ) -> Optional[str]:
     """Why deleting the (tail, head) ``arcs`` does not leave graph acyclic.
 
@@ -54,27 +55,37 @@ def check_fas(
 
 
 def check_fas_sized(
-    graph: BipartiteDigraph,
-    arcs: Iterable[tuple[VertexRef, VertexRef]],
-    bound: Optional[int] = None,
-    order: Optional[Sequence[VertexRef]] = None,
-) -> tuple[Optional[str], int, Optional[Sequence[VertexRef]]]:
+    graph: BipartiteDigraph, arcs: Arcs, bound: Optional[int] = None, order: Order = None
+) -> Sized:
     """:func:`check_fas`'s reason, the number of distinct arcs and the certifying order.
 
-    Each arc becomes its pair index and the state that pair must hold,
-    tested against the unmodified graph, so x0>y0 and y0>x0 listed
-    together still reject one of them.  The count is 0 and the order None
-    when an arc is not in the graph.  The order is ``order`` itself, or
-    else the topological order found; with nothing deleted the graph
-    itself is sorted, without a copy.
+    Each arc's :func:`pair_state` key goes to :func:`check_fas_keys`.
     """
-    m, n, orient = graph.m, graph.n, graph.orient
-    deleted: set[int] = set()
-    for tail, head in arcs:
-        found = pair_state(m, n, tail, head)
-        if found is None or orient[found[0]] != found[1]:
-            return f"arc {tail}>{head} is not in the instance", 0, None
-        deleted.add(found[0])
+    arcs = list(arcs)
+    keys = [pair_state(graph.m, graph.n, tail, head) for tail, head in arcs]
+    return check_fas_keys(graph, keys, lambda t: "%s>%s" % tuple(arcs[t]), bound, order)
+
+
+def check_fas_keys(
+    graph: BipartiteDigraph,
+    keys: list[Optional[tuple[int, int]]],
+    spell: Callable[[int], str],
+    bound: Optional[int] = None,
+    order: Order = None,
+) -> Sized:
+    """The one feedback-arc-set check, on (pair index, state) keys; None crosses no pair.
+
+    Each key is tested against the unmodified graph, so x0>y0 and y0>x0
+    together still reject one; ``spell(t)`` names the t-th arc then.  The
+    order is ``order`` itself, or else a topological sort's, taken without
+    a copy when nothing is deleted.
+    """
+    orient, deleted = graph.orient, set()
+    for key in keys:
+        if key is None or orient[key[0]] != key[1]:
+            # Every earlier key passed, so the first key equal to this one is this one.
+            return f"arc {spell(keys.index(key))} is not in the instance", 0, None
+        deleted.add(key[0])
     size = len(deleted)
     remaining = graph.clear_pairs(deleted) if deleted else graph
     if order is None:

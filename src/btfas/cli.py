@@ -41,6 +41,7 @@ from .graph_core import (
     FourCycle,
     VertexRef,
     build,
+    place_arc,
     xv,
     yv,
 )
@@ -76,69 +77,119 @@ def parse_vertex(token: str) -> VertexRef:
     return xv(int(index)) if side == "x" else yv(int(index))
 
 
-class _Vertices(dict):
-    """Vertex tokens parsed so far: each distinct token is parsed once.
+class _Tokens(dict):
+    """One input's token table, each token parsed once: x_i -> i*n and y_j -> ~j.
 
-    A miss goes through :func:`parse_vertex`, so every token keeps its
-    value or its error.  The table grows with the distinct tokens of one
-    input, never with the side sizes its header declares.
+    The arc between x_i and y_j crosses pair i*n + j.  The range checks are
+    folded in: x_m and beyond get m*n, y_n and beyond ~(m*n), so each pair
+    they take part in is at least ``total``, the pair count (0 for a negative size).
     """
 
-    def __missing__(self, token: str) -> VertexRef:
-        vertex = self[token] = parse_vertex(token)
-        return vertex
+    def __init__(self, m: int, n: int) -> None:
+        super().__init__()
+        self.m, self.n, self.total = m, n, m * n if min(m, n) >= 0 else 0
 
+    def __missing__(self, token: str) -> int:
+        v = parse_vertex(token)
+        if v.side == "X":
+            code = self[token] = v.index * self.n if v.index < self.m else self.total
+        else:
+            code = self[token] = ~v.index if v.index < self.n else ~self.total
+        return code
 
-def _vertex_pair(token: str, vertices: _Vertices) -> tuple[VertexRef, VertexRef]:
-    """The (tail, head) of an arc token, before any check that it crosses sides."""
-    parts = token.split(">")
-    if len(parts) != 2:
-        raise InstanceFormatError(f"bad arc token {token!r}")
-    return vertices[parts[0]], vertices[parts[1]]
+    def arc_keys(self, tokens: list[str]) -> list[Optional[tuple[int, int]]]:
+        """The (pair index, state) each arc token ``tail>head`` sets; None off the pairs."""
+        keys: list[Optional[tuple[int, int]]] = []
+        total = self.total
+        for token in tokens:
+            ends = token.split(">")
+            if len(ends) != 2:
+                raise InstanceFormatError(f"bad arc token {token!r}")
+            tail, head = self[ends[0]], self[ends[1]]
+            if tail >= 0 > head:
+                key = tail + ~head, TO_Y
+            elif head >= 0 > tail:
+                key = head + ~tail, TO_X
+            else:  # same side
+                key = total, 0
+            keys.append(key if key[0] < total else None)
+        return keys
 
 
 def parse_arc(token: str) -> Arc:
-    return Arc(*_vertex_pair(token, _Vertices()))
+    parts = token.split(">")
+    if len(parts) != 2:
+        raise InstanceFormatError(f"bad arc token {token!r}")
+    return Arc(*map(parse_vertex, parts))
 
 
 def parse_instance(text: str) -> BipartiteDigraph:
-    """Parse the instance format; raises InstanceFormatError on any defect."""
+    """Parse the instance format; raises InstanceFormatError on any defect.
+
+    One pass: each arc line's tokens go through the token table to a pair set
+    straight in the storage.  An arc :func:`place_arc` rejects is held until the
+    scan ends, so line and token errors come first, as if the file were read, then built.
+    """
     sizes: Optional[tuple[int, int]] = None
-    arcs: list[tuple[VertexRef, VertexRef]] = []
-    vertices = _Vertices()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "c":  # blank, or a comment
-            continue
-        if fields[0] == "a":  # most lines, so tested first
+    orient: Optional[bytearray] = None  # made at the first arc: no arcs, one allocation
+    defect: Optional[PreconditionError] = None
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
+        try:
+            kind, tail, head = fields
+        except ValueError:
+            kind = None
+        if kind != "a" or orient is None:  # all but the arc lines after the first
+            if not fields or fields[0][0] == "c":  # blank, or a comment
+                continue
+            if fields[0] == "p":
+                if sizes is not None:
+                    raise InstanceFormatError(f"line {lineno}: second problem line")
+                if len(fields) != 4 or fields[1] != "bt":
+                    raise InstanceFormatError(f"line {lineno}: expected 'p bt <m> <n>'")
+                try:
+                    sizes = (int(fields[2]), int(fields[3]))
+                except ValueError:
+                    raise InstanceFormatError(f"line {lineno}: non-integer side size") from None
+                if min(sizes) >= 0 and sizes[0] * sizes[1] > MAX_PAIRS:
+                    raise InstanceFormatError(
+                        f"line {lineno}: {sizes[0]}x{sizes[1]} has more than {MAX_PAIRS} cross pairs"
+                    )
+                if max(sizes) > MAX_SIDE:
+                    raise InstanceFormatError(f"line {lineno}: a side has more than {MAX_SIDE} vertices")
+                codes = _Tokens(*sizes)
+                total = codes.total
+                continue
+            if fields[0] != "a":
+                raise InstanceFormatError(f"line {lineno}: unknown line type {fields[0]!r}")
             if sizes is None:
                 raise InstanceFormatError(f"line {lineno}: arc before the problem line")
             if len(fields) != 3:
                 raise InstanceFormatError(f"line {lineno}: expected 'a <tail> <head>'")
-            arcs.append((vertices[fields[1]], vertices[fields[2]]))
-        elif fields[0] == "p":
-            if sizes is not None:
-                raise InstanceFormatError(f"line {lineno}: second problem line")
-            if len(fields) != 4 or fields[1] != "bt":
-                raise InstanceFormatError(f"line {lineno}: expected 'p bt <m> <n>'")
+            orient = bytearray(total)
+        tail, head = codes[tail], codes[head]
+        if tail >= 0 > head:
+            p, state = tail + ~head, TO_Y
+        elif head >= 0 > tail:
+            p, state = head + ~tail, TO_X
+        else:  # same side
+            p = total
+        if p < total and not orient[p]:
+            orient[p] = state
+        elif defect is None:
             try:
-                sizes = (int(fields[2]), int(fields[3]))
-            except ValueError:
-                raise InstanceFormatError(f"line {lineno}: non-integer side size") from None
-            if min(sizes) >= 0 and sizes[0] * sizes[1] > MAX_PAIRS:
-                raise InstanceFormatError(
-                    f"line {lineno}: {sizes[0]}x{sizes[1]} has more than {MAX_PAIRS} cross pairs"
-                )
-            if max(sizes) > MAX_SIDE:
-                raise InstanceFormatError(f"line {lineno}: a side has more than {MAX_SIDE} vertices")
-        else:
-            raise InstanceFormatError(f"line {lineno}: unknown line type {fields[0]!r}")
+                place_arc(orient, *sizes, parse_vertex(fields[1]), parse_vertex(fields[2]))
+            except PreconditionError as exc:  # always: the pair is taken, or off the pairs
+                defect = exc
     if sizes is None:
         raise InstanceFormatError("missing problem line 'p bt <m> <n>'")
     try:
-        return build(sizes[0], sizes[1], arcs)
+        # A negative size is rejected first, as in build, then the first held arc.
+        graph = build(*sizes) if orient is None else BipartiteDigraph(*sizes, bytes(orient))
+        if defect is not None:
+            raise defect
     except PreconditionError as exc:
         raise InstanceFormatError(str(exc)) from exc
+    return graph
 
 
 def render_instance(graph: BipartiteDigraph) -> str:
@@ -215,9 +266,7 @@ def _note(message: str) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if min(args.m, args.n) < 0 or max(args.m, args.n) > MAX_SIDE or args.m * args.n > MAX_PAIRS:
-        raise _UsageError(
-            f"gen needs 0 <= m, n <= {MAX_SIDE} and m*n <= {MAX_PAIRS}, got {args.m}x{args.n}"
-        )
+        raise _UsageError(f"gen needs 0 <= m, n <= {MAX_SIDE} and m*n <= {MAX_PAIRS}, got {args.m}x{args.n}")
     make = instance_gen.random_bt if args.mode == "random" else instance_gen.random_c4free
     seed = 0 if args.seed is None else args.seed
     bias = 0.5 if args.bias is None else args.bias
@@ -257,30 +306,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
     outcome = fas_engine.solve(graph, args.k)
+    packed = isinstance(outcome, fas_engine.PackingOutcome)
     doc = {
         "mode": "solve",
         "k": args.k,
         "lambda": graph.absent_pair_count(),
+        "branch": "packing" if packed else "fas",
+        "packing": _cycle_lists(outcome.packing.cycles),
+        "fas": None,
+        "bound": None,
     }
-    if isinstance(outcome, fas_engine.PackingOutcome):
-        doc["branch"] = "packing"
-        doc["packing"] = _cycle_lists(outcome.packing.cycles)
-        doc["fas"] = None
-        doc["bound"] = None
-    else:
-        doc["branch"] = "fas"
-        doc["packing"] = _cycle_lists(outcome.packing.cycles)
+    if not packed:
         # fas is the disjoint union of the two parts: merge their sorted runs.
-        residual = sorted(outcome.residual_part)
-        backward = sorted(outcome.backward_part)
-        residual_strings = [str(a) for a in residual]
-        backward_strings = [str(a) for a in backward]
+        residual, backward = sorted(outcome.residual_part), sorted(outcome.backward_part)
+        residual_strings, backward_strings = [str(a) for a in residual], [str(a) for a in backward]
         merged = heapq.merge(zip(residual, residual_strings), zip(backward, backward_strings))
-        doc["fas"] = [text for _, text in merged]
-        doc["bound"] = outcome.bound
-        doc["residual_fas"] = residual_strings
-        doc["backward"] = backward_strings
-        doc["order"] = [str(v) for v in outcome.order]
+        doc.update(fas=[text for _, text in merged], bound=outcome.bound, residual_fas=residual_strings)
+        doc.update(backward=backward_strings, order=[str(v) for v in outcome.order])
     _emit(doc)
     return 0
 
@@ -295,16 +337,7 @@ def _cmd_fas_c4free(args: argparse.Namespace) -> int:
             "lambda": graph.absent_pair_count(),
             "fas": _arc_strings(certificate.fas),
             "bound": certificate.bound,
-            "trace": [
-                {
-                    "depth": t.depth,
-                    "mode": t.mode,
-                    "center": str(t.center),
-                    "cut_size": t.cut_size,
-                    "sub_bounds": list(t.sub_bounds),
-                }
-                for t in certificate.trace
-            ],
+            "trace": [dict(vars(t), center=str(t.center)) for t in certificate.trace],
         }
     )
     return 0
@@ -377,21 +410,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if not isinstance(raw, list):
         return fail(f"certificate has no {'arc' if kind == 'fas' else 'cycle'} list under {kind!r}")
-    vertices = _Vertices()
     if kind == "fas":
         for token in raw:
             if not isinstance(token, str):
                 return fail(f"arc token {token!r} is not a string")
-        arcs = [_vertex_pair(token, vertices) for token in raw]
-        reason, size, _ = certify.check_fas_sized(graph, arcs, bound)
+        keys = _Tokens(graph.m, graph.n).arc_keys(raw)
+        spell = lambda t: "%s>%s" % tuple(map(parse_vertex, raw[t].split(">")))  # noqa: E731
+        reason, size, _ = certify.check_fas_keys(graph, keys, spell, bound)
         result = {"size": size, "bound": bound}
     else:
-        cycles = []
+        cycles, vertex = [], functools.cache(parse_vertex)  # each distinct token parsed once
         for entry in raw:
             strings = isinstance(entry, list) and all(isinstance(t, str) for t in entry)
             if not (strings and len(entry) == 4):
                 return fail(f"bad cycle entry {entry!r}")
-            cycles.append(FourCycle(tuple(vertices[tok] for tok in entry)))
+            cycles.append(FourCycle(tuple(map(vertex, entry))))
         reason = certify.check_packing(graph, cycles, args.k)
         result = {"count": len(cycles)}
     if reason is not None:

@@ -23,9 +23,7 @@ TO_Y = 1  # pair (x_i, y_j) carries the arc x_i -> y_j
 TO_X = 2  # pair (x_i, y_j) carries the arc y_j -> x_i
 
 # Byte translation table swapping TO_Y and TO_X, used by reverse() and swap_sides().
-_REVERSE_TABLE = bytes(
-    TO_X if b == TO_Y else TO_Y if b == TO_X else b for b in range(256)
-)
+_REVERSE_TABLE = bytes(TO_X if b == TO_Y else TO_Y if b == TO_X else b for b in range(256))
 # Tables mapping one orientation state to the digit "1" and all others to
 # "0", so a translated run of pair states parses as a base-2 integer.
 _TO_Y_DIGITS = bytes(ord("1") if b == TO_Y else ord("0") for b in range(256))
@@ -263,13 +261,9 @@ class BipartiteDigraph:
         for j in y_map:
             if not (0 <= j < self.n):
                 raise OutOfRange(f"y-index {j} outside a {self.m}x{self.n} graph")
-        sub = bytearray(len(x_map) * len(y_map))
-        for si, pi in enumerate(x_map):
-            row = pi * self.n
-            srow = si * len(y_map)
-            for sj, pj in enumerate(y_map):
-                sub[srow + sj] = self.orient[row + pj]
-        graph = BipartiteDigraph(len(x_map), len(y_map), bytes(sub))
+        n, orient = self.n, self.orient
+        sub = b"".join(bytes(orient[i * n + j] for j in y_map) for i in x_map)
+        graph = BipartiteDigraph(len(x_map), len(y_map), sub)
         return Subgraph(graph, x_map, y_map)
 
     # ------------------------------------------------------------------
@@ -311,20 +305,16 @@ class BipartiteDigraph:
         left = [v for v in range(len(indeg)) if v not in placed]
         left_x = sum(1 << v for v in left if v < m)
         left_y = sum(1 << (v - m) for v in left if v >= m)
-        path = [left[0]]
-        seen_at = {path[0]: 0}
+        path, seen_at = [left[0]], {left[0]: 0}
         while True:
             cur = path[-1]
-            if cur < m:
-                prev = m + low_bit(x_in[cur] & left_y)
-            else:
-                prev = low_bit(y_in[cur - m] & left_x)
+            prev = m + low_bit(x_in[cur] & left_y) if cur < m else low_bit(y_in[cur - m] & left_x)
             if prev in seen_at:
-                p = seen_at[prev]
-                cycle = [self._vertex(v) for v in [path[p]] + path[p + 1 :][::-1]]
                 break
             seen_at[prev] = len(path)
             path.append(prev)
+        p = seen_at[prev]
+        cycle = [self._vertex(v) for v in [path[p]] + path[p + 1 :][::-1]]
         if not is_cycle_sequence(self, cycle):
             raise InternalInvariantError(f"extracted witness {cycle} is not a cycle")
         return TopoResult(None, tuple(cycle))
@@ -398,23 +388,26 @@ def pair_arc(n: int, p: int, state: int) -> Arc:
     return Arc(xv(i), yv(j)) if state == TO_Y else Arc(yv(j), xv(i))
 
 
-def build(m: int, n: int, arcs: Iterable[tuple[VertexRef, VertexRef]] = ()) -> BipartiteDigraph:
-    """Validated construction from side sizes and an arc list.
+def place_arc(orient: bytearray, m: int, n: int, tail: VertexRef, head: VertexRef) -> None:
+    """The one pair validator: set tail->head's pair in m x n ``orient``, or raise build's error."""
+    found = pair_state(m, n, tail, head)
+    if found is None:
+        if tail.side == head.side:
+            raise SameSideArc(f"arc {tail}->{head} does not cross the bipartition")
+        raise OutOfRange(f"arc {tail}>{head} outside a {m}x{n} graph")
+    p, state = found
+    if orient[p] != ABSENT:
+        raise DuplicatePair(f"pair (x{p // n}, y{p % n}) listed more than once")
+    orient[p] = state
 
-    Rejects same-side arcs, out-of-range endpoints and any pair listed
-    twice, even with opposite orientations.  Unlisted pairs are absent.
-    """
+
+def build(m: int, n: int, arcs: Iterable[tuple[VertexRef, VertexRef]] = ()) -> BipartiteDigraph:
+    """Validated construction from side sizes and arcs, by :func:`place_arc`; unlisted pairs are absent."""
     if m < 0 or n < 0:
         raise OutOfRange(f"side sizes must be non-negative, got {m}, {n}")
-    orient = bytearray(m * n)
+    orient = None  # made at the first arc: with none, the storage is allocated once
     for tail, head in arcs:
-        found = pair_state(m, n, tail, head)
-        if found is None:
-            if tail.side == head.side:
-                raise SameSideArc(f"arc {tail}->{head} does not cross the bipartition")
-            raise OutOfRange(f"arc {tail}>{head} outside a {m}x{n} graph")
-        p, state = found
-        if orient[p] != ABSENT:
-            raise DuplicatePair(f"pair (x{p // n}, y{p % n}) listed more than once")
-        orient[p] = state
-    return BipartiteDigraph(m, n, bytes(orient))
+        if orient is None:
+            orient = bytearray(m * n)
+        place_arc(orient, m, n, tail, head)
+    return BipartiteDigraph(m, n, bytes(m * n) if orient is None else bytes(orient))

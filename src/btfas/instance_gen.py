@@ -68,7 +68,4 @@ def enumerate_bt(m: int, n: int) -> Iterator[BipartiteDigraph]:
         raise TooLarge(f"{m * n} pairs exceed the enumeration limit of {MAX_ENUMERATION_PAIRS}")
     pairs = m * n
     for code in range(1 << pairs):
-        orient = bytes(
-            TO_X if code >> p & 1 else TO_Y for p in range(pairs)
-        )
-        yield BipartiteDigraph(m, n, orient)
+        yield BipartiteDigraph(m, n, bytes(TO_X if code >> p & 1 else TO_Y for p in range(pairs)))

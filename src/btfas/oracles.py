@@ -12,6 +12,7 @@ are keyed by the tuples (v1, v3, v4) and (v1, v2, v4), and the five
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -20,7 +21,6 @@ from .certify import check_fas, check_packing, require
 from .errors import InternalInvariantError, TooLarge
 from .fas_engine import PackingOutcome, fas_bound, solve
 from .graph_core import (
-    ABSENT,
     TO_X,
     TO_Y,
     Arc,
@@ -35,7 +35,7 @@ from .graph_core import (
 from .p4_census import vertex_counts
 
 MAX_EXACT_VERTICES = 22
-DEFAULT_CYCLE_CAP = 10_000
+DEFAULT_CYCLE_CAP = 50  # exponential search: in a seeded sweep 50 cycles took <= 0.6 s, 61 over 5 s
 # The induced-P4 and 4-cycle enumerations loop over O(m^2 n^2) tuples: 32x32 takes seconds.
 MAX_CENSUS_PAIRS = 1024
 
@@ -64,13 +64,9 @@ def min_fas_exact(graph: BipartiteDigraph) -> OracleResult:
     total = graph.m + graph.n
     if total > MAX_EXACT_VERTICES:
         raise TooLarge(f"{total} vertices exceed the exact-solver limit of {MAX_EXACT_VERTICES}")
-    if total == 0:
-        return OracleResult(0, frozenset())
     verts = list(graph.vertices())
-    in_mask = [0] * total
-    ids = {v: t for t, v in enumerate(verts)}  # x_i is i, y_j is m + j
-    for tail, head in graph.arcs():
-        in_mask[ids[head]] |= 1 << ids[tail]
+    # Vertex ids: x_i is i, y_j is m + j.
+    in_mask = [mask << graph.m for mask in graph.x_masks[1]] + list(graph.y_masks[1])
     full = (1 << total) - 1
     infinity = total * total + 1
     dp = [infinity] * (full + 1)
@@ -78,20 +74,17 @@ def min_fas_exact(graph: BipartiteDigraph) -> OracleResult:
     choice = bytearray(full + 1)
     for placed in range(1, full + 1):
         unplaced = full ^ placed
-        best = infinity
-        best_v = 0
-        rest = placed
+        best, best_v, rest = infinity, 0, placed
         while rest:
             bit = rest & -rest
             v = bit.bit_length() - 1
             rest ^= bit
             cost = dp[placed ^ bit] + (in_mask[v] & unplaced).bit_count()
             if cost < best:
-                best = cost
-                best_v = v
+                best, best_v = cost, v
         dp[placed] = best
         choice[placed] = best_v
-    order: list[VertexRef] = [verts[0]] * total
+    order = list(verts)  # each entry is overwritten
     placed = full
     while placed:
         v = choice[placed]
@@ -114,19 +107,15 @@ def _iter_4cycles(graph: BipartiteDigraph) -> Iterator[FourCycle]:
     _require_census_size(graph)  # on the first next(), before any tuple is visited
     if graph.m < 2 or graph.n < 2:  # no 4-cycle; m(m-1)/2 empty X pairs could still be many
         return
-    for xi in range(graph.m):
-        for xk in range(xi + 1, graph.m):
-            for yj in range(graph.n):
-                for yl in range(graph.n):
-                    if yl == yj:
-                        continue
-                    if (
-                        graph.pair(xi, yj) == TO_Y
-                        and graph.pair(xk, yj) == TO_X
-                        and graph.pair(xk, yl) == TO_Y
-                        and graph.pair(xi, yl) == TO_X
-                    ):
-                        yield four_cycle(xi, yj, xk, yl)
+    for xi, xk in itertools.combinations(range(graph.m), 2):
+        for yj, yl in itertools.permutations(range(graph.n), 2):
+            if (
+                graph.pair(xi, yj) == TO_Y
+                and graph.pair(xk, yj) == TO_X
+                and graph.pair(xk, yl) == TO_Y
+                and graph.pair(xi, yl) == TO_X
+            ):
+                yield four_cycle(xi, yj, xk, yl)
 
 
 def max_c4_packing_exact(graph: BipartiteDigraph) -> OracleResult:
@@ -167,20 +156,11 @@ def find_cycle_brute(graph: BipartiteDigraph) -> Optional[tuple[VertexRef, ...]]
     for half in range(2, min(graph.m, graph.n) + 1):
         for xs in itertools.permutations(range(graph.m), half):
             for ys in itertools.permutations(range(graph.n), half):
-                ok = True
-                for t in range(half):
-                    if graph.pair(xs[t], ys[t]) != TO_Y:
-                        ok = False
-                        break
-                    if graph.pair(xs[(t + 1) % half], ys[t]) != TO_X:
-                        ok = False
-                        break
-                if ok:
-                    seq: list[VertexRef] = []
-                    for t in range(half):
-                        seq.append(xv(xs[t]))
-                        seq.append(yv(ys[t]))
-                    return tuple(seq)
+                if all(
+                    graph.pair(xs[t], ys[t]) == TO_Y and graph.pair(xs[(t + 1) % half], ys[t]) == TO_X
+                    for t in range(half)
+                ):
+                    return tuple(v for i, j in zip(xs, ys) for v in (xv(i), yv(j)))
     return None
 
 
@@ -189,43 +169,21 @@ def find_cycle_brute(graph: BipartiteDigraph) -> Optional[tuple[VertexRef, ...]]
 
 
 def enumerate_induced_p4(graph: BipartiteDigraph) -> list[tuple[VertexRef, VertexRef, VertexRef, VertexRef]]:
-    """All induced P4s as sorted (v1, v2, v3, v4) tuples.
+    """All induced P4s as sorted (v1, v2, v3, v4) tuples, by brute force over three-arc walks.
 
-    Brute force over ordered 4-tuples with O(1) pair lookups, so instances
-    over ``MAX_CENSUS_PAIRS`` cross pairs raise :class:`TooLarge`.
+    A walk through four distinct vertices is induced when v1 and v4 are non-adjacent.
+    Instances over ``MAX_CENSUS_PAIRS`` cross pairs raise :class:`TooLarge`.
     """
     _require_census_size(graph)
-    found = []
-    for first_side in ("X", "Y"):
-        a_range = range(graph.m) if first_side == "X" else range(graph.n)
-        b_range = range(graph.n) if first_side == "X" else range(graph.m)
-        mk_a = xv if first_side == "X" else yv
-        mk_b = yv if first_side == "X" else xv
-        for i1 in a_range:
-            v1 = mk_a(i1)
-            for j1 in b_range:
-                v2 = mk_b(j1)
-                if not graph.has_arc((v1, v2)):
-                    continue
-                for i2 in a_range:
-                    if i2 == i1:
-                        continue
-                    v3 = mk_a(i2)
-                    if not graph.has_arc((v2, v3)):
-                        continue
-                    for j2 in b_range:
-                        if j2 == j1:
-                            continue
-                        v4 = mk_b(j2)
-                        if not graph.has_arc((v3, v4)):
-                            continue
-                        state = (
-                            graph.pair(i1, j2) if first_side == "X" else graph.pair(j2, i1)
-                        )
-                        if state == ABSENT:
-                            found.append((v1, v2, v3, v4))
-    found.sort()
-    return found
+    out: dict[VertexRef, list[VertexRef]] = {v: [] for v in graph.vertices()}
+    for tail, head in graph.arcs():
+        out[tail].append(head)
+    walks = ((v1, v2, v3, v4) for v1 in out for v2 in out[v1] for v3 in out[v2] for v4 in out[v3])
+    return sorted(
+        (v1, v2, v3, v4)
+        for v1, v2, v3, v4 in walks
+        if v3 != v1 and v4 != v2 and not (graph.has_arc((v1, v4)) or graph.has_arc((v4, v1)))
+    )
 
 
 def first_sec_by_buckets(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
@@ -234,12 +192,17 @@ def first_sec_by_buckets(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, 
     A path's classes are keyed by (v1, v3, v4) and (v1, v2, v4).
     Independent of the closed forms in ``p4_census``; used to cross-check them.
     """
-    firsts: dict[VertexRef, set] = {v: set() for v in graph.vertices()}
-    seconds: dict[VertexRef, set] = {v: set() for v in graph.vertices()}
-    for v1, v2, v3, v4 in enumerate_induced_p4(graph):
-        firsts[v1].add((v1, v3, v4))
-        seconds[v2].add((v1, v2, v4))
-    return {v: (len(firsts[v]), len(seconds[v])) for v in graph.vertices()}
+    return _bucket_counts(graph, *_classes(enumerate_induced_p4(graph)))
+
+
+def _classes(paths: list) -> tuple[set, set]:
+    """The paths' classes of both kinds: (v1, v3, v4) and (v1, v2, v4)."""
+    return {(v1, v3, v4) for v1, _, v3, v4 in paths}, {(v1, v2, v4) for v1, v2, _, v4 in paths}
+
+
+def _bucket_counts(graph: BipartiteDigraph, firsts: set, seconds: set) -> dict[VertexRef, tuple[int, int]]:
+    first, sec = Counter(c[0] for c in firsts), Counter(c[1] for c in seconds)
+    return {v: (first[v], sec[v]) for v in graph.vertices()}
 
 
 class CensusSums(NamedTuple):
@@ -257,10 +220,12 @@ def census_sums(graph: BipartiteDigraph) -> CensusSums:
     kind.  One enumeration counts both class kinds.
     """
     paths = enumerate_induced_p4(graph)  # checks the size limit before any mask is built
-    sum_first, sum_sec = map(sum, zip((0, 0), *vertex_counts(graph).values()))
-    count2 = len({(v1, v3, v4) for v1, _, v3, v4 in paths})
-    count3 = len({(v1, v2, v4) for v1, v2, _, v4 in paths})
-    return CensusSums(sum_first, sum_sec, count2, count3)
+    return _class_sums(vertex_counts(graph), *_classes(paths))
+
+
+def _class_sums(counts: dict[VertexRef, tuple[int, int]], firsts: set, seconds: set) -> CensusSums:
+    sum_first, sum_sec = map(sum, zip((0, 0), *counts.values()))
+    return CensusSums(sum_first, sum_sec, len(firsts), len(seconds))
 
 
 def _require_census_size(graph: BipartiteDigraph) -> None:
@@ -269,16 +234,18 @@ def _require_census_size(graph: BipartiteDigraph) -> None:
 
 
 def check_census(graph: BipartiteDigraph) -> Optional[str]:
-    """Closed forms against the enumeration: per vertex, summed, and under reversal."""
-    buckets, closed = first_sec_by_buckets(graph), vertex_counts(graph)
+    """Closed forms against one enumeration per graph: per vertex, summed, and under reversal."""
+    flipped = graph.reverse()
+    paths, rpaths = enumerate_induced_p4(graph), enumerate_induced_p4(flipped)
+    classes = _classes(paths)
+    buckets, closed = _bucket_counts(graph, *classes), vertex_counts(graph)
     for v in graph.vertices():
         if closed[v] != buckets[v]:
             return f"closed-form counts {closed[v]} at {v}, enumerated {buckets[v]}"
-    flipped = graph.reverse()
-    sums, rsums = census_sums(graph), census_sums(flipped)
+    sums, rsums = _class_sums(closed, *classes), _class_sums(vertex_counts(flipped), *_classes(rpaths))
     if sums[:2] != sums[2:] or sums[:2] != (rsums.sum_sec, rsums.sum_first):
         return f"census sums {tuple(sums)} and {tuple(rsums)} reversed break the identities"
-    if sorted(p[::-1] for p in enumerate_induced_p4(graph)) != enumerate_induced_p4(flipped):
+    if sorted(p[::-1] for p in paths) != rpaths:
         return "the reversed induced P4s are not the induced P4s of the reversed graph"
     return None
 

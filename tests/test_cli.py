@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from btfas.cli import (
     render_instance,
     run,
 )
+from btfas.graph_core import place_arc
 from btfas.oracles import all_4cycles
 
 from helpers import (
@@ -191,7 +193,7 @@ def test_census_and_max_packing_refuse_large_instances_quickly(tmp_path, capsys)
         (["oracle", t64, "--max-packing"], limit),
         (["oracle", str(headers[100]), "--max-packing"], limit),
         (["oracle", str(headers[65536]), "--max-packing"], limit),
-        (["oracle", t32, "--max-packing"], "more than 10000 4-cycles exceed the configured cap"),
+        (["oracle", t32, "--max-packing"], "more than 50 4-cycles exceed the configured cap"),
     ):
         start = time.perf_counter()
         assert run(argv) == 2
@@ -212,6 +214,15 @@ def test_census_and_max_packing_refuse_large_instances_quickly(tmp_path, capsys)
         assert time.perf_counter() - start < 10.0, path
         assert len(doc["per_vertex"]) == size
         assert doc["sum_first"] == doc["sum_sec"] == doc["classes2"] == doc["classes3"] == 0
+
+
+def test_max_packing_refuses_more_cycles_than_its_search_finishes(tmp_path, capsys):
+    """random_bt 16x16 seed 1 has 1,815 4-cycles; the exact search ran past 10 s on it."""
+    path = write(tmp_path, "r16.bt", random_bt(GenSpec(16, 16, seed=1)))
+    start = time.perf_counter()
+    assert run(["oracle", path, "--max-packing"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "more than 50 4-cycles exceed the configured cap" in capsys.readouterr().err
 
 
 def test_emitted_certificates_reverify(tmp_path, capsys):
@@ -677,6 +688,46 @@ def _instance_text(rng: random.Random) -> str:
     return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("\n", "", "\r\n"))
 
 
+# Line ends and blanks that str.splitlines and str.split accept besides "\n" and " ".
+_LINE_ENDS = ("\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029")
+_BLANKS = (" ", " ", "\t", "\xa0", "\u2003", "\u3000", "\x1f", " \t ")
+
+
+def _mixed_text(rng: random.Random, lines: list[str]) -> str:
+    """The lines joined by mixed line ends, each with its blanks swapped for Unicode ones."""
+    lines = [line.replace(" ", rng.choice(_BLANKS)) for line in lines]
+    return "".join(line + rng.choice(_LINE_ENDS) for line in lines)[: None if rng.random() < 0.8 else -1]
+
+
+def _wide_instance_text(rng: random.Random) -> str:
+    """Sides up to 40, indices at and past m and n, zero-padded tokens, up to two defects."""
+    m, n = rng.randint(0, 40), rng.randint(0, 40)
+    pad = lambda side, index: f"{side}{'0' * rng.choice((0, 0, 1, 2))}{index}"  # noqa: E731
+    arcs = []
+    for p in rng.sample(range(m * n), min(m * n, rng.randint(0, 60))):
+        x, y = pad("x", p // n), pad("y", p % n)
+        arcs.append((x, y) if rng.random() < 0.5 else (y, x))
+    tail, head = rng.choice(arcs) if arcs else ("x0", "y0")
+    defects = (
+        f"a x{m} y{rng.randrange(max(n, 1))}",
+        f"a y{n} x{rng.randrange(max(m, 1))}",
+        f"a {pad('x', m + rng.randint(1, 200))} {pad('y', 0)}",
+        f"a y{rng.randrange(max(n, 1))} {pad('y', n)}",
+        f"a {tail[0]}00{tail[1:]} {head}",  # the same pair again, spelled otherwise
+        f"a {head[0]}0{head[1:]} {tail}",
+        f"a {rng.choice(('x١', 'x1_0', 'y+1', 'x0x', 'xx1', 'y-0'))} y0",
+        f"p bt {m} {n}",
+    )
+    lines = [f"a {t} {h}" for t, h in arcs]
+    for line in rng.sample(defects, rng.choice((0, 0, 1, 1, 2))):
+        lines.insert(rng.randint(0, len(lines)), line)
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("", "c x0 y0", "c", "   ")))
+    header = f"p bt {m} {n}" if rng.random() < 0.8 else rng.choice((f"p bt 0{m} 00{n}", f"p bt {m} -{n + 1}"))
+    lines.insert(0 if rng.random() < 0.95 else rng.randint(0, len(lines)), header)
+    return _mixed_text(rng, lines)
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -710,6 +761,50 @@ def test_parser_matches_the_reference_on_a_seeded_corpus():
     ):
         assert any(fragment in message for message in messages), fragment
     assert 500 < len(messages) < 1500
+
+    # Wider: sides up to 40, boundary and padded indices, mixed line ends and blanks.
+    rng, parsed, messages = random.Random(6), 0, []
+    for _ in range(1000):
+        text = _wide_instance_text(rng)
+        expected = _outcome(parse_instance_reference, text)
+        assert _outcome(parse_instance, text) == expected, text
+        if isinstance(expected, tuple):
+            messages.append(expected[1])
+        else:
+            parsed += 1
+    assert parsed >= 300
+    for fragment in ("outside a", "listed more than once", "does not cross", "bad vertex token", "non-negative"):
+        assert sum(fragment in message for message in messages) >= 20, fragment
+
+
+def test_an_arc_free_file_allocates_its_storage_once():
+    side = 4000
+    tracemalloc.start()
+    try:
+        graph = parse_instance(f"p bt {side} {side}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (graph.m, graph.n, graph.arc_count()) == (side, side, 0)
+    assert peak <= 1.1 * side * side
+
+
+def test_the_pair_validator_runs_only_on_a_rejected_arc(monkeypatch):
+    import btfas.cli as cli_module
+
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[-2:])
+        return place_arc(*args)
+
+    monkeypatch.setattr(cli_module, "place_arc", recorded)
+    text = render_instance(random_bt(GenSpec(12, 9, seed=4)))
+    assert parse_instance(text) == random_bt(GenSpec(12, 9, seed=4))
+    assert calls == []
+    with pytest.raises(InstanceFormatError, match=r"pair \(x0, y0\) listed more than once"):
+        parse_instance(text + "a y00 x000\na x99 y0\n")
+    assert calls == [(yv(0), xv(0))]  # only the first rejected arc is named
 
 
 def test_render_lists_the_arcs_in_canonical_order():
@@ -820,6 +915,29 @@ def test_verify_matches_the_reference_on_mutated_certificates(tmp_path):
     # Accepted, unparseable, and rejected for each kind of reason all occur.
     assert min(outcomes[code] for code in (0, 1, 2)) >= 20, outcomes
     assert reasons == {"not in the instance", "leaves a cycle", "exceed the bound"}
+
+    # Wider: sides up to 40, tokens at m and n, zero padding, mixed line ends and blanks.
+    rng, outcomes = random.Random(13), collections.Counter()
+    for trial in range(200):
+        m, n = rng.randint(1, 40), rng.randint(1, 40)
+        graph = random_digraph(rng, m, n) if trial % 4 == 0 else random_bt(GenSpec(m, n, trial))
+        text = _mixed_text(rng, render_instance(graph).splitlines())
+        tokens = _mutated_certificate(rng, graph)
+        for _ in range(rng.randint(0, 3)):
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice((f"x{m}>y0", f"y{n}>x{m - 1}", f"x0>y{n}")))
+        pad = "0" * rng.randint(1, 3)
+        padded = [t.replace("x", "x" + pad).replace("y", "y" + pad) for t in tokens]
+        doc = {"fas": [p if rng.random() < 0.2 else t for t, p in zip(tokens, padded)]}
+        k = rng.choice((None, 5, 200))
+        instance.write_text(text, encoding="utf-8")
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["verify", str(instance), "--fas", str(cert)] + ([] if k is None else ["--k", str(k)])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert (code, out.getvalue(), err.getvalue()) == verify_fas_reference(text, doc, k), doc
+        outcomes[code] += 1
+    assert min(outcomes[code] for code in (0, 1, 2)) >= 10, outcomes
 
 
 def test_verify_packing_matches_the_reference_on_candidate_lists(tmp_path, capsys):

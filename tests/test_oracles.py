@@ -158,6 +158,16 @@ def test_max_packing_needs_no_recursion_depth():
     assert result.value == len(result.witness) == 16
 
 
+def test_check_census_enumerates_each_graph_once(monkeypatch):
+    enumerated = []
+    real = oracles.enumerate_induced_p4
+    monkeypatch.setattr(oracles, "enumerate_induced_p4", lambda graph: enumerated.append(graph) or real(graph))
+    g = random_digraph(random.Random(3), 5, 4)
+    assert enumerate_induced_p4(g)  # the check has paths to compare
+    assert oracles.check_census(g) is None
+    assert enumerated == [g, g.reverse()]
+
+
 def test_census_limit_is_on_cross_pairs():
     """The same limit holds for both O(m^2 n^2) enumerations: induced P4s and 4-cycles."""
     assert enumerate_induced_p4(build(32, 32, [])) == []
