@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .certify import check_fas_sized, require
+from .certify import check_fas_keys, require
 from .errors import HasFourCycle, InternalInvariantError
 from .graph_core import (
     TO_X,
@@ -131,15 +131,15 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     witness = find_4cycle(graph)
     if witness is not None:
         raise HasFourCycle(witness)
-    fas, trace = _decomposition(graph)
-    bound = graph.absent_pair_count()
-    reason, _, order = check_fas_sized(graph, fas, bound)
+    keys, trace = _decomposition(graph)
+    bound, n = graph.absent_pair_count(), graph.n
+    reason, _, order = check_fas_keys(graph, keys, lambda t: str(pair_arc(n, *keys[t])), bound)
     require(reason)
-    return FasCertificate(frozenset(fas), bound, tuple(trace), order)
+    return FasCertificate(frozenset(pair_arc(n, p, state) for p, state in keys), bound, tuple(trace), order)
 
 
-def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]:
-    """Cut arcs and preorder trace, in root labels.
+def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list[TraceNode]]:
+    """Cut arcs as (pair index, state) keys and preorder trace, in root labels.
 
     A work item (xs, ys, rev, x_side, depth) is a sub-instance: the live X
     and Y vertices as masks over the root graph, whether an odd number of
@@ -153,7 +153,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]
     sides = (Rows(*x_masks), Rows(*y_masks))
     views = (sides, [Rows(r.inn, r.out) for r in sides])  # views[rev][side]
     n = graph.n
-    fas: list[Arc] = []
+    cut_keys: list[tuple[int, int]] = []
     trace: list[TraceNode] = []
     stack = [((1 << graph.m) - 1, (1 << graph.n) - 1, 0, 0, 0)]
     while stack:
@@ -184,11 +184,11 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]
         # The cut arcs run two -> non, or non -> two when reversed.
         state = TO_Y if side == rev else TO_X
         cut = [
-            pair_arc(n, a * n + b if side == 0 else b * n + a, state)
+            (a * n + b if side == 0 else b * n + a, state)
             for a in bit_indices(part.two)
             for b in bit_indices(rows.out[a] & part.non)
         ]
-        fas += cut
+        cut_keys += cut
         half1 = (part.rest, part.ins | part.non)
         half2 = (part.two | 1 << c, part.outs)
         bounds = (_absent_pairs(rows, *half1), _absent_pairs(rows, *half2))
@@ -197,7 +197,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[Arc], list[TraceNode]]
         for ps, qs in (half2, half1):
             xs, ys = (ps, qs) if side == 0 else (qs, ps)
             stack.append((xs, ys, rev, side, depth + 1))
-    return fas, trace
+    return cut_keys, trace
 
 
 def _census_all(view, xs: int, ys: int) -> dict[tuple[int, int], tuple[int, int]]:

@@ -23,7 +23,7 @@ def check_packing(
 ) -> Optional[str]:
     """Why ``cycles`` are not at least k pairwise arc-disjoint 4-cycles of graph.
 
-    Each arc becomes its pair index and state, as in :func:`check_fas_sized`.
+    Each arc becomes its pair index and state, as in :func:`check_fas_keys`.
     A repeated vertex puts both orientations on one pair, so it fails too.
     """
     m, n, orient = graph.m, graph.n, graph.orient
@@ -50,20 +50,11 @@ def check_fas(
     A repeated arc counts once, in the size and against ``bound``.  With
     ``order``, acyclicity is certified by every other arc running forward
     in it; without, by a topological sort of the graph minus the arcs.
-    """
-    return check_fas_sized(graph, arcs, bound, order)[0]
-
-
-def check_fas_sized(
-    graph: BipartiteDigraph, arcs: Arcs, bound: Optional[int] = None, order: Order = None
-) -> Sized:
-    """:func:`check_fas`'s reason, the number of distinct arcs and the certifying order.
-
     Each arc's :func:`pair_state` key goes to :func:`check_fas_keys`.
     """
     arcs = list(arcs)
     keys = [pair_state(graph.m, graph.n, tail, head) for tail, head in arcs]
-    return check_fas_keys(graph, keys, lambda t: "%s>%s" % tuple(arcs[t]), bound, order)
+    return check_fas_keys(graph, keys, lambda t: "%s>%s" % tuple(arcs[t]), bound, order)[0]
 
 
 def check_fas_keys(

@@ -480,7 +480,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--mode", choices=("random", "random-c4free", "enumerate"), default="random")
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, help="decimal 64-bit seed")  # default 0, set in _cmd_gen
+    gen.add_argument("--seed", type=int, help="decimal non-negative seed")  # default 0, set in _cmd_gen
     gen.add_argument("--bias", type=float)  # default 0.5, set in _cmd_gen
     gen.add_argument("--out", help="output file, or prefix with --count/enumerate")
     gen.add_argument("--count", type=int, help="generate this many instances (seed, seed+1, ...)")

@@ -112,18 +112,10 @@ def four_cycle(xi: int, yj: int, xk: int, yl: int) -> FourCycle:
     return FourCycle((xv(xi), yv(yj), xv(xk), yv(yl)))
 
 
-def is_cycle_sequence(graph: "BipartiteDigraph", seq: Sequence[VertexRef]) -> bool:
-    """Check that seq lists the distinct vertices of a directed cycle in graph."""
-    if len(seq) < 4 or len(set(seq)) != len(seq):
-        return False
-    return all(graph.has_arc((seq[i - 1], seq[i])) for i in range(len(seq)))
-
-
 class TopoResult(NamedTuple):
-    """Either a topological order of all vertices or a witness cycle."""
+    """A topological order of all vertices, or None when the graph has a cycle."""
 
     order: Optional[tuple[VertexRef, ...]]
-    cycle: Optional[tuple[VertexRef, ...]]
 
 
 @dataclass(frozen=True)
@@ -270,14 +262,15 @@ class BipartiteDigraph:
     # order and acyclicity
 
     def topological_order(self) -> TopoResult:
-        """Kahn's algorithm with a fixed tie-break, or a verified cycle witness.
+        """Kahn's algorithm with a fixed tie-break; a cyclic verdict is checked in ``orient``.
 
         Repeatedly removes the in-degree-0 vertex with the smallest
         (side, index) label, X before Y, so the order is reproducible.
         Internally x_i has id i and y_j has id m + j, which sort the same
-        way.  On failure the returned sequence is a cycle of this graph.
+        way.  When Kahn stops early, each unplaced vertex must show an
+        unplaced in-neighbor in the storage, so the unplaced set holds a cycle.
         """
-        m = self.m
+        m, n, orient = self.m, self.n, self.orient
         x_out, x_in = self.x_masks
         y_out, y_in = self.y_masks
         out = x_out + y_out
@@ -297,27 +290,21 @@ class BipartiteDigraph:
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
         if len(order) == len(indeg):
-            return TopoResult(tuple(map(self._vertex, order)), None)
+            return TopoResult(tuple(map(self._vertex, order)))
 
-        # Every unplaced vertex still has an unplaced in-neighbor, so a
-        # backward walk from the smallest one must close a cycle.
-        placed = set(order)
-        left = [v for v in range(len(indeg)) if v not in placed]
+        left = [v for v, d in enumerate(indeg) if d]  # the unplaced vertices
         left_x = sum(1 << v for v in left if v < m)
         left_y = sum(1 << (v - m) for v in left if v >= m)
-        path, seen_at = [left[0]], {left[0]: 0}
-        while True:
-            cur = path[-1]
-            prev = m + low_bit(x_in[cur] & left_y) if cur < m else low_bit(y_in[cur - m] & left_x)
-            if prev in seen_at:
-                break
-            seen_at[prev] = len(path)
-            path.append(prev)
-        p = seen_at[prev]
-        cycle = [self._vertex(v) for v in [path[p]] + path[p + 1 :][::-1]]
-        if not is_cycle_sequence(self, cycle):
-            raise InternalInvariantError(f"extracted witness {cycle} is not a cycle")
-        return TopoResult(None, tuple(cycle))
+        for v in left:
+            if v < m:
+                u = low_bit(x_in[v] & left_y)
+                p, state = v * n + u, TO_X
+            else:
+                u = low_bit(y_in[v - m] & left_x)
+                p, state = u * n + v - m, TO_Y
+            if u < 0 or orient[p] != state:
+                raise InternalInvariantError(f"Kahn left {self._vertex(v)} without an unplaced in-neighbor")
+        return TopoResult(None)
 
     def _vertex(self, v: int) -> VertexRef:
         """The vertex with integer id v: x_v below m, else y_(v - m)."""

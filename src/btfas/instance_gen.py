@@ -34,6 +34,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0:
             raise OutOfRange(f"side sizes must be non-negative, got {self.m}, {self.n}")
+        if self.seed < 0:  # random.Random(-s) seeds the same stream as random.Random(s)
+            raise OutOfRange(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.bias <= 1.0:
             raise OutOfRange(f"bias must lie in [0, 1], got {self.bias}")
 

@@ -39,7 +39,6 @@ from btfas.graph_core import (
     TopoResult,
     bit_indices,
     four_cycle,
-    is_cycle_sequence,
 )
 from btfas.oracles import all_4cycles
 from btfas.p4_census import MaskPartition
@@ -248,8 +247,19 @@ def greedy_pack_reference(graph: BipartiteDigraph, limit=None):
     return tuple(cycles), residual
 
 
+def is_cycle_sequence(graph: BipartiteDigraph, seq) -> bool:
+    """Check that seq lists the distinct vertices of a directed cycle in graph."""
+    if len(seq) < 4 or len(set(seq)) != len(seq):
+        return False
+    return all(graph.has_arc((seq[i - 1], seq[i])) for i in range(len(seq)))
+
+
 def topological_order_reference(graph: BipartiteDigraph) -> TopoResult:
-    """Kahn's algorithm on VertexRef labels with the smallest-label tie-break."""
+    """Kahn's algorithm on VertexRef labels with the smallest-label tie-break.
+
+    When it stops early, a backward walk over the unplaced vertices must
+    close a cycle of graph, which is asserted before the cyclic verdict.
+    """
     verts = list(graph.vertices())
     indeg = {v: len(in_neighbors(graph, v)) for v in verts}
     ready = [v for v in verts if indeg[v] == 0]
@@ -263,7 +273,7 @@ def topological_order_reference(graph: BipartiteDigraph) -> TopoResult:
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
     if len(order) == len(verts):
-        return TopoResult(tuple(order), None)
+        return TopoResult(tuple(order))
     remaining = set(verts) - set(order)
     path = [min(remaining)]
     seen_at = {path[0]: 0}
@@ -273,7 +283,7 @@ def topological_order_reference(graph: BipartiteDigraph) -> TopoResult:
             p = seen_at[prev]
             cycle = tuple([path[p]] + path[p + 1 :][::-1])
             assert is_cycle_sequence(graph, cycle)
-            return TopoResult(None, cycle)
+            return TopoResult(None)
         seen_at[prev] = len(path)
         path.append(prev)
 

@@ -213,19 +213,19 @@ def _frame_depth(frame) -> int:
 def _deepest_frames(monkeypatch, g):
     """fas_c4free's certificate, its deepest frame outside the final check, and check entries.
 
-    Depths count frames above this helper's.  The final ``check_fas_sized`` is
+    Depths count frames above this helper's.  The final ``check_fas_keys`` is
     patched to record the depth it is entered at; the frames of its leaf
     call chain are the checker's, not the decomposition's, and not counted.
     """
     base = _frame_depth(sys._getframe())
     deepest, check_entries, checking = 0, [], False
 
-    def check_fas_sized_recorded(*args, **kwargs):
+    def check_fas_keys_recorded(*args, **kwargs):
         nonlocal checking
         check_entries.append(_frame_depth(sys._getframe()) - base)
         checking = True
         try:
-            return certify.check_fas_sized(*args, **kwargs)
+            return certify.check_fas_keys(*args, **kwargs)
         finally:
             checking = False
 
@@ -234,7 +234,7 @@ def _deepest_frames(monkeypatch, g):
         if event == "call" and not checking:
             deepest = max(deepest, _frame_depth(frame) - base)
 
-    monkeypatch.setattr(c4free_fas, "check_fas_sized", check_fas_sized_recorded)
+    monkeypatch.setattr(c4free_fas, "check_fas_keys", check_fas_keys_recorded)
     previous = sys.getprofile()
     sys.setprofile(on_event)
     try:

@@ -15,9 +15,9 @@ from btfas import (
     xv,
     yv,
 )
-from btfas.certify import check_fas, check_fas_sized, check_packing
+from btfas.certify import check_fas, check_fas_keys, check_packing
 from btfas.errors import InternalInvariantError
-from btfas.graph_core import ABSENT, FourCycle, four_cycle
+from btfas.graph_core import ABSENT, FourCycle, four_cycle, pair_state
 from btfas.oracles import all_4cycles, find_cycle_brute
 
 from helpers import (
@@ -41,6 +41,13 @@ def without(graph: BipartiteDigraph, arcs) -> BipartiteDigraph:
     return BipartiteDigraph(graph.m, graph.n, bytes(orient))
 
 
+def check_by_keys(graph: BipartiteDigraph, arcs, bound=None, order=None):
+    """check_fas_keys's (reason, size, order) on the arcs' pair_state keys."""
+    arcs = list(arcs)
+    keys = [pair_state(graph.m, graph.n, *arc) for arc in arcs]
+    return check_fas_keys(graph, keys, lambda t: "%s>%s" % tuple(arcs[t]), bound, order)
+
+
 def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
     rest = without(graph, subset)
     acyclic = find_cycle_brute(rest) is None
@@ -48,11 +55,11 @@ def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
     size = len(set(subset))
     pairs = [tuple(a) for a in subset]
     # The certifying order is the sort of the graph minus the arcs, or None.
-    assert check_fas_sized(graph, pairs) == (check_fas(graph, subset), size, order)
+    assert check_by_keys(graph, pairs) == (check_fas(graph, subset), size, order)
     for arcs in (subset, pairs):
         assert (check_fas(graph, arcs) is None) == acyclic
         if acyclic:
-            assert check_fas_sized(graph, arcs, order=order) == (None, size, order)
+            assert check_by_keys(graph, arcs, order=order) == (None, size, order)
             assert check_fas(graph, arcs, bound=size) is None
             if subset:
                 assert check_fas(graph, arcs, bound=size - 1) == f"{size} arcs exceed the bound {size - 1}"
@@ -92,7 +99,7 @@ def test_check_fas_reasons_for_foreign_arcs():
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign, (xv(5), yv(5))]) == reason
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign], order=order) == reason
         assert check_fas(g, [foreign], order=order[1:]) == reason  # a foreign arc outranks a bad order
-        assert check_fas_sized(g, [(yv(1), xv(0)), foreign]) == (reason, 0, None)
+        assert check_by_keys(g, [(yv(1), xv(0)), foreign]) == (reason, 0, None)
     assert check_fas(g, [(yv(1), xv(0)), (yv(1), xv(0))], bound=1) is None
 
 

@@ -355,6 +355,16 @@ def test_gen_defaults_match_explicit_seed_and_bias(capsys):
     assert capsys.readouterr().out == default
 
 
+@pytest.mark.parametrize("extra", [[], ["--count", "3"]])
+def test_gen_rejects_a_negative_seed_before_writing(tmp_path, capsys, extra):
+    prefix = str(tmp_path / "p-")
+    assert run(["gen", "--m", "4", "--n", "4", "--seed", "-1", "--out", prefix, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be non-negative, got -1" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_rejects_a_negative_count(tmp_path, capsys):
     prefix = str(tmp_path / "neg-")
     assert run(["gen", "--m", "2", "--n", "2", "--count", "-1", "--out", prefix]) == 1
@@ -536,14 +546,23 @@ def test_internal_invariant_violations_exit_3(tmp_path, capsys, monkeypatch):
     assert "internal invariant" in capsys.readouterr().err
 
 
-def test_a_witness_that_is_no_cycle_exits_3(tmp_path, capsys, monkeypatch):
-    from btfas import graph_core
+def test_a_stuck_set_that_the_storage_denies_exits_3(tmp_path, capsys, monkeypatch):
+    """verify --fas sorts the cut copy; stale masks make Kahn stop where the storage has no cycle."""
+    from btfas.graph_core import BipartiteDigraph
 
-    monkeypatch.setattr(graph_core, "is_cycle_sequence", lambda graph, seq: False)
+    clear_pairs = BipartiteDigraph.clear_pairs
+
+    def stale_clear_pairs(self, pairs):
+        cut = clear_pairs(self, pairs)
+        cut.__dict__.update(x_masks=self.x_masks, y_masks=self.y_masks)
+        return cut
+
+    monkeypatch.setattr(BipartiteDigraph, "clear_pairs", stale_clear_pairs)
     cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({"fas": []}), encoding="utf-8")
+    cert.write_text(json.dumps({"fas": ["y1>x0"]}), encoding="utf-8")
     assert run(["verify", str(GOLDEN / "c4_bt.bt"), "--fas", str(cert)]) == 3
-    assert "internal invariant violation: extracted witness" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal invariant violation: Kahn left x0 without an unplaced in-neighbor" in err
 
 
 # ----------------------------------------------------------------------

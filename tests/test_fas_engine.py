@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from btfas import (
     PackingOutcome,
     build,
     enumerate_bt,
+    fas_c4free,
     greedy_pack,
     min_fas_exact,
     random_bt,
@@ -17,11 +19,17 @@ from btfas import (
     xv,
     yv,
 )
+from btfas.cli import parse_instance
 from btfas.errors import NotATournament, OutOfRange, VertexNotInOrder
 from btfas.fas_engine import backward_arcs
 from btfas.graph_core import four_cycle
 
 from helpers import all_x_to_y, backward_arcs_reference, four_cycle_bt, planted_bt, solve_reference
+
+# A 16x16 tournament hill-climbed from planted_bt(3, 8): 1,500 seeded
+# single-pair flips, each kept unless (max residual trace depth, reversed
+# mode reached, Y center reached, trace nodes) went down.
+DEEP_RESIDUAL = pathlib.Path(__file__).parent / "golden" / "deep_residual.bt"
 
 
 def test_backward_arcs_hand_checked():
@@ -201,6 +209,22 @@ def test_solve_matches_the_object_reference_on_planted_tournaments():
     assert nonempty >= 100, nonempty
 
 
+def test_solve_runs_the_deep_decomposition_branches():
+    """Inside solve the residual's decomposition reaches depth 1, reversed mode and a Y center."""
+    g = parse_instance(DEEP_RESIDUAL.read_text(encoding="utf-8"))
+    k = len(greedy_pack(g).cycles) + 1
+    assert k == 44
+    out = solve(g, k)
+    assert isinstance(out, FasOutcome)
+    assert len(out.residual_part) == 2
+    certificate = fas_c4free(out.packing.residual)
+    assert certificate.fas == out.residual_part
+    assert max(node.depth for node in certificate.trace) >= 1
+    assert any(node.mode == "reversed" for node in certificate.trace)
+    assert any(node.center.side == "Y" for node in certificate.trace)
+    assert out == solve_reference(g, k)
+
+
 def _count_calls(monkeypatch, names):
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -224,11 +248,11 @@ def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
         (planted, len(greedy_pack(planted).cycles) + 1, 3),
     ]
     for g, k, copies in cases:
-        calls = _count_calls(monkeypatch, ("topological_order", "clear_pairs", "delete_arcs"))
+        calls = _count_calls(monkeypatch, ("topological_order", "delete_arcs", "__post_init__"))
         out = solve(g, k)
         assert isinstance(out, FasOutcome)
         assert calls["topological_order"] == 1
-        assert calls["clear_pairs"] == copies
+        assert calls["__post_init__"] == copies  # every BipartiteDigraph construction
         assert calls["delete_arcs"] == 0
         monkeypatch.undo()
     assert out.residual_part  # the planted instance runs the residual branch

@@ -46,6 +46,14 @@ def test_bias_is_validated():
         GenSpec(2, 2, seed=0, bias=1.5)
 
 
+def test_negative_seeds_are_out_of_range():
+    """random.Random(-s) seeds like random.Random(s), so -7 would repeat seed 7's instance."""
+    for seed in (-1, -7, -(2**64)):
+        with pytest.raises(OutOfRange, match=f"seed must be non-negative, got {seed}"):
+            GenSpec(4, 4, seed)
+    assert GenSpec(4, 4, 0).seed == 0
+
+
 def test_negative_sides_are_out_of_range():
     for m, n in ((-1, 5), (3, -1), (-2, -3)):
         with pytest.raises(OutOfRange, match="non-negative"):
