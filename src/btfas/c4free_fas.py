@@ -28,7 +28,7 @@ from .graph_core import (
     Arc,
     BipartiteDigraph,
     FourCycle,
-    Subgraph,
+    Rows,
     VertexRef,
     bit_indices,
     four_cycle,
@@ -37,7 +37,7 @@ from .graph_core import (
     xv,
     yv,
 )
-from .p4_census import Rows, census, mask_partition
+from .p4_census import census_all, partition_around
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,13 @@ def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> O
     return None
 
 
-def _trim(xs: int, ys: int, x_masks, y_masks) -> tuple[int, int]:
-    """Live masks with every vertex lacking a live in- or out-neighbor dropped, to fixpoint."""
+def trim_acyclic_vertices(xs: int, ys: int, x_masks: Rows, y_masks: Rows) -> tuple[int, int]:
+    """Live masks with every vertex lacking a live in- or out-neighbor dropped, to fixpoint.
+
+    Removed vertices lie on no cycle, so any feedback arc set of the
+    result is one of the input.  In the result every live vertex has both
+    a live in- and a live out-neighbor.
+    """
     (x_out, x_in), (y_out, y_in) = x_masks, y_masks
     while True:
         keep_x = xs
@@ -104,19 +109,6 @@ def _trim(xs: int, ys: int, x_masks, y_masks) -> tuple[int, int]:
         if keep_x == xs and keep_y == ys:
             return xs, ys
         xs, ys = keep_x, keep_y
-
-
-def trim_acyclic_vertices(graph: BipartiteDigraph) -> tuple[Subgraph, frozenset[VertexRef]]:
-    """Repeatedly drop vertices with no in-neighbors or no out-neighbors.
-
-    Removed vertices lie on no cycle, so any feedback arc set of the
-    result is one of the input.  In the returned subgraph every vertex has
-    both an in- and an out-neighbor.
-    """
-    xs, ys = _trim((1 << graph.m) - 1, (1 << graph.n) - 1, graph.x_masks, graph.y_masks)
-    sub = graph.induced_subgraph(bit_indices(xs), bit_indices(ys))
-    removed = frozenset(v for v in graph.vertices() if not (xs if v.side == "X" else ys) >> v.index & 1)
-    return sub, removed
 
 
 def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
@@ -149,8 +141,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
     side, so a child calls the center's side X; that naming only breaks
     ties between centers of equal slack.
     """
-    x_masks, y_masks = graph.x_masks, graph.y_masks
-    sides = (Rows(*x_masks), Rows(*y_masks))
+    sides = (graph.x_masks, graph.y_masks)
     views = (sides, [Rows(r.inn, r.out) for r in sides])  # views[rev][side]
     n = graph.n
     cut_keys: list[tuple[int, int]] = []
@@ -160,14 +151,14 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
         xs, ys, rev, x_side, depth = stack.pop()
         if xs.bit_count() < 2 or ys.bit_count() < 2:
             continue
-        xs, ys = _trim(xs, ys, x_masks, y_masks)
+        xs, ys = trim_acyclic_vertices(xs, ys, *sides)
         if xs.bit_count() < 2 or ys.bit_count() < 2:
             continue
-        counts = _census_all(views[rev], xs, ys)
+        counts = census_all(views[rev], xs, ys)
         mode = "direct"
         if sum(c[0] for c in counts.values()) > sum(c[1] for c in counts.values()):
             mode, rev = "reversed", rev ^ 1
-            counts = _census_all(views[rev], xs, ys)
+            counts = census_all(views[rev], xs, ys)
         # Maximize the slack sec - first; remaining ties go to the smallest
         # label, X before Y as this sub-instance names its sides.
         side, c = min(
@@ -175,7 +166,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
             key=lambda key: (counts[key][0] - counts[key][1], key[0] ^ x_side, key[1]),
         )
         rows = views[rev][side]
-        part = mask_partition(rows, c, *((xs, ys) if side == 0 else (ys, xs)))
+        part = partition_around(rows, c, *((xs, ys) if side == 0 else (ys, xs)))
         if not (part.ins and part.outs):
             raise InternalInvariantError(f"trimming left a one-sided center {c}")
         # An arc from two into ins would close a 4-cycle through the center.
@@ -198,15 +189,6 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
             xs, ys = (ps, qs) if side == 0 else (qs, ps)
             stack.append((xs, ys, rev, side, depth + 1))
     return cut_keys, trace
-
-
-def _census_all(view, xs: int, ys: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """(first, sec) of every live vertex, keyed by (root side, index)."""
-    counts = {}
-    for side, live, other in ((0, xs, ys), (1, ys, xs)):
-        keys = ((side, v) for v in bit_indices(live))
-        counts.update(zip(keys, census(view[side], live, other)))
-    return counts
 
 
 def _absent_pairs(rows: Rows, ps: int, qs: int) -> int:

@@ -21,6 +21,7 @@ emits arcs in canonical order (X-tail arcs by (i, j), then Y-tail arcs by
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import heapq
 import itertools
@@ -268,8 +269,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if min(args.m, args.n) < 0 or max(args.m, args.n) > MAX_SIDE or args.m * args.n > MAX_PAIRS:
         raise _UsageError(f"gen needs 0 <= m, n <= {MAX_SIDE} and m*n <= {MAX_PAIRS}, got {args.m}x{args.n}")
     make = instance_gen.random_bt if args.mode == "random" else instance_gen.random_c4free
-    seed = 0 if args.seed is None else args.seed
-    bias = 0.5 if args.bias is None else args.bias
     if args.mode == "enumerate":
         for option in ("count", "seed", "bias"):
             if getattr(args, option) is not None:
@@ -277,22 +276,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.out is None:
             raise _UsageError("gen --mode enumerate requires --out PREFIX")
         graphs = instance_gen.enumerate_bt(args.m, args.n)
-    elif args.count is not None:
+    else:
+        # Built before --count is read, so even --count 0 rejects a bad seed or bias.
+        seed = 0 if args.seed is None else args.seed
+        spec = instance_gen.GenSpec(args.m, args.n, seed, 0.5 if args.bias is None else args.bias)
+        if args.count is None:
+            text = render_instance(make(spec))
+            if args.out is None or args.out == "-":
+                sys.stdout.write(text)
+            else:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(text)
+                _emit({"mode": "gen", "count": 1, "files": [args.out]})
+            return 0
         if args.count < 0:
             raise _UsageError(f"gen --count must be non-negative, got {args.count}")
         if args.out is None:
             raise _UsageError("gen --count requires --out PREFIX")
         seeds = range(seed, seed + args.count)
-        graphs = (make(instance_gen.GenSpec(args.m, args.n, s, bias)) for s in seeds)
-    else:
-        text = render_instance(make(instance_gen.GenSpec(args.m, args.n, seed, bias)))
-        if args.out is None or args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-            _emit({"mode": "gen", "count": 1, "files": [args.out]})
-        return 0
+        graphs = (make(dataclasses.replace(spec, seed=s)) for s in seeds)
     files = []
     for i, graph in enumerate(graphs):
         path = f"{args.out}{i:05d}.bt"

@@ -112,6 +112,13 @@ def four_cycle(xi: int, yj: int, xk: int, yl: int) -> FourCycle:
     return FourCycle((xv(xi), yv(yj), xv(xk), yv(yl)))
 
 
+class Rows(NamedTuple):
+    """One side's out and in masks over the other side; reversal swaps them."""
+
+    out: Sequence[int]
+    inn: Sequence[int]
+
+
 class TopoResult(NamedTuple):
     """A topological order of all vertices, or None when the graph has a cycle."""
 
@@ -177,20 +184,20 @@ class BipartiteDigraph:
         return out
 
     @cached_property
-    def x_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def x_masks(self) -> Rows:
         """(out, in) per X row: bit j of out[i] is x_i -> y_j, of in[i] is y_j -> x_i."""
         n = self.n
         rows = [self.orient[i * n : (i + 1) * n] for i in range(self.m)]
-        return (
+        return Rows(
             tuple(_mask(row, _TO_Y_DIGITS) for row in rows),
             tuple(_mask(row, _TO_X_DIGITS) for row in rows),
         )
 
     @cached_property
-    def y_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def y_masks(self) -> Rows:
         """(out, in) per Y column: bit i of out[j] is y_j -> x_i, of in[j] is x_i -> y_j."""
         cols = [self.orient[j :: self.n] for j in range(self.n)]
-        return (
+        return Rows(
             tuple(_mask(col, _TO_X_DIGITS) for col in cols),
             tuple(_mask(col, _TO_Y_DIGITS) for col in cols),
         )

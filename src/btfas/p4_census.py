@@ -8,18 +8,18 @@ paths sharing (first, second, fourth) another.  ``first_count`` and
 at it and how many of the second kind have it second, by a closed form
 over the neighborhood partition around the vertex; ``vertex_counts``
 gives both for every vertex.  ``census`` counts a side's vertices from
-its live rows packed into integers, and ``mask_partition`` gives the
-partition around one vertex as masks over side indices;
-``partition_around`` returns that partition for a vertex of a whole
-graph.  The decomposition in ``c4free_fas`` uses the same two.  The path
-enumeration that checks the closed forms lives in ``oracles``.
+its live rows packed into integers, ``census_all`` runs it on both sides,
+and ``partition_around`` gives the partition around one vertex as masks
+over side indices.  The decomposition in ``c4free_fas`` calls the last
+two.  The path enumeration that checks the closed forms lives in
+``oracles``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graph_core import BipartiteDigraph, VertexRef, bit_indices, xv, yv
+from .graph_core import BipartiteDigraph, Rows, VertexRef, bit_indices, xv, yv
 
 
 class MaskPartition(NamedTuple):
@@ -34,13 +34,6 @@ class MaskPartition(NamedTuple):
     non: int
     two: int
     rest: int
-
-
-class Rows(NamedTuple):
-    """One side's out and in masks over the other side; reversal swaps them."""
-
-    out: Sequence[int]
-    inn: Sequence[int]
 
 
 def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int]]:
@@ -83,7 +76,20 @@ def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int]]:
     return counts
 
 
-def mask_partition(rows: Rows, c: int, ps: int, qs: int) -> MaskPartition:
+def census_all(views: Sequence[Rows], xs: int, ys: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """(first, sec) of every live vertex, X side first, keyed by (side, index) with 0 for X.
+
+    ``views[0]`` and ``views[1]`` are the X and the Y rows, with in and out
+    swapped when the graph is read reversed.
+    """
+    counts = {}
+    for side, live, other in ((0, xs, ys), (1, ys, xs)):
+        keys = ((side, v) for v in bit_indices(live))
+        counts.update(zip(keys, census(views[side], live, other)))
+    return counts
+
+
+def partition_around(rows: Rows, c: int, ps: int, qs: int) -> MaskPartition:
     """Partition around vertex c of the side of ``rows``, within the live masks."""
     ins, outs = rows.inn[c] & qs, rows.out[c] & qs
     two = sum(1 << a for a in bit_indices(ps) if rows.inn[a] & outs)
@@ -91,31 +97,16 @@ def mask_partition(rows: Rows, c: int, ps: int, qs: int) -> MaskPartition:
     return MaskPartition(ins, outs, qs & ~(ins | outs), two, ps & ~two & ~(1 << c))
 
 
-def _side(graph: BipartiteDigraph, side: str) -> tuple[Rows, int, int]:
-    """The rows of one side, with the all-live masks of that side and the other."""
-    (out, inn), width = (graph.x_masks, graph.n) if side == "X" else (graph.y_masks, graph.m)
-    return Rows(out, inn), (1 << len(out)) - 1, (1 << width) - 1
-
-
-def partition_around(graph: BipartiteDigraph, center: VertexRef) -> MaskPartition:
-    """Partition around a vertex of either side, as masks over side indices."""
-    graph._check_vertex(center)
-    rows, ps, qs = _side(graph, center.side)
-    return mask_partition(rows, center.index, ps, qs)
-
-
 def vertex_counts(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
     """(first, sec) of every vertex, X side first: one ``census`` per side."""
-    return {
-        make(i): pair
-        for side, make in (("X", xv), ("Y", yv))
-        for i, pair in enumerate(census(*_side(graph, side)))
-    }
+    counts = census_all((graph.x_masks, graph.y_masks), (1 << graph.m) - 1, (1 << graph.n) - 1)
+    return {(yv if side else xv)(i): pair for (side, i), pair in counts.items()}
 
 
 def _counts(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:
     graph._check_vertex(v)
-    return census(*_side(graph, v.side))[v.index]
+    rows, width = (graph.x_masks, graph.n) if v.side == "X" else (graph.y_masks, graph.m)
+    return census(rows, (1 << len(rows.out)) - 1, (1 << width) - 1)[v.index]
 
 
 def first_count(graph: BipartiteDigraph, v: VertexRef) -> int:

@@ -29,6 +29,7 @@ from btfas import (
     xv,
     yv,
 )
+from btfas.c4free_fas import trim_acyclic_vertices
 from btfas.certify import check_fas, check_packing, require
 from btfas.cli import MAX_PAIRS, InstanceFormatError
 from btfas.errors import DuplicatePair, NotATournament, OutOfRange, PreconditionError, VertexNotInOrder
@@ -41,7 +42,7 @@ from btfas.graph_core import (
     four_cycle,
 )
 from btfas.oracles import all_4cycles
-from btfas.p4_census import MaskPartition
+from btfas.p4_census import MaskPartition, partition_around
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +320,7 @@ def partition_around_reference(graph: BipartiteDigraph, center: VertexRef) -> Re
 def mask_census(c: int, p, q, ps: int, qs: int) -> tuple[MaskPartition, int, int]:
     """Partition around vertex c of side P, with its first and sec counts, bit by bit.
 
-    The reference for ``p4_census.census`` and ``mask_partition``.  ``p``
+    The reference for ``p4_census.census`` and ``partition_around``.  ``p``
     and ``q`` are the (out, in) per-vertex masks of P and of the opposite
     side Q; passing each pair swapped counts in the reversed graph.  Only
     the vertices in the live masks ``ps`` and ``qs`` count.
@@ -337,6 +338,20 @@ def mask_census(c: int, p, q, ps: int, qs: int) -> tuple[MaskPartition, int, int
     first = sum((p_out[a] & non).bit_count() for a in bit_indices(two))
     sec = sum((two & ~(q_out[b] | q_in[b])).bit_count() for b in bit_indices(ins))
     return MaskPartition(ins, outs, non, two, rest), first, sec
+
+
+def partition_of(graph: BipartiteDigraph, center: VertexRef) -> MaskPartition:
+    """``p4_census.partition_around`` for a vertex of either side of a whole graph."""
+    rows, width = (graph.x_masks, graph.n) if center.side == "X" else (graph.y_masks, graph.m)
+    return partition_around(rows, center.index, (1 << len(rows.out)) - 1, (1 << width) - 1)
+
+
+def trim_of(graph: BipartiteDigraph) -> tuple[Subgraph, frozenset[VertexRef]]:
+    """``c4free_fas.trim_acyclic_vertices`` on a whole graph: what it keeps, induced, and what it drops."""
+    xs, ys = trim_acyclic_vertices((1 << graph.m) - 1, (1 << graph.n) - 1, graph.x_masks, graph.y_masks)
+    sub = graph.induced_subgraph(bit_indices(xs), bit_indices(ys))
+    removed = frozenset(v for v in graph.vertices() if not (xs if v.side == "X" else ys) >> v.index & 1)
+    return sub, removed
 
 
 def _counts_reference(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:

@@ -18,8 +18,8 @@ from btfas import (
     xv,
     yv,
 )
-from btfas import c4free_fas, certify
-from btfas.c4free_fas import find_4cycle, trim_acyclic_vertices
+from btfas import c4free_fas, certify, p4_census
+from btfas.c4free_fas import find_4cycle
 from btfas.errors import HasFourCycle, InternalInvariantError
 from btfas.graph_core import four_cycle
 
@@ -33,6 +33,7 @@ from helpers import (
     four_cycles_oracle,
     random_digraph,
     six_cycle,
+    trim_of,
 )
 
 
@@ -84,14 +85,14 @@ def test_find_4cycle_agrees_with_exhaustive_scan():
 
 
 def test_trim_removes_everything_acyclic():
-    sub, removed = trim_acyclic_vertices(all_x_to_y(3, 2))
+    sub, removed = trim_of(all_x_to_y(3, 2))
     assert (sub.graph.m, sub.graph.n) == (0, 0)
     assert len(removed) == 5
 
 
 def test_trim_keeps_the_six_cycle():
     g = six_cycle()
-    sub, removed = trim_acyclic_vertices(g)
+    sub, removed = trim_of(g)
     assert sub.graph == g
     assert removed == frozenset()
 
@@ -99,7 +100,7 @@ def test_trim_keeps_the_six_cycle():
 def test_trim_drops_only_the_isolated_vertex():
     arcs = [(a.tail, a.head) for a in six_cycle().arcs()]
     g = build(3, 4, arcs)
-    sub, removed = trim_acyclic_vertices(g)
+    sub, removed = trim_of(g)
     assert removed == {yv(3)}
     assert (sub.graph.m, sub.graph.n) == (3, 3)
     assert sub.graph == six_cycle()
@@ -261,6 +262,38 @@ def test_decomposition_depth_needs_no_stack_depth(monkeypatch):
     assert deepest_at[1] == deepest_at[3] <= 8
 
 
+def test_the_stages_run_under_the_names_the_spans_bind(monkeypatch):
+    """Trim, census and partition are looked up in ``c4free_fas`` at every node.
+
+    The benchmark's traced run times each stage by rebinding these names,
+    so a stage called under another name would read 0 there.  Every node
+    that survives trimming censuses once, twice when it reverses, and
+    splits once.
+    """
+    calls = {"trim_acyclic_vertices": 0, "census_all": 0, "partition_around": 0}
+
+    def counted(name):
+        real = getattr(c4free_fas, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(c4free_fas, name, counted(name))
+    for seed in (1, 7):
+        for name in calls:
+            calls[name] = 0
+        trace = fas_c4free(c4free_blowup(seed)).trace
+        reversed_nodes = sum(node.mode == "reversed" for node in trace)
+        assert reversed_nodes > 0
+        assert calls["partition_around"] == len(trace)
+        assert calls["census_all"] == len(trace) + reversed_nodes
+        assert calls["trim_acyclic_vertices"] >= len(trace) > 0
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_trace_properties_on_blowups(seed):
@@ -286,8 +319,8 @@ def test_trace_properties_on_blowups(seed):
     ],
 )
 def test_a_broken_partition_is_an_internal_invariant_violation(monkeypatch, broken, reason):
-    real = c4free_fas.mask_partition
-    monkeypatch.setattr(c4free_fas, "mask_partition", lambda *args: broken(real(*args)))
+    real = c4free_fas.partition_around
+    monkeypatch.setattr(c4free_fas, "partition_around", lambda *args: broken(real(*args)))
     with pytest.raises(InternalInvariantError, match=reason):
         fas_c4free(six_cycle())
 
@@ -295,8 +328,8 @@ def test_a_broken_partition_is_an_internal_invariant_violation(monkeypatch, brok
 def test_an_acyclic_residual_packs_no_rows(monkeypatch):
     """solve-fas-style requests trim their residual away before any census packs a row."""
     calls = []
-    real = c4free_fas.census
-    monkeypatch.setattr(c4free_fas, "census", lambda *args: calls.append(args) or real(*args))
+    real = p4_census.census
+    monkeypatch.setattr(p4_census, "census", lambda *args: calls.append(args) or real(*args))
     for seed in range(20):
         outcome = solve(random_bt(GenSpec(24, 24, seed=seed)), 24 * 24 // 4 + 1)
         assert not outcome.residual_part and outcome.backward_part

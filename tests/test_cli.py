@@ -365,6 +365,19 @@ def test_gen_rejects_a_negative_seed_before_writing(tmp_path, capsys, extra):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "extra, reason",
+    [(["--seed", "-1"], "seed must be non-negative, got -1"), (["--bias", "7"], "bias must lie in [0, 1], got 7")],
+)
+def test_gen_count_zero_still_checks_seed_and_bias(tmp_path, capsys, extra, reason):
+    prefix = str(tmp_path / "p-")
+    assert run(["gen", "--m", "2", "--n", "2", *extra, "--count", "0", "--out", prefix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_rejects_a_negative_count(tmp_path, capsys):
     prefix = str(tmp_path / "neg-")
     assert run(["gen", "--m", "2", "--n", "2", "--count", "-1", "--out", prefix]) == 1

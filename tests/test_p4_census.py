@@ -11,7 +11,6 @@ from btfas.p4_census import (
     Rows,
     census,
     first_count,
-    mask_partition,
     partition_around,
     sec_count,
     vertex_counts,
@@ -24,6 +23,7 @@ from helpers import (
     mask_census,
     p4_oracle,
     partition_around_reference,
+    partition_of,
     path_graph,
     random_digraph,
     six_cycle,
@@ -78,17 +78,17 @@ def test_six_cycle_counts_and_partition():
     assert first_count(g, xv(0)) == 1
     assert sec_count(g, xv(0)) == 1
     # x0 > y0 > x1 > y1 > x2 > y2 > x0: in y2, out y0, non y1; two-step x1, rest x2
-    assert partition_around(g, xv(0)) == MaskPartition(ins=0b100, outs=0b001, non=0b010, two=0b010, rest=0b100)
+    assert partition_of(g, xv(0)) == MaskPartition(ins=0b100, outs=0b001, non=0b010, two=0b010, rest=0b100)
 
 
 def test_partition_degenerate_shapes():
-    assert partition_around(all_x_to_y(3, 3), xv(0)) == MaskPartition(0, 0b111, 0, 0, 0b110)
+    assert partition_of(all_x_to_y(3, 3), xv(0)) == MaskPartition(0, 0b111, 0, 0, 0b110)
     lonely = build(2, 3, [(xv(1), yv(0))])
-    assert partition_around(lonely, xv(0)) == MaskPartition(0, 0, 0b111, 0, 0b10)
+    assert partition_of(lonely, xv(0)) == MaskPartition(0, 0, 0b111, 0, 0b10)
 
 
 def test_partition_around_y_side_center():
-    assert partition_around(six_cycle(), yv(0)) == MaskPartition(0b001, 0b010, 0b100, 0b010, 0b100)
+    assert partition_of(six_cycle(), yv(0)) == MaskPartition(0b001, 0b010, 0b100, 0b010, 0b100)
 
 
 def test_partition_sets_cover_both_sides():
@@ -97,7 +97,7 @@ def test_partition_sets_cover_both_sides():
     for _ in range(60):
         g = random_digraph(rng, rng.randint(1, 5), rng.randint(1, 5))
         for v in g.vertices():
-            part = partition_around(g, v)
+            part = partition_of(g, v)
             expected = partition_around_reference(g, v)
             assert part == MaskPartition(*(sum(1 << w.index for w in s) for s in expected))
             opp, own = (g.n, g.m) if v.side == "X" else (g.m, g.n)
@@ -156,7 +156,7 @@ def test_one_vertex_counts_agree_with_the_whole_graph_census():
 
 @pytest.mark.parametrize("width", [7, 8, 15, 16, 23, 24, 63, 64, 65])
 def test_census_matches_the_bit_loop_at_stride_boundaries(width):
-    """The packed kernel and ``mask_partition`` against the per-bit reference.
+    """The packed kernel and ``partition_around`` against the per-bit reference.
 
     Random digraphs with absent pairs, the whole graph and random live
     subsets, both directions and every center.  ``width`` is the size of
@@ -179,7 +179,7 @@ def test_census_matches_the_bit_loop_at_stride_boundaries(width):
                     expected = [mask_census(c, p_view, q_view, ps, qs) for c in bit_indices(ps)]
                     assert census(rows, ps, qs) == [(first, sec) for _, first, sec in expected]
                     for c, (part, first, sec) in zip(bit_indices(ps), expected):
-                        assert mask_partition(rows, c, ps, qs) == part
+                        assert partition_around(rows, c, ps, qs) == part
                         checked += 1
                         nonzero += first > 0 and sec > 0
     assert checked > 4 * width and nonzero > width

@@ -38,10 +38,10 @@ PUBLIC = {
 
 # Names that live only in their modules: proof machinery and oracle internals.
 MODULE_ONLY = {
-    "graph_core": ["ABSENT", "TO_X", "TO_Y", "Subgraph", "TopoResult", "four_cycle"],
+    "graph_core": ["ABSENT", "TO_X", "TO_Y", "Rows", "Subgraph", "TopoResult", "four_cycle"],
     "c4free_fas": ["find_4cycle", "trim_acyclic_vertices"],
     "fas_engine": ["backward_arcs"],
-    "p4_census": ["first_count", "sec_count", "partition_around"],
+    "p4_census": ["first_count", "sec_count", "partition_around", "census_all"],
     "oracles": [
         "CensusSums",
         "all_4cycles",

@@ -34,3 +34,37 @@ def test_the_library_raises_internal_invariant_errors_not_assertions():
         for line in assertion_lines(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def oracle_imports(source: str) -> list[int]:
+    """Lines of every import of the ``oracles`` module or of a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named = (node.module or "").split(".")[-1] == "oracles"
+            if named or any(alias.name == "oracles" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[-1] == "oracles" for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_oracle_import_detector_finds_each_form():
+    source = (
+        "from .oracles import min_fas_exact\n"
+        "from . import cli, oracles\n"
+        "from btfas.oracles import census_sums\n"
+        "import btfas.oracles\n"
+        "from btfas import oracles as brute\n"
+        "from .p4_census import census\n"
+        "import oracle_tools\n"
+    )
+    assert oracle_imports(source) == [1, 2, 3, 4, 5]
+
+
+def test_only_the_cli_and_the_package_namespace_import_the_oracles():
+    """Brute force stays off the solve path: no algorithm module reaches ``oracles``."""
+    found = {path.name: oracle_imports(path.read_text(encoding="utf-8")) for path in LIBRARY.glob("*.py")}
+    assert found["cli.py"] and found["__init__.py"]
+    assert [name for name, lines in found.items() if lines and name not in ("cli.py", "__init__.py")] == []
