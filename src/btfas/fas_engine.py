@@ -51,20 +51,29 @@ SolveOutcome = Union[PackingOutcome, FasOutcome]
 
 
 def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> frozenset[Arc]:
-    """Arcs of the cycles whose tail comes after their head in the order.
+    """Arcs of the cycles whose tail comes after their head in the order, 1 to 3 per cycle.
 
-    For a genuine cycle and a genuine order each cycle contributes 1 to 3
-    arcs: a cycle cannot be fully forward, and its closing arc guarantees
-    at least one backward arc.
+    Positions are kept per side by index, so each cycle must have ``FourCycle``'s (x, y, x', y') shape.
     """
-    position = {v: t for t, v in enumerate(order)}
-    backward = []
+    xpos, ypos = {}, {}  # a vertex listed twice keeps its last position
+    for t, v in enumerate(order):
+        (xpos if v.side == "X" else ypos)[v.index] = t
+    make, backward = Arc._make, []
     for cycle in cycles:
-        verts = cycle.vertices
-        pos = [position.get(v) for v in verts]
-        if None in pos:
-            raise VertexNotInOrder(f"cycle vertex {verts[pos.index(None)]} missing from the order")
-        backward += [Arc(verts[t - 1], verts[t]) for t in range(4) if pos[t - 1] > pos[t]]
+        x, y, x2, y2 = verts = cycle.vertices
+        try:
+            a, b, c, d = xpos[x.index], ypos[y.index], xpos[x2.index], ypos[y2.index]
+        except KeyError:
+            v = next(v for v, pos in zip(verts, (xpos, ypos) * 2) if v.index not in pos)
+            raise VertexNotInOrder(f"cycle vertex {v} missing from the order") from None
+        if a > b:
+            backward.append(make((x, y)))
+        if b > c:
+            backward.append(make((y, x2)))
+        if c > d:
+            backward.append(make((x2, y2)))
+        if d > a:
+            backward.append(make((y2, x)))
     return frozenset(backward)
 
 

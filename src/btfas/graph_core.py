@@ -379,7 +379,7 @@ def pair_state(m: int, n: int, tail: VertexRef, head: VertexRef) -> Optional[tup
 def pair_arc(n: int, p: int, state: int) -> Arc:
     """The arc that state ``state`` of pair ``p`` carries: :func:`pair_state` inverted."""
     i, j = divmod(p, n)
-    return Arc(xv(i), yv(j)) if state == TO_Y else Arc(yv(j), xv(i))
+    return Arc._make((xv(i), yv(j)) if state == TO_Y else (yv(j), xv(i)))
 
 
 def place_arc(orient: bytearray, m: int, n: int, tail: VertexRef, head: VertexRef) -> None:

@@ -147,6 +147,22 @@ def test_solve_fas_branch_rejects_a_missing_backward_part(monkeypatch):
         solve(four_cycle_bt(), 2)
 
 
+@pytest.mark.parametrize("spoil", ["reversed", "same side"])
+def test_solve_fas_branch_rejects_an_unchecked_backward_arc(monkeypatch, spoil):
+    # backward_arcs builds its arcs with Arc._make, which skips the side
+    # check, so only the final check stands between such an arc and the caller.
+    real = fas_engine.backward_arcs
+
+    def spoiled(order, cycles):
+        (tail, head), *rest = sorted(real(order, cycles))
+        x, _, x2, _ = cycles[0].vertices
+        return frozenset([Arc._make((head, tail) if spoil == "reversed" else (x, x2)), *rest])
+
+    monkeypatch.setattr(fas_engine, "backward_arcs", spoiled)
+    with pytest.raises(InternalInvariantError, match="is not in the instance"):
+        solve(four_cycle_bt(), 2)
+
+
 def test_solve_packing_branch_rejects_a_repeated_cycle(monkeypatch):
     def repeated(graph, limit=None):
         cycle = four_cycle(0, 0, 1, 1)

@@ -38,6 +38,8 @@ def test_backward_arcs_hand_checked():
     assert backward_arcs(order, [cycle]) == {Arc(yv(0), xv(1)), Arc(yv(1), xv(0))}
     interleaved = (xv(0), yv(0), xv(1), yv(1))
     assert backward_arcs(interleaved, [cycle]) == {Arc(yv(1), xv(0))}
+    repeated = interleaved + (xv(0),)  # a vertex listed twice keeps its last position
+    assert backward_arcs(repeated, [cycle]) == {Arc(xv(0), yv(0))}
 
 
 def test_backward_arcs_requires_all_vertices():
@@ -178,6 +180,32 @@ def test_backward_arcs_matches_the_reference_on_random_orders():
         order = list(g.vertices())
         rng.shuffle(order)
         assert backward_arcs(order, cycles) == backward_arcs_reference(order, cycles)
+
+
+def test_backward_arcs_matches_the_reference_on_degenerate_orders():
+    rng = random.Random(47)
+    missing = 0
+    for _ in range(300):
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        g = random_bt(GenSpec(m, n, seed=rng.randrange(10**6)))
+        cycles = greedy_pack(g).cycles
+        order = list(g.vertices())
+        order += rng.choices(order, k=rng.randint(1, 4))  # repeated vertices
+        order += [xv(m + rng.randrange(3)), yv(n + rng.randrange(3))]  # vertices outside the graph
+        order.append(rng.choice((xv, yv))(10**6))  # an index beyond every side
+        rng.shuffle(order)
+        assert backward_arcs(order, cycles) == backward_arcs_reference(order, cycles)
+        dropped = set(rng.sample(list(g.vertices()), rng.randint(1, 3)))
+        order = [v for v in order if v not in dropped]
+        try:
+            expected = backward_arcs_reference(order, cycles)
+        except VertexNotInOrder as exc:
+            missing += 1
+            with pytest.raises(VertexNotInOrder, match=f"^{exc}$"):
+                backward_arcs(order, cycles)
+        else:
+            assert backward_arcs(order, cycles) == expected
+    assert missing >= 100, missing
 
 
 def test_solve_matches_the_object_reference_on_exhaustive_small_tournaments():
