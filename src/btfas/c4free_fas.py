@@ -18,6 +18,7 @@ it before it was handed out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional
 
 from .certify import check_fas_keys, require
@@ -156,15 +157,18 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
             continue
         counts = census_all(views[rev], xs, ys)
         mode = "direct"
-        if sum(c[0] for c in counts.values()) > sum(c[1] for c in counts.values()):
+        firsts, secs = zip(*counts.values())
+        if sum(firsts) > sum(secs):
             mode, rev = "reversed", rev ^ 1
             counts = census_all(views[rev], xs, ys)
+            firsts, secs = zip(*counts.values())
         # Maximize the slack sec - first; remaining ties go to the smallest
-        # label, X before Y as this sub-instance names its sides.
-        side, c = min(
-            (key for key, (first, sec) in counts.items() if first <= sec),
-            key=lambda key: (counts[key][0] - counts[key][1], key[0] ^ x_side, key[1]),
-        )
+        # label, X before Y as this sub-instance names its sides.  The keys
+        # list X first, so side ^ x_side is x_side for the first xs keys.
+        named_y = [x_side] * xs.bit_count() + [x_side ^ 1] * ys.bit_count()
+        slack, _, (side, c) = min(zip(map(sub, firsts, secs), named_y, counts))
+        if slack > 0:
+            raise InternalInvariantError(f"no center has first <= sec, best slack {slack}")
         rows = views[rev][side]
         part = partition_around(rows, c, *((xs, ys) if side == 0 else (ys, xs)))
         if not (part.ins and part.outs):

@@ -22,6 +22,10 @@ from typing import NamedTuple, Sequence
 from .graph_core import BipartiteDigraph, Rows, VertexRef, bit_indices, xv, yv
 
 
+# Widest row, in bytes, whose masks ``census`` repeats by multiplication.
+MULTIPLY_MAX_STRIDE = 8
+
+
 class MaskPartition(NamedTuple):
     """The partition around a center as bitmasks over side indices.
 
@@ -47,14 +51,26 @@ def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int]]:
     row as in ``two``, and ``sel`` spreads that bit over the row.  first
     counts the arcs from ``two`` to ``non``, sec the non-adjacent pairs
     between ``two`` and ``ins``.  A center without out-neighbours has no
-    ``two``, so both its counts are 0.
+    ``two``, so both its counts are 0.  ``rep`` repeats a mask in every
+    live row: rows of at most ``MULTIPLY_MAX_STRIDE`` bytes multiply it by
+    a constant with a 1 at the base of each row, which is cheaper there;
+    wider rows repeat its bytes, since the product's cost grows with the
+    mask's length and repetition's does not.
     """
     live = list(bit_indices(ps))
     stride, k, out, inn = qs.bit_length() // 8 + 1, len(live), rows.out, rows.inn
     width = 8 * stride - 1
 
-    def rep(mask: int) -> int:  # mask in every live row, by bytes repetition
-        return int.from_bytes(mask.to_bytes(stride, "little") * k, "little")
+    if stride <= MULTIPLY_MAX_STRIDE:
+        ones = int.from_bytes(b"\1".ljust(stride, b"\0") * k, "little")
+
+        def rep(mask: int) -> int:  # mask in every live row, by one multiplication
+            return mask * ones
+
+    else:
+
+        def rep(mask: int) -> int:  # mask in every live row, by bytes repetition
+            return int.from_bytes(mask.to_bytes(stride, "little") * k, "little")
 
     def pack(masks: Sequence[int]) -> int:
         return int.from_bytes(b"".join([(masks[a] & qs).to_bytes(stride, "little") for a in live]), "little")

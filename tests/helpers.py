@@ -465,40 +465,46 @@ def _lift_reference(node: TraceNode, sub: Subgraph) -> TraceNode:
 # cyclic 4-cycle-free instances whose decomposition recurses
 
 
-def c4free_blowup(seed: int) -> BipartiteDigraph:
-    """A cyclic 4-cycle-free instance with 8 to 16 vertices per side.
+def c4free_blowup(seed: int, sides: tuple[int, int] = (8, 16)) -> BipartiteDigraph:
+    """A cyclic 4-cycle-free instance with ``sides`` (low, high) vertices per side.
 
     Each of two components blows up a directed cycle of length 2l
-    (l in [5, 8]): blocks X_b -> Y_b -> X_{b+1} of 1 or 2 vertices each,
-    so every cycle inside a component has length at least 6.  Random extra
-    arcs inside a component are kept only when they close no 4-cycle;
-    they drive the decomposition below depth 1, into reversed mode and
-    Y-side centers.  Arcs between the components run from the first to
-    the second only (density 0.5), so no cycle leaves a component.  Labels
-    are shuffled at the end.
+    (l in [5, 8]): blocks X_b -> Y_b -> X_{b+1} of 1 to ceil(high / 8)
+    vertices each, so every cycle inside a component has length at least
+    6.  Random extra arcs inside a component are kept only when they close
+    no 4-cycle; they drive the decomposition below depth 1, into reversed
+    mode and Y-side centers.  Arcs between the components run from the
+    first to the second only (density 0.5), so no cycle leaves a component.
+    Labels are shuffled at the end.
     """
     rng = random.Random(seed)
+    low, high = sides
+    block = -(-high // 8)
     while True:
         layout = [
-            [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(rng.randint(5, 8))]
+            [(rng.randint(1, block), rng.randint(1, block)) for _ in range(rng.randint(5, 8))]
             for _ in range(2)
         ]
         m = sum(bx for comp in layout for bx, _ in comp)
         n = sum(by for comp in layout for _, by in comp)
-        if 8 <= m <= 16 and 8 <= n <= 16:
+        if low <= m <= high and low <= n <= high:
             break
     orient = bytearray(m * n)
+    # rows[state][i] and cols[state][j]: the other ends of the pairs in that state
+    rows = {TO_X: [0] * m, TO_Y: [0] * m}
+    cols = {TO_X: [0] * n, TO_Y: [0] * n}
+
+    def put(i: int, j: int, state: int) -> None:
+        orient[i * n + j] = state
+        rows[state][i] |= 1 << j
+        cols[state][j] |= 1 << i
 
     def closes_c4(i: int, j: int, state: int) -> bool:
         # The arc on (x_i, y_j) closes a 4-cycle iff some x_k, y_l carry the
         # other three arcs: the opposite orientation on (x_k, y_j) and
         # (x_i, y_l), and the same one on (x_k, y_l).
         back = TO_X if state == TO_Y else TO_Y
-        return any(
-            orient[k * n + j] == back and orient[i * n + l] == back and orient[k * n + l] == state
-            for k in range(m)
-            for l in range(n)
-        )
+        return any(rows[state][k] & rows[back][i] for k in bit_indices(cols[back][j]))
 
     components = []
     next_x = next_y = 0
@@ -511,10 +517,10 @@ def c4free_blowup(seed: int) -> BipartiteDigraph:
         for b, (xs, ys) in enumerate(blocks):
             for i in xs:
                 for j in ys:
-                    orient[i * n + j] = TO_Y
+                    put(i, j, TO_Y)
             for j in ys:
                 for i in blocks[(b + 1) % len(blocks)][0]:
-                    orient[i * n + j] = TO_X
+                    put(i, j, TO_X)
         components.append(([i for xs, _ in blocks for i in xs], [j for _, ys in blocks for j in ys]))
 
     for xs, ys in components:
@@ -526,7 +532,7 @@ def c4free_blowup(seed: int) -> BipartiteDigraph:
             states = (TO_Y, TO_X) if rng.random() < 0.5 else (TO_X, TO_Y)
             for state in states:
                 if not closes_c4(i, j, state):
-                    orient[i * n + j] = state
+                    put(i, j, state)
                     break
 
     (xs_a, ys_a), (xs_b, ys_b) = components

@@ -194,6 +194,24 @@ def test_certificates_equal_the_reference_on_blowups():
     assert reached == {"direct", "reversed", "X", "Y", 0, 1, 2}
 
 
+def test_certificates_equal_the_reference_across_the_multiply_cut_off(monkeypatch):
+    """66 to 90 vertices per side: the root census repeats masks by bytes, a deeper one by multiplication."""
+    strides = []
+    real = p4_census.census
+
+    def census(rows, ps, qs):
+        strides.append(qs.bit_length() // 8 + 1)
+        return real(rows, ps, qs)
+
+    monkeypatch.setattr(p4_census, "census", census)
+    for seed in (3, 5, 10):
+        g = c4free_blowup(seed, (66, 90))
+        strides.clear()
+        cert = fas_c4free(g)
+        assert strides[0] > p4_census.MULTIPLY_MAX_STRIDE >= min(strides), seed
+        assert cert == fas_c4free_reference(g), seed
+
+
 def test_certificates_equal_the_reference_on_all_3x3_digraphs():
     compared = 0
     for g in all_oriented(3, 3):
@@ -322,6 +340,14 @@ def test_a_broken_partition_is_an_internal_invariant_violation(monkeypatch, brok
     real = c4free_fas.partition_around
     monkeypatch.setattr(c4free_fas, "partition_around", lambda *args: broken(real(*args)))
     with pytest.raises(InternalInvariantError, match=reason):
+        fas_c4free(six_cycle())
+
+
+def test_a_census_without_a_center_is_an_internal_invariant_violation(monkeypatch):
+    """Every slack positive, in both directions: no vertex has first <= sec."""
+    real = c4free_fas.census_all
+    monkeypatch.setattr(c4free_fas, "census_all", lambda *args: dict.fromkeys(real(*args), (1, 0)))
+    with pytest.raises(InternalInvariantError, match="no center has first <= sec"):
         fas_c4free(six_cycle())
 
 

@@ -10,6 +10,7 @@ from btfas.p4_census import (
     MaskPartition,
     Rows,
     census,
+    census_all,
     first_count,
     partition_around,
     sec_count,
@@ -158,7 +159,9 @@ def test_one_vertex_counts_agree_with_the_whole_graph_census():
 def test_census_matches_the_bit_loop_at_stride_boundaries(width):
     """The packed kernel and ``partition_around`` against the per-bit reference.
 
-    Random digraphs with absent pairs, the whole graph and random live
+    Rows of at most ``MULTIPLY_MAX_STRIDE`` = 8 bytes (widths up to 63)
+    repeat masks by multiplication, wider rows by bytes repetition.  Random
+    digraphs with absent pairs, the whole graph and random live
     subsets, both directions and every center.  ``width`` is the size of
     the Y side, so the width of the X rows when every Y vertex is live.  At
     7, 15, 23 and 63 a row fills its bytes up to the guard bit; at 8, 16, 24
@@ -183,3 +186,29 @@ def test_census_matches_the_bit_loop_at_stride_boundaries(width):
                         checked += 1
                         nonzero += first > 0 and sec > 0
     assert checked > 4 * width and nonzero > width
+
+
+def census_sums_of(views, xs: int, ys: int) -> tuple[int, int]:
+    counts = census_all(views, xs, ys).values()
+    return sum(first for first, _ in counts), sum(sec for _, sec in counts)
+
+
+def test_reading_the_rows_reversed_swaps_the_census_sums():
+    """Reversed rows swap sum(first) and sum(sec), on the whole graph and on live subsets.
+
+    ``c4free_fas`` relies on it: after reversing when sum(first) > sum(sec),
+    some live vertex has first <= sec.
+    """
+    rng = random.Random(19)
+    lopsided = 0
+    for _ in range(100):
+        g = random_digraph(rng, rng.randint(1, 12), rng.randint(1, 12))
+        sides = (g.x_masks, g.y_masks)
+        flipped = [Rows(r.inn, r.out) for r in sides]
+        lives = [((1 << g.m) - 1, (1 << g.n) - 1)]
+        lives += [(rng.getrandbits(g.m), rng.getrandbits(g.n)) for _ in range(3)]
+        for xs, ys in lives:
+            first, sec = census_sums_of(sides, xs, ys)
+            assert census_sums_of(flipped, xs, ys) == (sec, first)
+            lopsided += first != sec
+    assert lopsided > 50
