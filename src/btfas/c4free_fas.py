@@ -38,7 +38,7 @@ from .graph_core import (
     xv,
     yv,
 )
-from .p4_census import census_all, partition_around
+from .p4_census import census, partition_around
 
 
 @dataclass(frozen=True)
@@ -155,18 +155,20 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
         xs, ys = trim_acyclic_vertices(xs, ys, *sides)
         if xs.bit_count() < 2 or ys.bit_count() < 2:
             continue
-        counts = census_all(views[rev], xs, ys)
         mode = "direct"
-        firsts, secs = zip(*counts.values())
+        x_rows, y_rows = views[rev]
+        centers, firsts, secs = zip(*census(x_rows, xs, ys), *census(y_rows, ys, xs))
         if sum(firsts) > sum(secs):
             mode, rev = "reversed", rev ^ 1
-            counts = census_all(views[rev], xs, ys)
-            firsts, secs = zip(*counts.values())
+            x_rows, y_rows = views[rev]
+            centers, firsts, secs = zip(*census(x_rows, xs, ys), *census(y_rows, ys, xs))
         # Maximize the slack sec - first; remaining ties go to the smallest
-        # label, X before Y as this sub-instance names its sides.  The keys
-        # list X first, so side ^ x_side is x_side for the first xs keys.
+        # label, X before Y as this sub-instance names its sides.  The rows
+        # list the root's X side first; named_y is 1 where this sub-instance
+        # calls the vertex Y, so named ^ x_side is its root side.
         named_y = [x_side] * xs.bit_count() + [x_side ^ 1] * ys.bit_count()
-        slack, _, (side, c) = min(zip(map(sub, firsts, secs), named_y, counts))
+        slack, named, c = min(zip(map(sub, firsts, secs), named_y, centers))
+        side = named ^ x_side
         if slack > 0:
             raise InternalInvariantError(f"no center has first <= sec, best slack {slack}")
         rows = views[rev][side]

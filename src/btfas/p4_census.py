@@ -7,19 +7,18 @@ paths sharing (first, second, fourth) another.  ``first_count`` and
 ``sec_count`` report, per vertex, how many classes of the first kind start
 at it and how many of the second kind have it second, by a closed form
 over the neighborhood partition around the vertex; ``vertex_counts``
-gives both for every vertex.  ``census`` counts a side's vertices from
-its live rows packed into integers, ``census_all`` runs it on both sides,
-and ``partition_around`` gives the partition around one vertex as masks
-over side indices.  The decomposition in ``c4free_fas`` calls the last
-two.  The path enumeration that checks the closed forms lives in
-``oracles``.
+gives both for every vertex.  ``census`` counts a side's live vertices
+from its live rows packed into integers, one (index, first, sec) row per
+vertex, and ``partition_around`` gives the partition around one vertex as
+masks over side indices.  The decomposition in ``c4free_fas`` calls both.
+The path enumeration that checks the closed forms lives in ``oracles``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .graph_core import BipartiteDigraph, Rows, VertexRef, bit_indices, xv, yv
+from .graph_core import BipartiteDigraph, Rows, VertexRef, bit_indices
 
 
 # Widest row, in bytes, whose masks ``census`` repeats by multiplication.
@@ -40,8 +39,8 @@ class MaskPartition(NamedTuple):
     rest: int
 
 
-def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int]]:
-    """(first, sec) of each vertex in the live mask ``ps`` of this side.
+def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int, int]]:
+    """(index, first, sec) of each vertex in the live mask ``ps`` of this side.
 
     Lowest index first; only the vertices in ``ps`` and ``qs`` count.  The
     live rows, cut to ``qs``, are packed into one integer per mask, each row
@@ -62,46 +61,29 @@ def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int]]:
     width = 8 * stride - 1
 
     if stride <= MULTIPLY_MAX_STRIDE:
-        ones = int.from_bytes(b"\1".ljust(stride, b"\0") * k, "little")
-
-        def rep(mask: int) -> int:  # mask in every live row, by one multiplication
-            return mask * ones
-
+        rep = int.from_bytes(b"\1".ljust(stride, b"\0") * k, "little").__mul__
     else:
 
         def rep(mask: int) -> int:  # mask in every live row, by bytes repetition
             return int.from_bytes(mask.to_bytes(stride, "little") * k, "little")
 
-    def pack(masks: Sequence[int]) -> int:
-        return int.from_bytes(b"".join([(masks[a] & qs).to_bytes(stride, "little") for a in live]), "little")
-
-    p_out, p_in = pack(out), pack(inn)
+    p_out, p_in = (  # the live rows of out and of in, packed
+        int.from_bytes(b"".join([(masks[a] & qs).to_bytes(stride, "little") for a in live]), "little")
+        for masks in rows
+    )
     full, guard, live_q = rep((1 << width) - 1), rep(1 << width), rep(qs)
     apart = full & ~(p_out | p_in)
     counts = []
     for c in live:
         outs = out[c] & qs
         if not outs:
-            counts.append((0, 0))
+            counts.append((c, 0, 0))
             continue
         rep_outs, rep_ins = rep(outs), rep(inn[c] & qs)
         carry = ((p_in & rep_outs) + full) & guard
         sel = carry - (carry >> width)
         non = live_q ^ rep_outs ^ rep_ins  # ins and outs are disjoint parts of qs
-        counts.append(((p_out & sel & non).bit_count(), (apart & sel & rep_ins).bit_count()))
-    return counts
-
-
-def census_all(views: Sequence[Rows], xs: int, ys: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """(first, sec) of every live vertex, X side first, keyed by (side, index) with 0 for X.
-
-    ``views[0]`` and ``views[1]`` are the X and the Y rows, with in and out
-    swapped when the graph is read reversed.
-    """
-    counts = {}
-    for side, live, other in ((0, xs, ys), (1, ys, xs)):
-        keys = ((side, v) for v in bit_indices(live))
-        counts.update(zip(keys, census(views[side], live, other)))
+        counts.append((c, (p_out & sel & non).bit_count(), (apart & sel & rep_ins).bit_count()))
     return counts
 
 
@@ -115,14 +97,15 @@ def partition_around(rows: Rows, c: int, ps: int, qs: int) -> MaskPartition:
 
 def vertex_counts(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
     """(first, sec) of every vertex, X side first: one ``census`` per side."""
-    counts = census_all((graph.x_masks, graph.y_masks), (1 << graph.m) - 1, (1 << graph.n) - 1)
-    return {(yv if side else xv)(i): pair for (side, i), pair in counts.items()}
+    xs, ys = (1 << graph.m) - 1, (1 << graph.n) - 1
+    rows = census(graph.x_masks, xs, ys) + census(graph.y_masks, ys, xs)
+    return {v: row[1:] for v, row in zip(graph.vertices(), rows)}
 
 
 def _counts(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:
     graph._check_vertex(v)
     rows, width = (graph.x_masks, graph.n) if v.side == "X" else (graph.y_masks, graph.m)
-    return census(rows, (1 << len(rows.out)) - 1, (1 << width) - 1)[v.index]
+    return census(rows, (1 << len(rows.out)) - 1, (1 << width) - 1)[v.index][1:]
 
 
 def first_count(graph: BipartiteDigraph, v: VertexRef) -> int:

@@ -617,10 +617,9 @@ def parse_instance_reference(text: str) -> BipartiteDigraph:
                 raise InstanceFormatError(f"line {lineno}: second problem line")
             if len(fields) != 4 or fields[1] != "bt":
                 raise InstanceFormatError(f"line {lineno}: expected 'p bt <m> <n>'")
-            try:
-                sizes = (int(fields[2]), int(fields[3]))
-            except ValueError:
-                raise InstanceFormatError(f"line {lineno}: non-integer side size") from None
+            if not all(re.fullmatch(r"-?[0-9]{1,4300}", size) for size in fields[2:]):
+                raise InstanceFormatError(f"line {lineno}: non-integer side size")
+            sizes = (int(fields[2]), int(fields[3]))
             if min(sizes) >= 0 and sizes[0] * sizes[1] > MAX_PAIRS:
                 raise InstanceFormatError(
                     f"line {lineno}: {sizes[0]}x{sizes[1]} has more than {MAX_PAIRS} cross pairs"

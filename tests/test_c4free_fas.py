@@ -197,13 +197,13 @@ def test_certificates_equal_the_reference_on_blowups():
 def test_certificates_equal_the_reference_across_the_multiply_cut_off(monkeypatch):
     """66 to 90 vertices per side: the root census repeats masks by bytes, a deeper one by multiplication."""
     strides = []
-    real = p4_census.census
+    real = c4free_fas.census
 
     def census(rows, ps, qs):
         strides.append(qs.bit_length() // 8 + 1)
         return real(rows, ps, qs)
 
-    monkeypatch.setattr(p4_census, "census", census)
+    monkeypatch.setattr(c4free_fas, "census", census)
     for seed in (3, 5, 10):
         g = c4free_blowup(seed, (66, 90))
         strides.clear()
@@ -283,12 +283,13 @@ def test_decomposition_depth_needs_no_stack_depth(monkeypatch):
 def test_the_stages_run_under_the_names_the_spans_bind(monkeypatch):
     """Trim, census and partition are looked up in ``c4free_fas`` at every node.
 
-    The benchmark's traced run times each stage by rebinding these names,
-    so a stage called under another name would read 0 there.  Every node
-    that survives trimming censuses once, twice when it reverses, and
-    splits once.
+    The benchmark's traced run times trim and partition by rebinding these
+    names, so a stage called under another name would read 0 there.  The
+    census has no span yet (ROADMAP item 2); it is counted here all the
+    same.  Every node that survives trimming censuses each side once, each
+    again when it reverses, and splits once.
     """
-    calls = {"trim_acyclic_vertices": 0, "census_all": 0, "partition_around": 0}
+    calls = {"trim_acyclic_vertices": 0, "census": 0, "partition_around": 0}
 
     def counted(name):
         real = getattr(c4free_fas, name)
@@ -308,7 +309,7 @@ def test_the_stages_run_under_the_names_the_spans_bind(monkeypatch):
         reversed_nodes = sum(node.mode == "reversed" for node in trace)
         assert reversed_nodes > 0
         assert calls["partition_around"] == len(trace)
-        assert calls["census_all"] == len(trace) + reversed_nodes
+        assert calls["census"] == 2 * (len(trace) + reversed_nodes)
         assert calls["trim_acyclic_vertices"] >= len(trace) > 0
 
 
@@ -345,8 +346,8 @@ def test_a_broken_partition_is_an_internal_invariant_violation(monkeypatch, brok
 
 def test_a_census_without_a_center_is_an_internal_invariant_violation(monkeypatch):
     """Every slack positive, in both directions: no vertex has first <= sec."""
-    real = c4free_fas.census_all
-    monkeypatch.setattr(c4free_fas, "census_all", lambda *args: dict.fromkeys(real(*args), (1, 0)))
+    real = c4free_fas.census
+    monkeypatch.setattr(c4free_fas, "census", lambda *args: [(c, 1, 0) for c, _, _ in real(*args)])
     with pytest.raises(InternalInvariantError, match="no center has first <= sec"):
         fas_c4free(six_cycle())
 
@@ -354,8 +355,8 @@ def test_a_census_without_a_center_is_an_internal_invariant_violation(monkeypatc
 def test_an_acyclic_residual_packs_no_rows(monkeypatch):
     """solve-fas-style requests trim their residual away before any census packs a row."""
     calls = []
-    real = p4_census.census
-    monkeypatch.setattr(p4_census, "census", lambda *args: calls.append(args) or real(*args))
+    real = c4free_fas.census
+    monkeypatch.setattr(c4free_fas, "census", lambda *args: calls.append(args) or real(*args))
     for seed in range(20):
         outcome = solve(random_bt(GenSpec(24, 24, seed=seed)), 24 * 24 // 4 + 1)
         assert not outcome.residual_part and outcome.backward_part

@@ -514,6 +514,20 @@ def test_oversized_header_exits_1_before_allocating(tmp_path, capsys, monkeypatc
         assert reason in capsys.readouterr().err
 
 
+def test_header_sizes_take_only_ascii_decimal_digits(tmp_path, capsys):
+    """Side sizes are spelled like vertex indices: ASCII digits, zero padding allowed."""
+    instance = tmp_path / "header.bt"
+    for header in ("p bt +2 2", "p bt 1_0 1", "p bt \u0662 \u0662", "p bt \uff12 2"):
+        instance.write_text(f"{header}\n", encoding="utf-8")
+        assert run(["census", str(instance)]) == 1, header
+        assert "line 1: non-integer side size" in capsys.readouterr().err, header
+    instance.write_text("p bt -1 2\n", encoding="utf-8")
+    assert run(["census", str(instance)]) == 1
+    assert "non-negative" in capsys.readouterr().err
+    graph = parse_instance("p bt 03 004\n")
+    assert (graph.m, graph.n) == (3, 4)
+
+
 def test_precondition_violations_exit_2(tmp_path, capsys):
     incomplete = write(tmp_path, "inc.bt", build(2, 2, [(xv(0), yv(0))]))
     assert run(["solve", incomplete, "--k", "1"]) == 2

@@ -41,7 +41,7 @@ MODULE_ONLY = {
     "graph_core": ["ABSENT", "TO_X", "TO_Y", "Rows", "Subgraph", "TopoResult", "four_cycle"],
     "c4free_fas": ["find_4cycle", "trim_acyclic_vertices"],
     "fas_engine": ["backward_arcs"],
-    "p4_census": ["first_count", "sec_count", "partition_around", "census_all"],
+    "p4_census": ["first_count", "sec_count", "partition_around"],
     "oracles": [
         "CensusSums",
         "all_4cycles",
