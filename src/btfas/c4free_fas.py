@@ -32,8 +32,6 @@ from .graph_core import (
     Rows,
     VertexRef,
     bit_indices,
-    four_cycle,
-    low_bit,
     pair_arc,
     xv,
     yv,
@@ -69,8 +67,9 @@ def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> O
     x_i -> y_j -> x_k and some y_l has x_k -> y_l -> x_i; the lowest such
     j and l give the first cycle through the pair.  With ``after``, a cycle
     returned by this function, the scan starts at that cycle's (x, x')
-    pair instead of (x_0, x_0).  The scan reads only ``graph.m`` and
-    ``graph.x_masks``, so ``greedy_pack`` passes a view of masks it clears.
+    pair instead of (x_0, x_0).  The scan reads only ``graph.m``,
+    ``graph.x_masks`` and, for the cycle it returns, ``graph.labels``, so
+    ``greedy_pack`` passes a view of masks it clears.
     """
     out, inn = graph.x_masks
     start_i = start_k = 0
@@ -86,7 +85,9 @@ def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> O
             if forward:
                 back = out[xk] & in_i
                 if back:
-                    return four_cycle(xi, low_bit(forward), xk, low_bit(back))
+                    xs, ys = graph.labels
+                    yj, yl = (forward & -forward).bit_length() - 1, (back & -back).bit_length() - 1
+                    return FourCycle._make(((xs[xi], ys[yj], xs[xk], ys[yl]),))
     return None
 
 

@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 from .c4free_fas import find_4cycle
 from .certify import check_packing
 from .errors import OutOfRange
-from .graph_core import BipartiteDigraph, FourCycle, pair_state
+from .graph_core import BipartiteDigraph, FourCycle, VertexRef, pair_state
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,11 @@ class Packing:
 
 
 class _MaskView(NamedTuple):
-    """Side size and mutable (out, in) X-row masks: all that find_4cycle reads."""
+    """Side size, mutable (out, in) X-row masks and the graph's labels: all that find_4cycle reads."""
 
     m: int
     x_masks: tuple[list[int], list[int]]
+    labels: tuple[tuple[VertexRef, ...], tuple[VertexRef, ...]]
 
 
 def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing:
@@ -46,7 +47,7 @@ def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing
     if limit is not None and limit < 0:
         raise OutOfRange(f"limit must be non-negative, got {limit}")
     out, inn = map(list, graph.x_masks)
-    view = _MaskView(graph.m, (out, inn))
+    view = _MaskView(graph.m, (out, inn), graph.labels)
     n = graph.n
     cycles: list[FourCycle] = []
     pairs: list[int] = []

@@ -30,9 +30,14 @@ _TO_Y_DIGITS = bytes(ord("1") if b == TO_Y else ord("0") for b in range(256))
 _TO_X_DIGITS = bytes(ord("1") if b == TO_X else ord("0") for b in range(256))
 
 
-def _mask(states: bytes, digits: bytes) -> int:
-    """Bitmask with bit t set iff states[t] is the state ``digits`` marks."""
-    return int(states[::-1].translate(digits), 2) if states else 0
+def _reversed_digits(orient: bytes) -> tuple[bytes, bytes]:
+    """``orient`` reversed and translated to digits marking TO_Y, and marking TO_X.
+
+    Reversed, a row or column read off either copy lists its highest index
+    first, so it parses as a base-2 mask.
+    """
+    flipped = orient[::-1]
+    return flipped.translate(_TO_Y_DIGITS), flipped.translate(_TO_X_DIGITS)
 
 
 def low_bit(mask: int) -> int:
@@ -96,9 +101,11 @@ class Arc(_ArcFields):
         return f"{self.tail}>{self.head}"
 
 
-@dataclass(frozen=True, order=True)
-class FourCycle:
-    """A directed 4-cycle (x, y, x', y') with arcs x->y, y->x', x'->y', y'->x."""
+class FourCycle(NamedTuple):
+    """A directed 4-cycle (x, y, x', y') with arcs x->y, y->x', x'->y', y'->x.
+
+    A 1-tuple: it equals, hashes and sorts as its plain ``(vertices,)``.
+    """
 
     vertices: tuple[VertexRef, VertexRef, VertexRef, VertexRef]
 
@@ -133,8 +140,9 @@ class BipartiteDigraph:
     TO_Y, TO_X per pair.  Use :func:`build` for validated construction.
 
     ``x_masks`` and ``y_masks`` are per-vertex adjacency bitmasks derived
-    from ``orient`` on first use and cached on the instance.  They are not
-    fields, so they take no part in equality, hashing or ``repr``.
+    from ``orient`` on first use and cached on the instance, as is the
+    ``labels`` table.  They are not fields, so they take no part in
+    equality, hashing or ``repr``.
     """
 
     m: int
@@ -186,21 +194,27 @@ class BipartiteDigraph:
     @cached_property
     def x_masks(self) -> Rows:
         """(out, in) per X row: bit j of out[i] is x_i -> y_j, of in[i] is y_j -> x_i."""
-        n = self.n
-        rows = [self.orient[i * n : (i + 1) * n] for i in range(self.m)]
-        return Rows(
-            tuple(_mask(row, _TO_Y_DIGITS) for row in rows),
-            tuple(_mask(row, _TO_X_DIGITS) for row in rows),
-        )
+        m, n = self.m, self.n
+        if not n:
+            return Rows((0,) * m, (0,) * m)
+        to_y, to_x = _reversed_digits(self.orient)
+        starts = range((m - 1) * n, -1, -n)  # row i starts at (m - 1 - i) * n when reversed
+        return Rows(tuple(int(to_y[s : s + n], 2) for s in starts), tuple(int(to_x[s : s + n], 2) for s in starts))
 
     @cached_property
     def y_masks(self) -> Rows:
         """(out, in) per Y column: bit i of out[j] is y_j -> x_i, of in[j] is x_i -> y_j."""
-        cols = [self.orient[j :: self.n] for j in range(self.n)]
-        return Rows(
-            tuple(_mask(col, _TO_X_DIGITS) for col in cols),
-            tuple(_mask(col, _TO_Y_DIGITS) for col in cols),
-        )
+        m, n = self.m, self.n
+        if not m:
+            return Rows((0,) * n, (0,) * n)
+        to_y, to_x = _reversed_digits(self.orient)
+        starts = range(n - 1, -1, -1)  # column j is every n-th byte from n - 1 - j when reversed
+        return Rows(tuple(int(to_x[s::n], 2) for s in starts), tuple(int(to_y[s::n], 2) for s in starts))
+
+    @cached_property
+    def labels(self) -> tuple[tuple[VertexRef, ...], tuple[VertexRef, ...]]:
+        """The X and the Y vertices by index, as the shared ``xv``/``yv`` handles."""
+        return tuple(map(xv, range(self.m))), tuple(map(yv, range(self.n)))
 
     def _check_vertex(self, v: VertexRef) -> None:
         bound = self.m if v.side == "X" else self.n
@@ -296,8 +310,9 @@ class BipartiteDigraph:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
+        labels = self.labels[0] + self.labels[1]  # by integer id
         if len(order) == len(indeg):
-            return TopoResult(tuple(map(self._vertex, order)))
+            return TopoResult(tuple(map(labels.__getitem__, order)))
 
         left = [v for v, d in enumerate(indeg) if d]  # the unplaced vertices
         left_x = sum(1 << v for v in left if v < m)
@@ -310,12 +325,8 @@ class BipartiteDigraph:
                 u = low_bit(y_in[v - m] & left_x)
                 p, state = u * n + v - m, TO_Y
             if u < 0 or orient[p] != state:
-                raise InternalInvariantError(f"Kahn left {self._vertex(v)} without an unplaced in-neighbor")
+                raise InternalInvariantError(f"Kahn left {labels[v]} without an unplaced in-neighbor")
         return TopoResult(None)
-
-    def _vertex(self, v: int) -> VertexRef:
-        """The vertex with integer id v: x_v below m, else y_(v - m)."""
-        return xv(v) if v < self.m else yv(v - self.m)
 
     def is_forward_order(self, order: Sequence[VertexRef]) -> bool:
         """True iff order lists every vertex once and every arc runs forward.
@@ -330,19 +341,15 @@ class BipartiteDigraph:
             ids.append(v.index if v.side == "X" else m + v.index)
         if sorted(ids) != list(range(m + n)):
             return False
-        x_out, y_out = self.x_masks[0], self.y_masks[0]
-        # Walk the order backwards; each vertex's out-neighbors must all
-        # have been seen already, that is, come later in the order.
-        later_x = later_y = 0
+        x_out, x_in = self.x_masks
+        # Every arc has an X end, so walk the order backwards checking X rows
+        # only: each X vertex's out-neighbors come later, its in-neighbors not.
+        later_y = 0
         for v in reversed(ids):
-            if v < m:
-                if x_out[v] & ~later_y:
-                    return False
-                later_x |= 1 << v
-            else:
-                if y_out[v - m] & ~later_x:
-                    return False
+            if v >= m:
                 later_y |= 1 << (v - m)
+            elif x_out[v] & ~later_y or x_in[v] & later_y:
+                return False
         return True
 
     def is_feedback_arc_set(self, arcs: Iterable[Arc]) -> bool:

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from btfas import (
@@ -89,6 +90,16 @@ def to_parent_vertex(sub: Subgraph, v: VertexRef) -> VertexRef:
 
 def to_parent_arcs(sub: Subgraph, arcs) -> set[Arc]:
     return {Arc(to_parent_vertex(sub, a.tail), to_parent_vertex(sub, a.head)) for a in arcs}
+
+
+@dataclass(frozen=True, order=True)
+class FourCycleReference:
+    """``FourCycle`` as the frozen dataclass it was: the reference for its value semantics.
+
+    Its ``repr`` differs only in the class name.
+    """
+
+    vertices: tuple[VertexRef, VertexRef, VertexRef, VertexRef]
 
 
 def four_cycle_bt() -> BipartiteDigraph:

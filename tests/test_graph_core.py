@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
-from btfas import Arc, BipartiteDigraph, build, xv, yv
+from btfas import Arc, BipartiteDigraph, FourCycle, build, xv, yv
 from btfas.errors import ArcNotPresent, DuplicatePair, InternalInvariantError, OutOfRange, SameSideArc
-from btfas.graph_core import TO_X, TO_Y, pair_arc, pair_state
-from btfas.oracles import check_acyclicity
+from btfas.graph_core import TO_X, TO_Y, four_cycle, pair_arc, pair_state
+from btfas.instance_gen import GenSpec, random_bt
+from btfas.oracles import all_4cycles, check_acyclicity
 
 from helpers import (
+    FourCycleReference,
     all_oriented,
     all_x_to_y,
     four_cycle_bt,
@@ -239,26 +242,45 @@ def _masks_from_orient(g):
     )
 
 
+def _assert_masks_match_orient_through_a_chain(rng, g):
+    """Eight random transforms from g, each result's masks checked against its orient."""
+    for _ in range(8):
+        if rng.random() < 0.7:
+            _ = g.x_masks  # cached first: the result must still match its own orient
+        op = rng.choice(("delete", "delete", "reverse", "swap", "induced"))
+        if op == "delete":
+            arcs = g.arcs()
+            g = g.delete_arcs(rng.sample(arcs, rng.randint(0, len(arcs))))
+        elif op == "reverse":
+            g = g.reverse()
+        elif op == "swap":
+            g = g.swap_sides()
+        else:
+            xs = [i for i in range(g.m) if rng.random() < 0.7]
+            ys = [j for j in range(g.n) if rng.random() < 0.7]
+            g = g.induced_subgraph(xs, ys).graph
+        assert (g.x_masks, g.y_masks) == _masks_from_orient(g)
+
+
 def test_cached_masks_match_orient_after_any_chain_of_transforms():
     rng = random.Random(23)
     for _ in range(150):
-        g = random_digraph(rng, rng.randint(0, 6), rng.randint(0, 6))
-        for _ in range(8):
-            if rng.random() < 0.7:
-                _ = g.x_masks  # cached first: the result must still match its own orient
-            op = rng.choice(("delete", "delete", "reverse", "swap", "induced"))
-            if op == "delete":
-                arcs = g.arcs()
-                g = g.delete_arcs(rng.sample(arcs, rng.randint(0, len(arcs))))
-            elif op == "reverse":
-                g = g.reverse()
-            elif op == "swap":
-                g = g.swap_sides()
-            else:
-                xs = [i for i in range(g.m) if rng.random() < 0.7]
-                ys = [j for j in range(g.n) if rng.random() < 0.7]
-                g = g.induced_subgraph(xs, ys).graph
+        _assert_masks_match_orient_through_a_chain(rng, random_digraph(rng, rng.randint(0, 6), rng.randint(0, 6)))
+
+
+def test_cached_masks_match_orient_on_wide_and_thin_shapes():
+    """Each row and column is read at an offset into one reversed copy of the storage.
+
+    Rows of 63 to 130 columns cross a machine word, and one-row and
+    one-column shapes put every row, or every column, at an end of the copy.
+    """
+    rng = random.Random(37)
+    shapes = [(2, 63), (3, 64), (2, 65), (4, 127), (1, 128), (3, 130), (1, 1), (1, 9), (9, 1), (1, 130), (130, 1)]
+    for m, n in shapes:
+        for _ in range(3):
+            g = random_digraph(rng, m, n)
             assert (g.x_masks, g.y_masks) == _masks_from_orient(g)
+            _assert_masks_match_orient_through_a_chain(rng, g)
 
 
 def test_masks_take_no_part_in_equality_hash_or_repr():
@@ -270,6 +292,7 @@ def test_masks_take_no_part_in_equality_hash_or_repr():
 
 def test_is_forward_order_certifies_exactly_the_forward_orders():
     rng = random.Random(61)
+    kept_tails = {"X": 0, "Y": 0}  # sides of the backward arcs kept below
     for _ in range(200):
         g = random_digraph(rng, rng.randint(0, 5), rng.randint(0, 5))
         order = list(g.vertices())
@@ -280,11 +303,13 @@ def test_is_forward_order_certifies_exactly_the_forward_orders():
         assert g.is_feedback_arc_set(backward)
         if backward:
             kept = set(backward)
-            kept.pop()
+            kept_tails[kept.pop().tail.side] += 1
             assert not g.delete_arcs(kept).is_forward_order(order)
         if order:
             assert not g.delete_arcs(backward).is_forward_order(order[1:])
             assert not g.delete_arcs(backward).is_forward_order(order + order[:1])
+    # The check reads X rows only: a kept X-tail arc fails its out-mask, a Y-tail arc its in-mask.
+    assert kept_tails["X"] >= 20 and kept_tails["Y"] >= 20, kept_tails
 
 
 def test_is_forward_order_rejects_foreign_vertices_and_arcs():
@@ -337,6 +362,39 @@ def test_labels_print_as_before():
     assert str(Arc(yv(0), xv(12))) == "y0>x12"
     assert repr(xv(3)) == "VertexRef(side='X', index=3)"
     assert repr(Arc(xv(0), yv(1))) == "Arc(tail=VertexRef(side='X', index=0), head=VertexRef(side='Y', index=1))"
+
+
+def test_four_cycles_keep_the_dataclass_value_semantics():
+    rng = random.Random(41)
+    cycles = [c for _ in range(6) for c in all_4cycles(random_bt(GenSpec(6, 6, rng.randrange(1000))))]
+    assert len(cycles) > 100
+    cycles += rng.sample(cycles, 10)  # some equal pairs across instances
+    refs = [FourCycleReference(c.vertices) for c in cycles]
+    for c, r in zip(cycles, refs):
+        assert repr(c).removeprefix("FourCycle") == repr(r).removeprefix("FourCycleReference")
+        assert str(c) == repr(c) and hash(c) == hash(r)
+    for (c, r), (d, s) in itertools.product(zip(cycles, refs), repeat=2):
+        assert (c == d, c < d, c <= d) == (r == s, r < s, r <= s)
+    order = rng.sample(range(len(cycles)), len(cycles))
+    assert [c.vertices for c in sorted(cycles[t] for t in order)] == [r.vertices for r in sorted(refs[t] for t in order)]
+
+
+def test_a_four_cycle_is_its_plain_one_tuple():
+    c = four_cycle(0, 0, 1, 1)
+    vertices = (xv(0), yv(0), xv(1), yv(1))
+    assert c == FourCycle(vertices) == (vertices,) and hash(c) == hash((vertices,))
+    assert repr(c) == (
+        "FourCycle(vertices=(VertexRef(side='X', index=0), VertexRef(side='Y', index=0), "
+        "VertexRef(side='X', index=1), VertexRef(side='Y', index=1)))"
+    )
+    assert c.arcs() == (Arc(xv(0), yv(0)), Arc(yv(0), xv(1)), Arc(xv(1), yv(1)), Arc(yv(1), xv(0)))
+
+
+def test_labels_hold_the_shared_handles():
+    g = random_digraph(random.Random(43), 3, 4)
+    xs, ys = g.labels
+    assert all(v is xv(i) for i, v in enumerate(xs)) and all(v is yv(j) for j, v in enumerate(ys))
+    assert list(g.vertices()) == [*xs, *ys]
 
 
 def test_arc_rejects_a_same_side_pair():
