@@ -1,9 +1,9 @@
 """The one certificate checker: 4-cycle packings and feedback arc sets.
 
 Each check returns None for a valid certificate and otherwise the reason
-it is not.  Neither raises on certificate content: a foreign vertex, an
-out-of-range index, a same-side arc or a non-alternating cycle is a reason.
-An arc is any (tail, head) pair of vertices; an ``Arc`` is one.
+it is not, never raising on its content: a foreign vertex, an out-of-range
+index, a same-side arc or a non-alternating cycle is a reason.  Each kind has
+one core on (pair index, state) keys, fed by vertex pairs here and by verify's tokens.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .errors import InternalInvariantError
 from .graph_core import BipartiteDigraph, FourCycle, VertexRef, pair_state
 
 Arcs = Iterable[tuple[VertexRef, VertexRef]]
+Keys = Sequence[Optional[tuple[int, int]]]
 Order = Optional[Sequence[VertexRef]]
 Sized = tuple[Optional[str], int, Order]  # the reason, the number of distinct arcs, the order
 
@@ -21,24 +22,30 @@ Sized = tuple[Optional[str], int, Order]  # the reason, the number of distinct a
 def check_packing(
     graph: BipartiteDigraph, cycles: Sequence[FourCycle], k: Optional[int] = None
 ) -> Optional[str]:
-    """Why ``cycles`` are not at least k pairwise arc-disjoint 4-cycles of graph.
+    """Why ``cycles`` are not at least k arc-disjoint 4-cycles of graph; see :func:`check_packing_keys`."""
+    m, n = graph.m, graph.n
+    keys = ([pair_state(m, n, c.vertices[t - 1], v) for t, v in enumerate(c.vertices)] for c in cycles)
+    return check_packing_keys(graph, keys, lambda t: str([str(v) for v in cycles[t].vertices]), k)
 
-    Each arc becomes its pair index and state, as in :func:`check_fas_keys`.
-    A repeated vertex puts both orientations on one pair, so it fails too.
+
+def check_packing_keys(
+    graph: BipartiteDigraph, cycles: Iterable[Keys], spell: Callable[[int], str], k: Optional[int] = None
+) -> Optional[str]:
+    """The one packing check, on each cycle's (pair index, state) keys; None crosses no pair.
+
+    ``spell(t)`` names the t-th cycle unless its keys are four arcs of graph, which then
+    cross four distinct pairs: each is marked used in one byte per pair.
     """
-    m, n, orient = graph.m, graph.n, graph.orient
-    used: set[int] = set()
-    for cycle in cycles:
-        seq = cycle.vertices
-        found = [pair_state(m, n, seq[t - 1], seq[t]) for t in range(len(seq))]
-        if len(seq) != 4 or None in found or any(orient[p] != state for p, state in found):
-            return f"{[str(v) for v in seq]} is not a 4-cycle here"
-        pairs = {p for p, _ in found}
-        if not used.isdisjoint(pairs):
-            return "cycles share an arc"
-        used |= pairs
-    if k is not None and len(cycles) < k:
-        return f"only {len(cycles)} cycles, need {k}"
+    orient, used, count = graph.orient, bytearray(len(graph.orient)), 0
+    for count, keys in enumerate(cycles, 1):
+        if len(keys) != 4 or None in keys or any(orient[p] != state for p, state in keys):
+            return f"{spell(count - 1)} is not a 4-cycle here"
+        for p, _ in keys:
+            if used[p]:
+                return "cycles share an arc"
+            used[p] = 1
+    if k is not None and count < k:
+        return f"only {count} cycles, need {k}"
     return None
 
 

@@ -98,14 +98,13 @@ class _Tokens(dict):
             code = self[token] = ~v.index if v.index < self.n else ~self.total
         return code
 
-    def arc_keys(self, tokens: list[str]) -> list[Optional[tuple[int, int]]]:
-        """The (pair index, state) each arc token ``tail>head`` sets; None off the pairs."""
+    def arc_keys(self, arcs: Iterable[Sequence[str]]) -> list[Optional[tuple[int, int]]]:
+        """The (pair index, state) each (tail, head) token pair sets; None off the pairs."""
         keys: list[Optional[tuple[int, int]]] = []
         total = self.total
-        for token in tokens:
-            ends = token.split(">")
-            if len(ends) != 2:
-                raise InstanceFormatError(f"bad arc token {token!r}")
+        for ends in arcs:
+            if len(ends) != 2:  # a tail>head token split into more or fewer ends
+                raise InstanceFormatError(f"bad arc token {'>'.join(ends)!r}")
             tail, head = self[ends[0]], self[ends[1]]
             if tail >= 0 > head:
                 key = tail + ~head, TO_Y
@@ -411,23 +410,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if not isinstance(raw, list):
         return fail(f"certificate has no {'arc' if kind == 'fas' else 'cycle'} list under {kind!r}")
+    codes = _Tokens(graph.m, graph.n)
     if kind == "fas":
         for token in raw:
             if not isinstance(token, str):
                 return fail(f"arc token {token!r} is not a string")
-        keys = _Tokens(graph.m, graph.n).arc_keys(raw)
+        keys = codes.arc_keys(token.split(">") for token in raw)  # lazily: errors come in order
         spell = lambda t: "%s>%s" % tuple(map(parse_vertex, raw[t].split(">")))  # noqa: E731
         reason, size, _ = certify.check_fas_keys(graph, keys, spell, bound)
         result = {"size": size, "bound": bound}
     else:
-        cycles, vertex = [], functools.cache(parse_vertex)  # each distinct token parsed once
-        for entry in raw:
+        for entry in raw:  # every entry's shape and tokens are read before any cycle is checked
             strings = isinstance(entry, list) and all(isinstance(t, str) for t in entry)
             if not (strings and len(entry) == 4):
                 return fail(f"bad cycle entry {entry!r}")
-            cycles.append(FourCycle(tuple(map(vertex, entry))))
-        reason = certify.check_packing(graph, cycles, args.k)
-        result = {"count": len(cycles)}
+            for token in entry:
+                codes[token]  # parsed into the table, or a bad vertex token raised
+        rings = (zip(entry[-1:] + entry, entry) for entry in raw)  # closing arc first
+        spell = lambda t: str([str(parse_vertex(token)) for token in raw[t]])  # noqa: E731
+        reason = certify.check_packing_keys(graph, map(codes.arc_keys, rings), spell, args.k)
+        result = {"count": len(raw)}
     if reason is not None:
         return fail(reason)
     _emit({"mode": "verify", "kind": kind, "valid": True, **result})

@@ -24,20 +24,7 @@ TO_X = 2  # pair (x_i, y_j) carries the arc y_j -> x_i
 
 # Byte translation table swapping TO_Y and TO_X, used by reverse() and swap_sides().
 _REVERSE_TABLE = bytes(TO_X if b == TO_Y else TO_Y if b == TO_X else b for b in range(256))
-# Tables mapping one orientation state to the digit "1" and all others to
-# "0", so a translated run of pair states parses as a base-2 integer.
-_TO_Y_DIGITS = bytes(ord("1") if b == TO_Y else ord("0") for b in range(256))
-_TO_X_DIGITS = bytes(ord("1") if b == TO_X else ord("0") for b in range(256))
-
-
-def _reversed_digits(orient: bytes) -> tuple[bytes, bytes]:
-    """``orient`` reversed and translated to digits marking TO_Y, and marking TO_X.
-
-    Reversed, a row or column read off either copy lists its highest index
-    first, so it parses as a base-2 mask.
-    """
-    flipped = orient[::-1]
-    return flipped.translate(_TO_Y_DIGITS), flipped.translate(_TO_X_DIGITS)
+_DIGITS = {s: bytes(ord("1") if b == s else ord("0") for b in range(256)) for s in (TO_Y, TO_X)}
 
 
 def low_bit(mask: int) -> int:
@@ -171,9 +158,6 @@ class BipartiteDigraph:
         found = pair_state(self.m, self.n, *arc)
         return found is not None and self.orient[found[0]] == found[1]
 
-    def arc_count(self) -> int:
-        return self.m * self.n - self.orient.count(ABSENT)
-
     def absent_pair_count(self) -> int:
         """Number of non-adjacent cross pairs; equals m*n minus the arc count."""
         return self.orient.count(ABSENT)
@@ -194,22 +178,29 @@ class BipartiteDigraph:
     @cached_property
     def x_masks(self) -> Rows:
         """(out, in) per X row: bit j of out[i] is x_i -> y_j, of in[i] is y_j -> x_i."""
-        m, n = self.m, self.n
-        if not n:
-            return Rows((0,) * m, (0,) * m)
-        to_y, to_x = _reversed_digits(self.orient)
-        starts = range((m - 1) * n, -1, -n)  # row i starts at (m - 1 - i) * n when reversed
-        return Rows(tuple(int(to_y[s : s + n], 2) for s in starts), tuple(int(to_x[s : s + n], 2) for s in starts))
+        return self._masks(x_side=True)
 
     @cached_property
     def y_masks(self) -> Rows:
         """(out, in) per Y column: bit i of out[j] is y_j -> x_i, of in[j] is x_i -> y_j."""
+        return self._masks(x_side=False)
+
+    def _masks(self, x_side: bool) -> Rows:
+        """One side's (out, in) masks, from ``orient`` reversed and translated by ``_DIGITS``.
+
+        Reversed, a row or column lists its highest index first, and translated for one state
+        it reads "1" at that state's pairs: a base-2 mask.  One translated copy is held at a time.
+        """
         m, n = self.m, self.n
-        if not m:
-            return Rows((0,) * n, (0,) * n)
-        to_y, to_x = _reversed_digits(self.orient)
-        starts = range(n - 1, -1, -1)  # column j is every n-th byte from n - 1 - j when reversed
-        return Rows(tuple(int(to_x[s::n], 2) for s in starts), tuple(int(to_y[s::n], 2) for s in starts))
+        if not self.orient:  # no pairs: every mask is 0
+            return Rows(*[(0,) * (m if x_side else n)] * 2)
+        flipped = self.orient[::-1]
+        if x_side:  # row i starts at (m - 1 - i) * n when reversed
+            read = lambda d: tuple(int(d[s : s + n], 2) for s in range((m - 1) * n, -1, -n))  # noqa: E731
+        else:  # column j is every n-th byte from n - 1 - j when reversed
+            read = lambda d: tuple(int(d[s::n], 2) for s in range(n - 1, -1, -1))  # noqa: E731
+        states = (TO_Y, TO_X) if x_side else (TO_X, TO_Y)
+        return Rows(*(read(flipped.translate(_DIGITS[state])) for state in states))
 
     @cached_property
     def labels(self) -> tuple[tuple[VertexRef, ...], tuple[VertexRef, ...]]:

@@ -729,6 +729,43 @@ def check_packing_reference(graph: BipartiteDigraph, cycles, k=None):
     return None
 
 
+def verify_packing_reference(text: str, doc: dict, k=None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `btfas verify --packing` by the reference path.
+
+    Entry by entry, each entry's shape and then its tokens are read, before
+    any cycle is checked by :func:`check_packing_reference`.
+    """
+
+    def error(message: str, code: int, out: str = "") -> tuple[int, str, str]:
+        return code, out, f"btfas: error: {message}\n"
+
+    def emit(result: dict) -> str:
+        return json.dumps({"mode": "verify", "kind": "packing", **result}, indent=2) + "\n"
+
+    def fail(reason: str) -> tuple[int, str, str]:
+        return error(f"certificate rejected: {reason}", 2, emit({"valid": False, "reason": reason}))
+
+    try:
+        graph = parse_instance_reference(text)
+    except InstanceFormatError as exc:
+        return error(str(exc), 1)
+    raw = doc.get("packing")
+    if not isinstance(raw, list):
+        return fail("certificate has no cycle list under 'packing'")
+    cycles = []
+    for entry in raw:
+        if not (isinstance(entry, list) and len(entry) == 4 and all(isinstance(t, str) for t in entry)):
+            return fail(f"bad cycle entry {entry!r}")
+        try:
+            cycles.append(FourCycle(tuple(map(parse_vertex_reference, entry))))
+        except InstanceFormatError as exc:
+            return error(str(exc), 1)
+    reason = check_packing_reference(graph, cycles, k)
+    if reason is not None:
+        return fail(reason)
+    return 0, emit({"valid": True, "count": len(cycles)}), ""
+
+
 def candidate_packing(rng: random.Random, graph: BipartiteDigraph, genuine) -> list[FourCycle]:
     """0 to 3 candidate cycles for a packing check, valid or not.
 

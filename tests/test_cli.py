@@ -38,6 +38,7 @@ from helpers import (
     random_digraph,
     six_cycle,
     verify_fas_reference,
+    verify_packing_reference,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -831,7 +832,7 @@ def test_an_arc_free_file_allocates_its_storage_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (graph.m, graph.n, graph.arc_count()) == (side, side, 0)
+    assert (graph.m, graph.n, graph.m * graph.n - graph.absent_pair_count()) == (side, side, 0)
     assert peak <= 1.1 * side * side
 
 
@@ -900,6 +901,13 @@ def test_repeated_runs_match_a_fresh_parser(tmp_path, monkeypatch):
 # verify against the reference path
 
 
+def _verify_outcome(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_verify_rejects_both_orientations_of_one_pair(tmp_path, capsys):
     instance = write(tmp_path, "c4.bt", four_cycle_bt())  # x0>y0, y0>x1, x1>y1, y1>x0
     path = tmp_path / "both.json"
@@ -950,13 +958,11 @@ def test_verify_matches_the_reference_on_mutated_certificates(tmp_path):
         instance.write_text(text, encoding="utf-8")
         cert.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["verify", str(instance), "--fas", str(cert)] + ([] if k is None else ["--k", str(k)])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert (code, out.getvalue(), err.getvalue()) == verify_fas_reference(text, doc, k), doc
+        code, out, err = _verify_outcome(argv)
+        assert (code, out, err) == verify_fas_reference(text, doc, k), doc
         outcomes[code] += 1
         if code == 2:
-            reason = json.loads(out.getvalue())["reason"]
+            reason = json.loads(out)["reason"]
             reasons.add(next(r for r in ("not in the instance", "leaves a cycle", "exceed the bound") if r in reason))
     # Accepted, unparseable, and rejected for each kind of reason all occur.
     assert min(outcomes[code] for code in (0, 1, 2)) >= 20, outcomes
@@ -978,10 +984,8 @@ def test_verify_matches_the_reference_on_mutated_certificates(tmp_path):
         instance.write_text(text, encoding="utf-8")
         cert.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["verify", str(instance), "--fas", str(cert)] + ([] if k is None else ["--k", str(k)])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert (code, out.getvalue(), err.getvalue()) == verify_fas_reference(text, doc, k), doc
+        code, out, err = _verify_outcome(argv)
+        assert (code, out, err) == verify_fas_reference(text, doc, k), doc
         outcomes[code] += 1
     assert min(outcomes[code] for code in (0, 1, 2)) >= 10, outcomes
 
@@ -1010,3 +1014,94 @@ def test_verify_packing_matches_the_reference_on_candidate_lists(tmp_path, capsy
             assert run_json(capsys, argv, expect=0 if reason is None else 2).get("reason") == reason
             reasons.add(reason and next(r for r in PACKING_REASONS if r in reason))
     assert reasons == {None, *PACKING_REASONS}, reasons
+
+
+def test_verify_packing_reads_every_entry_before_checking_any(tmp_path):
+    instance, cert = write(tmp_path, "six.bt", six_cycle()), tmp_path / "c.json"
+    bad_first = ["x0", "y0", "x0", "y0"]  # a repeated vertex: not a 4-cycle, but never checked
+    for entries, code, message in (
+        ([bad_first, ["x0", "q", "y0", "x1"], "bad"], 1, "bad vertex token 'q'"),
+        ([bad_first, "bad", ["x0", "q", "y0", "x1"]], 2, "certificate rejected: bad cycle entry 'bad'"),
+        ([["y00", "x01", "y9", "x0"]], 2, "certificate rejected: ['y0', 'x1', 'y9', 'x0'] is not a 4-cycle here"),
+    ):
+        cert.write_text(json.dumps({"packing": entries}), encoding="utf-8")
+        outcome = _verify_outcome(["verify", instance, "--packing", str(cert)])
+        assert outcome[0::2] == (code, f"btfas: error: {message}\n"), entries
+
+
+def _mutated_packing(rng: random.Random, graph) -> list:
+    """A greedy packing's token lists, rotated, padded, broken or repeated, then foreign entries."""
+    m, n = graph.m, graph.n
+    entries = [[str(v) for v in c.vertices] for c in greedy_pack(graph).cycles]
+    rng.shuffle(entries)
+    for _ in range(rng.randint(0, 3) if entries else 0):
+        kind = rng.choice(("rotate", "drop", "repeat", "vertex", "reverse", "zeros"))
+        where, r = rng.randrange(len(entries)), rng.randrange(4)
+        entry = entries[where]
+        if kind == "rotate":  # an odd shift starts on the Y side
+            r = rng.choice((1, 3))
+            entries[where] = entry[r:] + entry[:r]
+        elif kind == "drop" and len(entries) > 1:
+            entries.pop(where)
+        elif kind == "repeat":  # the same cycle again, maybe rotated: it shares its arcs
+            entries.insert(rng.randint(0, len(entries)), entry[r:] + entry[:r])
+        elif kind == "vertex":
+            entry[r] = entry[rng.randrange(4)]
+        elif kind == "reverse":
+            entries[where] = entry[::-1]
+        elif kind == "zeros":
+            entry[r] = entry[r][0] + "0" * rng.randint(1, 3) + entry[r][1:]
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(("edge", "edge", "shape", "token"))
+        if kind == "edge":  # tokens at m and n, just outside the sides, starting on either side
+            tokens = [f"x{rng.randrange(m)}", f"y{rng.randrange(n)}", f"x{m}", f"y{n}"]
+            entry = [tokens[i] for i in rng.choice(((2, 1, 0, 3), (0, 3, 2, 1), (1, 2, 3, 0), (3, 0, 1, 2)))]
+        elif kind == "shape":  # non-list, wrong-length and non-string entries
+            shapes = ("x0", None, 7, {"x0": "y0"}, [], ["x0", "y0", "x1"], ["x0", "y0", "x1", "y1", "x2"])
+            entry = rng.choice((rng.choice(shapes), ["x0", "y0", 1, "y1"], ["x0", None, "x1", "y1"]))
+        elif rng.random() < 0.5:
+            entry = ["x0", "y0", rng.choice(("q", "z0", "x", "X0", "x-1", "y 1", "x0>y0", "")), "y1"]
+        else:
+            continue
+        entries.insert(rng.randint(0, len(entries)), entry)
+    return entries
+
+
+def test_verify_packing_matches_the_reference_on_mutated_certificates(tmp_path):
+    rng = random.Random(23)
+    instance, cert = tmp_path / "i.bt", tmp_path / "c.json"
+    outcomes, reasons = collections.Counter(), set()
+    for trial in range(400):
+        m, n = (rng.randint(2, 9), rng.randint(2, 9)) if trial % 4 else (rng.randint(2, 40), rng.randint(2, 40))
+        graph = random_digraph(rng, m, n) if trial % 5 == 0 else random_bt(GenSpec(m, n, trial))
+        text = render_instance(graph)
+        doc = {"packing": _mutated_packing(rng, graph)}
+        k = rng.choice((None, None, 0, len(doc["packing"]), 10**6))
+        instance.write_text(text, encoding="utf-8")
+        cert.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["verify", str(instance), "--packing", str(cert)] + ([] if k is None else ["--k", str(k)])
+        outcome = _verify_outcome(argv)
+        assert outcome == verify_packing_reference(text, doc, k), (doc, k)
+        outcomes[outcome[0]] += 1
+        if outcome[0] == 2:
+            reason = json.loads(outcome[1])["reason"]
+            reasons.add(next(r for r in (*PACKING_REASONS, "bad cycle entry") if r in reason))
+    # Accepted, unparseable, and rejected for each kind of reason all occur.
+    assert min(outcomes[code] for code in (0, 1, 2)) >= 20, outcomes
+    assert reasons == {*PACKING_REASONS, "bad cycle entry"}, reasons
+
+
+def test_verify_packing_holds_no_object_per_cycle(tmp_path):
+    instance = write(tmp_path, "r256.bt", random_bt(GenSpec(256, 256, 1)))
+    code, out, _ = _verify_outcome(["pack", instance])
+    cert = tmp_path / "pack.json"
+    cert.write_text(out, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, _ = _verify_outcome(["verify", instance, "--packing", str(cert)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["count"] == 15131
+    # The certificate's own JSON takes about 350 B per cycle; a FourCycle per entry took 400 more.
+    assert peak <= 500 * 15131

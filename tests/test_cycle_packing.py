@@ -56,7 +56,7 @@ def test_validate_rejects_a_residual_that_is_not_the_input_minus_the_packing():
     packed = {arc for cycle in packing.cycles for arc in cycle.arcs()}
     others = [arc for arc in g.arcs() if arc not in packed][:24]
     wrong = g.delete_arcs(others)  # as many arcs as the packing's, but the wrong ones
-    assert wrong.arc_count() == packing.residual.arc_count()
+    assert wrong.absent_pair_count() == packing.residual.absent_pair_count()
     assert not Packing(packing.cycles, wrong).validate(g)
 
 
