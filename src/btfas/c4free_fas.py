@@ -87,7 +87,7 @@ def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> O
                 if back:
                     xs, ys = graph.labels
                     yj, yl = (forward & -forward).bit_length() - 1, (back & -back).bit_length() - 1
-                    return FourCycle._make(((xs[xi], ys[yj], xs[xk], ys[yl]),))
+                    return tuple.__new__(FourCycle, ((xs[xi], ys[yj], xs[xk], ys[yl]),))
     return None
 
 

@@ -78,34 +78,42 @@ def parse_vertex(token: str) -> VertexRef:
     return xv(int(index)) if side == "x" else yv(int(index))
 
 
-class _Tokens(dict):
+class _Tokens:
     """One input's token table, each token parsed once: x_i -> i*n and y_j -> ~j.
 
     The arc between x_i and y_j crosses pair i*n + j.  The range checks are
     folded in: x_m and beyond get m*n, y_n and beyond ~(m*n), so each pair
     they take part in is at least ``total``, the pair count (0 for a negative size).
+    ``codes`` is a plain dict, which CPython subscripts fastest: callers index it
+    and send a miss through :meth:`code`.
     """
 
     def __init__(self, m: int, n: int) -> None:
-        super().__init__()
-        self.m, self.n, self.total = m, n, m * n if min(m, n) >= 0 else 0
+        self.m, self.n, self.total, self.codes = m, n, m * n if min(m, n) >= 0 else 0, {}
 
-    def __missing__(self, token: str) -> int:
-        v = parse_vertex(token)
-        if v.side == "X":
-            code = self[token] = v.index * self.n if v.index < self.m else self.total
-        else:
-            code = self[token] = ~v.index if v.index < self.n else ~self.total
+    def code(self, token: str) -> int:
+        """The token's code, parsed into ``codes`` on first sight; a bad token raises."""
+        code = self.codes.get(token)
+        if code is None:
+            v = parse_vertex(token)
+            if v.side == "X":
+                code = v.index * self.n if v.index < self.m else self.total
+            else:
+                code = ~v.index if v.index < self.n else ~self.total
+            self.codes[token] = code
         return code
 
     def arc_keys(self, arcs: Iterable[Sequence[str]]) -> list[Optional[tuple[int, int]]]:
         """The (pair index, state) each (tail, head) token pair sets; None off the pairs."""
         keys: list[Optional[tuple[int, int]]] = []
-        total = self.total
+        codes, total = self.codes, self.total
         for ends in arcs:
             if len(ends) != 2:  # a tail>head token split into more or fewer ends
                 raise InstanceFormatError(f"bad arc token {'>'.join(ends)!r}")
-            tail, head = self[ends[0]], self[ends[1]]
+            try:
+                tail, head = codes[ends[0]], codes[ends[1]]
+            except KeyError:
+                tail, head = self.code(ends[0]), self.code(ends[1])
             if tail >= 0 > head:
                 key = tail + ~head, TO_Y
             elif head >= 0 > tail:
@@ -155,8 +163,8 @@ def parse_instance(text: str) -> BipartiteDigraph:
                     )
                 if max(sizes) > MAX_SIDE:
                     raise InstanceFormatError(f"line {lineno}: a side has more than {MAX_SIDE} vertices")
-                codes = _Tokens(*sizes)
-                total = codes.total
+                tokens = _Tokens(*sizes)
+                codes, total = tokens.codes, tokens.total
                 continue
             if fields[0] != "a":
                 raise InstanceFormatError(f"line {lineno}: unknown line type {fields[0]!r}")
@@ -165,7 +173,10 @@ def parse_instance(text: str) -> BipartiteDigraph:
             if len(fields) != 3:
                 raise InstanceFormatError(f"line {lineno}: expected 'a <tail> <head>'")
             orient = bytearray(total)
-        tail, head = codes[tail], codes[head]
+        try:
+            tail, head = codes[tail], codes[head]
+        except KeyError:
+            tail, head = tokens.code(tail), tokens.code(head)
         if tail >= 0 > head:
             p, state = tail + ~head, TO_Y
         elif head >= 0 > tail:
@@ -410,12 +421,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if not isinstance(raw, list):
         return fail(f"certificate has no {'arc' if kind == 'fas' else 'cycle'} list under {kind!r}")
-    codes = _Tokens(graph.m, graph.n)
+    tokens = _Tokens(graph.m, graph.n)
     if kind == "fas":
         for token in raw:
             if not isinstance(token, str):
                 return fail(f"arc token {token!r} is not a string")
-        keys = codes.arc_keys(token.split(">") for token in raw)  # lazily: errors come in order
+        keys = tokens.arc_keys(token.split(">") for token in raw)  # lazily: errors come in order
         spell = lambda t: "%s>%s" % tuple(map(parse_vertex, raw[t].split(">")))  # noqa: E731
         reason, size, _ = certify.check_fas_keys(graph, keys, spell, bound)
         result = {"size": size, "bound": bound}
@@ -425,10 +436,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not (strings and len(entry) == 4):
                 return fail(f"bad cycle entry {entry!r}")
             for token in entry:
-                codes[token]  # parsed into the table, or a bad vertex token raised
+                tokens.code(token)  # parsed into the table, or a bad vertex token raised
         rings = (zip(entry[-1:] + entry, entry) for entry in raw)  # closing arc first
         spell = lambda t: str([str(parse_vertex(token)) for token in raw[t]])  # noqa: E731
-        reason = certify.check_packing_keys(graph, map(codes.arc_keys, rings), spell, args.k)
+        reason = certify.check_packing_keys(graph, map(tokens.arc_keys, rings), spell, args.k)
         result = {"count": len(raw)}
     if reason is not None:
         return fail(reason)

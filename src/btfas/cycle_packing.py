@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .c4free_fas import find_4cycle
-from .certify import check_packing
+from .certify import check_packing_keys
 from .errors import OutOfRange
 from .graph_core import BipartiteDigraph, FourCycle, VertexRef, pair_state
 
@@ -19,12 +19,14 @@ class Packing:
     residual: BipartiteDigraph
 
     def validate(self, source: BipartiteDigraph) -> bool:
-        """Re-check the packing, and that the residual is ``source`` minus its arcs."""
-        if check_packing(source, self.cycles) is not None:
-            return False
+        """Re-check the packing, and that the residual is ``source`` minus its arcs, on one key list."""
         m, n = source.m, source.n
-        pairs = [pair_state(m, n, *arc)[0] for cycle in self.cycles for arc in cycle.arcs()]
-        return self.residual == source.clear_pairs(pairs)
+        keys = [
+            [pair_state(m, n, c.vertices[t - 1], v) for t, v in enumerate(c.vertices)] for c in self.cycles
+        ]
+        if check_packing_keys(source, keys, str) is not None:  # the reason is not read
+            return False
+        return self.residual == source.clear_pairs(p for cycle in keys for p, _ in cycle)
 
 
 class _MaskView(NamedTuple):

@@ -58,7 +58,7 @@ def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> fr
     xpos, ypos = {}, {}  # a vertex listed twice keeps its last position
     for t, v in enumerate(order):
         (xpos if v.side == "X" else ypos)[v.index] = t
-    make, backward = Arc._make, []
+    new, backward = tuple.__new__, []
     for cycle in cycles:
         x, y, x2, y2 = verts = cycle.vertices
         try:
@@ -67,13 +67,13 @@ def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> fr
             v = next(v for v, pos in zip(verts, (xpos, ypos) * 2) if v.index not in pos)
             raise VertexNotInOrder(f"cycle vertex {v} missing from the order") from None
         if a > b:
-            backward.append(make((x, y)))
+            backward.append(new(Arc, (x, y)))
         if b > c:
-            backward.append(make((y, x2)))
+            backward.append(new(Arc, (y, x2)))
         if c > d:
-            backward.append(make((x2, y2)))
+            backward.append(new(Arc, (x2, y2)))
         if d > a:
-            backward.append(make((y2, x)))
+            backward.append(new(Arc, (y2, x)))
     return frozenset(backward)
 
 

@@ -11,7 +11,6 @@ graph, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -38,6 +37,24 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _or_tree(masks: Sequence[int]) -> list[int]:
+    """A segment tree of masks under OR: leaf i at ``size + i``, the OR of all at index 1."""
+    size = 1 << max(len(masks) - 1, 0).bit_length()
+    tree = [0] * size + list(masks) + [0] * (size - len(masks))
+    for k in range(size - 1, 0, -1):
+        tree[k] = tree[2 * k] | tree[2 * k + 1]
+    return tree
+
+
+def _or_tree_clear(tree: list[int], i: int) -> None:
+    """Zero leaf i of an :func:`_or_tree` and recompute the ORs on its path to the root."""
+    k = (len(tree) >> 1) + i
+    tree[k] = 0
+    while k > 1:
+        tree[k >> 1] = tree[k] | tree[k ^ 1]
+        k >>= 1
 
 
 class VertexRef(NamedTuple):
@@ -74,7 +91,8 @@ class _ArcFields(NamedTuple):
 class Arc(_ArcFields):
     """A directed cross-pair edge: the (tail, head) pair, checked to cross sides.
 
-    ``_make`` and ``_replace`` skip the check; :func:`pair_state` still rejects the pair.
+    ``tuple.__new__(Arc, ...)``, ``_make`` and ``_replace`` skip the check; :func:`pair_state`
+    still rejects the pair.
     """
 
     __slots__ = ()
@@ -274,49 +292,48 @@ class BipartiteDigraph:
     # order and acyclicity
 
     def topological_order(self) -> TopoResult:
-        """Kahn's algorithm with a fixed tie-break; a cyclic verdict is checked in ``orient``.
+        """Kahn's algorithm with the smallest-label tie-break, placed in ready runs.
 
-        Repeatedly removes the in-degree-0 vertex with the smallest
-        (side, index) label, X before Y, so the order is reproducible.
-        Internally x_i has id i and y_j has id m + j, which sort the same
-        way.  When Kahn stops early, each unplaced vertex must show an
-        unplaced in-neighbor in the storage, so the unplaced set holds a cycle.
+        Kahn places the ready (in-degree 0) vertex with the smallest (side, index) label, X
+        before Y.  Placing an X vertex frees only Y vertices and the reverse, so while X vertices
+        are ready Kahn places them all in index order, freeing no X vertex, then places the one
+        smallest ready Y vertex, which may free some, and repeats.  x_i is ready when bit i is
+        clear in the OR of the unplaced Y vertices' out-masks, and y_j likewise; each OR is the
+        root of an :func:`_or_tree`, so a placement costs one leaf-to-root path, not one step per
+        arc.  When no vertex is ready, each unplaced vertex must show an unplaced in-neighbor in
+        the storage, so the unplaced set holds a cycle.
         """
         m, n, orient = self.m, self.n, self.orient
-        x_out, x_in = self.x_masks
-        y_out, y_in = self.y_masks
-        out = x_out + y_out
-        indeg = [mask.bit_count() for mask in x_in + y_in]
-        ready = [v for v, d in enumerate(indeg) if d == 0]  # sorted, so a heap
-        order: list[int] = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            mask = out[v]
-            base = m if v < m else 0
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                w = base + low.bit_length() - 1
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-        labels = self.labels[0] + self.labels[1]  # by integer id
-        if len(order) == len(indeg):
-            return TopoResult(tuple(map(labels.__getitem__, order)))
-
-        left = [v for v, d in enumerate(indeg) if d]  # the unplaced vertices
-        left_x = sum(1 << v for v in left if v < m)
-        left_y = sum(1 << (v - m) for v in left if v >= m)
-        for v in left:
-            if v < m:
-                u = low_bit(x_in[v] & left_y)
-                p, state = v * n + u, TO_X
+        (x_out, x_in), (y_out, y_in) = self.x_masks, self.y_masks
+        xs, ys = self.labels
+        x_tree, y_tree = _or_tree(x_out), _or_tree(y_out)
+        left_x, left_y = (1 << m) - 1, (1 << n) - 1
+        ready_y = left_y & ~x_tree[1]
+        order: list[VertexRef] = []
+        while True:
+            ready_x = left_x & ~y_tree[1]
+            if ready_x:
+                left_x ^= ready_x
+                for i in bit_indices(ready_x):
+                    order.append(xs[i])
+                    _or_tree_clear(x_tree, i)
+                ready_y = left_y & ~x_tree[1]
+            elif ready_y:
+                j = low_bit(ready_y)
+                ready_y, left_y = ready_y ^ (1 << j), left_y ^ (1 << j)
+                order.append(ys[j])
+                _or_tree_clear(y_tree, j)
             else:
-                u = low_bit(y_in[v - m] & left_x)
-                p, state = u * n + v - m, TO_Y
-            if u < 0 or orient[p] != state:
-                raise InternalInvariantError(f"Kahn left {labels[v]} without an unplaced in-neighbor")
+                break
+        if not (left_x or left_y):
+            return TopoResult(tuple(order))
+
+        # Each unplaced vertex, X first, with its lowest unplaced in-neighbor by the masks (-1 for none).
+        left = [(xs[i], i, low_bit(x_in[i] & left_y), TO_X) for i in bit_indices(left_x)]
+        left += [(ys[j], low_bit(y_in[j] & left_x), j, TO_Y) for j in bit_indices(left_y)]
+        for v, i, j, state in left:
+            if min(i, j) < 0 or orient[i * n + j] != state:
+                raise InternalInvariantError(f"Kahn left {v} without an unplaced in-neighbor")
         return TopoResult(None)
 
     def is_forward_order(self, order: Sequence[VertexRef]) -> bool:
@@ -377,7 +394,7 @@ def pair_state(m: int, n: int, tail: VertexRef, head: VertexRef) -> Optional[tup
 def pair_arc(n: int, p: int, state: int) -> Arc:
     """The arc that state ``state`` of pair ``p`` carries: :func:`pair_state` inverted."""
     i, j = divmod(p, n)
-    return Arc._make((xv(i), yv(j)) if state == TO_Y else (yv(j), xv(i)))
+    return tuple.__new__(Arc, (xv(i), yv(j)) if state == TO_Y else (yv(j), xv(i)))
 
 
 def place_arc(orient: bytearray, m: int, n: int, tail: VertexRef, head: VertexRef) -> None:

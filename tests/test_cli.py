@@ -19,6 +19,7 @@ from btfas import GenSpec, build, enumerate_bt, greedy_pack, random_bt, solve, x
 from btfas.cli import (
     MAX_SIDE,
     InstanceFormatError,
+    _Tokens,
     parse_arc,
     parse_instance,
     parse_vertex,
@@ -988,6 +989,43 @@ def test_verify_matches_the_reference_on_mutated_certificates(tmp_path):
         assert (code, out, err) == verify_fas_reference(text, doc, k), doc
         outcomes[code] += 1
     assert min(outcomes[code] for code in (0, 1, 2)) >= 10, outcomes
+
+
+def test_token_table_misses_match_the_reference(tmp_path):
+    """A plain dict of codes; a token first seen as a head, padded after plain, or out of range then bad."""
+    assert type(_Tokens(3, 4).codes) is dict
+    texts = [
+        "p bt 2 2\na x0 y0\na x0 y1\na y1 x1\n",  # y0, y1 first seen as heads
+        "p bt 8 2\na x7 y0\na x007 y1\n",  # x007 after x7: the same vertex
+        "p bt 8 2\na x7 y0\na y0 x007\n",  # ... so this pair is taken
+        "p bt 2 2\na x9 y0\na x0 q1\n",  # out of range, then a bad token
+        "p bt 2 2\na y0 x0\na x9 q\n",  # both on one line
+        "p bt 2 2\na y5 x0\na x0 y0\na z y0\n",
+    ]
+    for text in texts:
+        assert _outcome(parse_instance, text) == _outcome(parse_instance_reference, text), text
+
+    graph = random_bt(GenSpec(8, 3, seed=1))
+    text = render_instance(graph)
+    x_tail = [str(a) for a in graph.arcs() if a.tail.side == "X"]
+    seven = [str(a) for a in graph.arcs() if xv(7) in a]
+    certificates = [
+        x_tail[:3] + [str(a) for a in graph.arcs() if a.tail.side == "Y"][:3],
+        seven[:1] + [t.replace("x7", "x007") for t in seven],
+        [t.replace("x7", "x007") for t in seven] + seven,
+        ["x9>y0", "x0>q"],
+        ["y0>x9", "x9>q"],
+        seven + ["y3>x0", "y0>z"],
+    ]
+    instance, cert = tmp_path / "i.bt", tmp_path / "c.json"
+    instance.write_text(text, encoding="utf-8")
+    codes = []
+    for tokens in certificates:
+        cert.write_text(json.dumps({"fas": tokens}), encoding="utf-8")
+        code, out, err = _verify_outcome(["verify", str(instance), "--fas", str(cert)])
+        assert (code, out, err) == verify_fas_reference(text, {"fas": tokens}), tokens
+        codes.append(code)
+    assert codes[3:] == [1, 1, 1]
 
 
 def test_verify_packing_matches_the_reference_on_candidate_lists(tmp_path, capsys):

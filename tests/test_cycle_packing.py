@@ -5,6 +5,7 @@ import pytest
 from btfas import BipartiteDigraph, GenSpec, Packing, greedy_pack, max_c4_packing_exact, random_bt
 from btfas.c4free_fas import find_4cycle
 from btfas.errors import OutOfRange
+from btfas.graph_core import pair_state
 
 from helpers import all_oriented, four_cycle_bt, greedy_pack_reference, random_digraph, six_cycle
 
@@ -58,6 +59,33 @@ def test_validate_rejects_a_residual_that_is_not_the_input_minus_the_packing():
     wrong = g.delete_arcs(others)  # as many arcs as the packing's, but the wrong ones
     assert wrong.absent_pair_count() == packing.residual.absent_pair_count()
     assert not Packing(packing.cycles, wrong).validate(g)
+
+
+def test_validate_maps_each_cycle_through_pair_state_once(monkeypatch):
+    """Both checks read one key list: 4 pair_state calls per cycle, where mapping twice took 8."""
+    import btfas.certify as certify_module
+    import btfas.cycle_packing as packing_module
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pair_state(*args)
+
+    for module in (certify_module, packing_module):
+        monkeypatch.setattr(module, "pair_state", counted)
+    g = random_bt(GenSpec(12, 12, seed=3))
+    packing = greedy_pack(g)
+    assert len(packing.cycles) >= 10
+    calls.clear()
+    assert packing.validate(g)
+    assert len(calls) == 4 * len(packing.cycles)
+    # The verdicts are those of check_packing and the residual comparison.
+    shared = packing.cycles + packing.cycles[:1]
+    assert not Packing(shared, packing.residual).validate(g)
+    assert not Packing(packing.cycles, g).validate(g)
+    assert not Packing(packing.cycles[1:], packing.residual).validate(g)
+    assert not Packing(packing.cycles, packing.residual).validate(g.reverse())
 
 
 def test_early_exit_stops_at_the_limit():

@@ -7,6 +7,7 @@ import pytest
 from btfas import Arc, BipartiteDigraph, FourCycle, build, xv, yv
 from btfas.errors import ArcNotPresent, DuplicatePair, InternalInvariantError, OutOfRange, SameSideArc
 from btfas.graph_core import TO_X, TO_Y, four_cycle, pair_arc, pair_state
+from btfas.c4free_fas import fas_c4free, find_4cycle
 from btfas.instance_gen import GenSpec, random_bt
 from btfas.oracles import all_4cycles, check_acyclicity
 
@@ -14,6 +15,7 @@ from helpers import (
     FourCycleReference,
     all_oriented,
     all_x_to_y,
+    c4free_blowup,
     four_cycle_bt,
     is_cycle_sequence,
     random_digraph,
@@ -227,6 +229,57 @@ def test_topological_order_matches_the_vertex_label_kahn():
     for size in (2, 3):
         for g in all_oriented(size, size):
             assert g.topological_order() == topological_order_reference(g)
+
+
+def _forward_graph(rng, m, n, cyclic):
+    """Pairs oriented forward in a seeded order of the vertices, a quarter of them cleared.
+
+    With ``cyclic``, a 4-cycle on two seeded X and two seeded Y vertices overwrites their pairs.
+    """
+    order = list(range(m + n))
+    rng.shuffle(order)
+    position = {v: p for p, v in enumerate(order)}
+    orient = bytearray(TO_Y if position[i] < position[m + j] else TO_X for i in range(m) for j in range(n))
+    for p in rng.sample(range(m * n), m * n // 4):
+        orient[p] = 0
+    if cyclic:
+        (i, k), (j, l) = rng.sample(range(m), 2), rng.sample(range(n), 2)
+        orient[i * n + j] = orient[k * n + l] = TO_Y
+        orient[k * n + j] = orient[i * n + l] = TO_X
+    return BipartiteDigraph(m, n, bytes(orient))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+def test_the_ready_runs_match_the_vertex_label_kahn_at_tree_widths(size):
+    """Square, rectangular and one-sided shapes, each acyclic and, with two vertices a side, cyclic."""
+    rng = random.Random(size)
+    half = size // 2 + 1
+    for m, n in ((size, size), (size, half), (half, size), (size, 0), (0, size)):
+        for cyclic in (False, True) if min(m, n) >= 2 else (False,):
+            g = _forward_graph(rng, m, n, cyclic)
+            topo = g.topological_order()
+            assert topo == topological_order_reference(g)
+            assert (topo.order is None) == cyclic
+
+
+def test_the_ready_runs_match_the_vertex_label_kahn_on_cut_graphs():
+    """Decomposition cuts of blow-ups, and a dense tournament minus its backward arcs."""
+    for seed in (1, 4, 7):
+        g = c4free_blowup(seed, (66, 90))
+        cut = g.delete_arcs(fas_c4free(g).fas)
+        assert g.topological_order() == topological_order_reference(g) == (None,)
+        assert cut.topological_order() == topological_order_reference(cut) != (None,)
+    g = random_bt(GenSpec(128, 128, seed=2))
+    order = list(g.vertices())
+    random.Random(2).shuffle(order)
+    position = {v: p for p, v in enumerate(order)}
+    backward = [a for a in g.arcs() if position[a.tail] > position[a.head]]
+    kept = set(find_4cycle(g).arcs())  # has arcs backward in any order
+    for arcs, cyclic in ((backward, False), ([a for a in backward if a not in kept], True)):
+        cut = g.delete_arcs(arcs)
+        topo = cut.topological_order()
+        assert topo == topological_order_reference(cut)
+        assert (topo.order is None) == cyclic
 
 
 def _masks_from_orient(g):

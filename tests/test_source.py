@@ -68,3 +68,43 @@ def test_only_the_cli_and_the_package_namespace_import_the_oracles():
     found = {path.name: oracle_imports(path.read_text(encoding="utf-8")) for path in LIBRARY.glob("*.py")}
     assert found["cli.py"] and found["__init__.py"]
     assert [name for name, lines in found.items() if lines and name not in ("cli.py", "__init__.py")] == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module-level import binds that the module never reads; ``__all__`` entries are read."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_the_unused_import_detector_finds_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import heapq\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from .graph_core import xv, yv as why\n"
+        "from . import cli, oracles\n"
+        "__all__ = ['oracles']\n"
+        "def f():\n"
+        "    import sys\n"
+        "    return os.path.join(xv(0), cli)\n"
+    )
+    assert unused_imports(source) == ["heapq", "j", "why"]
+    graph_core = (LIBRARY / "graph_core.py").read_text(encoding="utf-8")
+    assert unused_imports("import heapq\n" + graph_core) == ["heapq"]
+
+
+def test_every_module_level_import_in_the_library_is_used():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in LIBRARY.glob("*.py")}
+    assert len(found) > 5
+    assert {name: names for name, names in found.items() if names} == {}
