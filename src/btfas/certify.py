@@ -76,16 +76,15 @@ def check_fas_keys(
     Each key is tested against the unmodified graph, so x0>y0 and y0>x0
     together still reject one; ``spell(t)`` names the t-th arc then.  The
     order is ``order`` itself, or else a topological sort's, taken without
-    a copy when nothing is deleted.
+    a copy when nothing is deleted.  The size is the rise in absent pairs.
     """
-    orient, deleted = graph.orient, set()
+    orient = graph.orient
     for key in keys:
         if key is None or orient[key[0]] != key[1]:
             # Every earlier key passed, so the first key equal to this one is this one.
             return f"arc {spell(keys.index(key))} is not in the instance", 0, None
-        deleted.add(key[0])
-    size = len(deleted)
-    remaining = graph.clear_pairs(deleted) if deleted else graph
+    remaining = graph.clear_pairs(p for p, _ in keys) if keys else graph
+    size = remaining.absent_pair_count() - graph.absent_pair_count()
     if order is None:
         order = remaining.topological_order().order
     elif not remaining.is_forward_order(order):

@@ -357,7 +357,7 @@ def _cmd_fas_c4free(args: argparse.Namespace) -> int:
 def _cmd_pack(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
     packing = greedy_pack(graph, args.limit)
-    maximal = args.limit is None or len(packing.cycles) < args.limit
+    maximal = len(packing.cycles) != args.limit or c4free_fas.find_4cycle(packing.residual) is None
     _emit(
         {
             "mode": "pack",

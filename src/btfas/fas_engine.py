@@ -4,8 +4,8 @@
 size at most 7(k-1), built from a greedy maximal packing with fewer than
 k cycles, a certified feedback arc set of the 4-cycle-free residual, and
 the packed-cycle arcs that :func:`backward_arcs` finds running backward in
-the order that certified that set.  Both outcomes, sets of ``Arc`` tuples,
-are machine-checked by ``certify`` before they are returned.
+the order that certified that set.  Both outcomes are machine-checked by
+``certify`` before they are returned; ``FasOutcome.fas`` is read from the parts.
 """
 
 from __future__ import annotations
@@ -34,17 +34,21 @@ class FasOutcome:
 
     ``residual_part`` breaks every cycle of the input minus the packed
     arcs; ``backward_part`` holds the packed-cycle arcs that run backward
-    in ``order``.  Their union is a verified feedback arc set of size at
-    most ``bound`` = 7 * (requested - 1).
+    in ``order``.  Their union, read as ``fas``, is a verified feedback arc
+    set of size at most ``bound`` = 7 * (requested - 1).
     """
 
     requested: int
     packing: Packing
-    fas: frozenset[Arc]
     residual_part: frozenset[Arc]
     backward_part: frozenset[Arc]
     order: tuple[VertexRef, ...]
     bound: int
+
+    @property
+    def fas(self) -> frozenset[Arc]:
+        """The union of the two disjoint parts, built on each read: the set is stored once."""
+        return self.residual_part | self.backward_part
 
 
 SolveOutcome = Union[PackingOutcome, FasOutcome]
@@ -104,7 +108,6 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     # has no 4-cycle; its absent pairs are exactly the deleted arcs.
     certificate = fas_c4free(packing.residual)
     backward_part = backward_arcs(certificate.order, packing.cycles)
-    fas = certificate.fas | backward_part
     # Every kept arc is forward in the order that certified the residual cut.
-    require(check_fas(tournament, fas, bound, certificate.order))
-    return FasOutcome(k, packing, fas, certificate.fas, backward_part, certificate.order, bound)
+    require(check_fas(tournament, [*certificate.fas, *backward_part], bound, certificate.order))
+    return FasOutcome(k, packing, certificate.fas, backward_part, certificate.order, bound)

@@ -868,4 +868,4 @@ def solve_reference(tournament: BipartiteDigraph, k: int):
     fas = certificate.fas | backward
     bound = 7 * (k - 1)
     require(check_fas(tournament, fas, bound, order=topo.order))
-    return FasOutcome(k, packing, fas, certificate.fas, backward, topo.order, bound)
+    return FasOutcome(k, packing, certificate.fas, backward, topo.order, bound)

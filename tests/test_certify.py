@@ -1,16 +1,19 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from btfas import (
     Arc,
     BipartiteDigraph,
+    GenSpec,
     Packing,
     c4free_fas,
     enumerate_bt,
     fas_c4free,
     fas_engine,
+    random_bt,
     solve,
     xv,
     yv,
@@ -101,6 +104,24 @@ def test_check_fas_reasons_for_foreign_arcs():
         assert check_fas(g, [foreign], order=order[1:]) == reason  # a foreign arc outranks a bad order
         assert check_by_keys(g, [(yv(1), xv(0)), foreign]) == (reason, 0, None)
     assert check_fas(g, [(yv(1), xv(0)), (yv(1), xv(0))], bound=1) is None
+
+
+def test_a_large_key_check_holds_no_set_of_its_keys():
+    """130,905 keys cost the copy and the sort, not a per-key structure of about 24 bytes per pair."""
+    side = 512
+    graph = random_bt(GenSpec(side, side, seed=1))
+    order = [*map(xv, range(side)), *map(yv, range(side))]
+    random.Random(1).shuffle(order)
+    position = {v: t for t, v in enumerate(order)}
+    keys = [pair_state(side, side, *a) for a in graph.arcs() if position[a.tail] > position[a.head]]
+    tracemalloc.start()
+    try:
+        reason, size, _ = check_fas_keys(graph, keys, str)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (reason, size, len(keys)) == (None, 130_905, 130_905)
+    assert peak <= 8 * side * side
 
 
 def test_check_packing_accepts_exactly_the_arc_disjoint_pairs():

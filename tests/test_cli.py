@@ -31,6 +31,7 @@ from btfas.oracles import all_4cycles
 
 from helpers import (
     PACKING_REASONS,
+    all_x_to_y,
     candidate_packing,
     check_packing_reference,
     four_cycle_bt,
@@ -128,6 +129,7 @@ def test_solve_lists_fas_as_the_sorted_union_of_its_parts(tmp_path, capsys):
         k = len(greedy_pack(g).cycles) + 1
         outcome = solve(g, k)
         doc = run_json(capsys, ["solve", write(tmp_path, "t.bt", g), "--k", str(k)])
+        assert outcome.fas == outcome.residual_part | outcome.backward_part
         assert doc["fas"] == [str(arc) for arc in sorted(outcome.fas)]
         assert doc["residual_fas"] == [str(arc) for arc in sorted(outcome.residual_part)]
         assert doc["backward"] == [str(arc) for arc in sorted(outcome.backward_part)]
@@ -158,7 +160,14 @@ def test_pack_subcommand(tmp_path, capsys):
     assert doc["maximal"] is True
     assert doc["residual_lambda"] == 4
     limited = run_json(capsys, ["pack", path, "--limit", "1"])
-    assert limited["maximal"] is False
+    assert limited["maximal"] is True  # the limit is reached with no 4-cycle left
+    g = random_bt(GenSpec(12, 12, seed=1))
+    assert len(greedy_pack(g).cycles) > 1
+    cut = run_json(capsys, ["pack", write(tmp_path, "r12.bt", g), "--limit", "1"])
+    assert (cut["count"], cut["maximal"]) == (1, False)
+    acyclic = write(tmp_path, "dag.bt", all_x_to_y(2, 2))
+    empty = run_json(capsys, ["pack", acyclic, "--limit", "0"])
+    assert (empty["count"], empty["maximal"]) == (0, True)
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import random
 
@@ -84,6 +85,12 @@ def test_solve_fas_branch_hand_traced():
     assert out.fas == out.backward_part
     assert out.bound == 7
     assert g.is_feedback_arc_set(out.fas)
+
+
+def test_the_feedback_arc_set_is_held_once_as_its_two_parts():
+    assert "fas" not in {f.name for f in dataclasses.fields(FasOutcome)}
+    out = FasOutcome(2, greedy_pack(four_cycle_bt()), frozenset(), frozenset({Arc(yv(1), xv(0))}), (), 7)
+    assert out.fas == {Arc(yv(1), xv(0))}
 
 
 def test_solve_acyclic_tournament():

@@ -210,7 +210,7 @@ def test_package_exports_exactly_its_public_names():
 def _without_backward_part(real):
     def solve(graph, k):
         outcome = real(graph, k)
-        return replace(outcome, fas=outcome.residual_part) if isinstance(outcome, FasOutcome) else outcome
+        return replace(outcome, backward_part=frozenset()) if isinstance(outcome, FasOutcome) else outcome
 
     return solve
 

@@ -108,3 +108,27 @@ def test_every_module_level_import_in_the_library_is_used():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in LIBRARY.glob("*.py")}
     assert len(found) > 5
     assert {name: names for name, names in found.items() if names} == {}
+
+
+DECLARED = (3, 10)  # pyproject.toml's requires-python
+
+
+def parses_as(source: str, version: tuple[int, int]) -> bool:
+    """Whether the source is valid syntax for that Python version, as far as ``ast`` can tell."""
+    try:
+        ast.parse(source, feature_version=version)
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_the_version_rule_rejects_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert parses_as(source, (3, 11)) and not parses_as(source, DECLARED)
+    assert 'requires-python = ">=3.10"' in (LIBRARY.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+
+
+def test_the_library_parses_as_the_python_version_it_declares():
+    files = sorted(LIBRARY.glob("*.py"))
+    assert len(files) > 5
+    assert [path.name for path in files if not parses_as(path.read_text(encoding="utf-8"), DECLARED)] == []
