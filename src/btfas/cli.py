@@ -559,6 +559,9 @@ def run(argv: Sequence[str]) -> int:
     except PreconditionError as exc:
         _diag(str(exc))
         return 2
+    except MemoryError:  # like TooLarge: the instance is beyond what this machine can hold
+        _diag("out of memory: the instance is too large for this machine")
+        return 2
     except InternalInvariantError as exc:
         _diag(f"internal invariant violation: {exc}")
         return 3

@@ -26,10 +26,6 @@ class ArcNotPresent(PreconditionError):
     """An operation referenced an arc the graph does not contain."""
 
 
-class VertexNotInOrder(PreconditionError):
-    """A cycle vertex is missing from the supplied linear order."""
-
-
 class HasFourCycle(PreconditionError):
     """The input contains a 4-cycle where none is allowed."""
 

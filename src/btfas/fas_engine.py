@@ -5,7 +5,7 @@ size at most 7(k-1), built from a greedy maximal packing with fewer than
 k cycles, a certified feedback arc set of the 4-cycle-free residual, and
 the packed-cycle arcs that :func:`backward_arcs` finds running backward in
 the order that certified that set.  Both outcomes are machine-checked by
-``certify`` before they are returned; ``FasOutcome.fas`` is read from the parts.
+``certify`` before they are returned; the final check alone validates that order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 from .c4free_fas import fas_c4free
 from .certify import check_fas, check_packing, require
 from .cycle_packing import Packing, greedy_pack
-from .errors import NotATournament, OutOfRange, VertexNotInOrder
+from .errors import NotATournament, OutOfRange
 from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef
 
 
@@ -35,7 +35,9 @@ class FasOutcome:
     ``residual_part`` breaks every cycle of the input minus the packed
     arcs; ``backward_part`` holds the packed-cycle arcs that run backward
     in ``order``.  Their union, read as ``fas``, is a verified feedback arc
-    set of size at most ``bound`` = 7 * (requested - 1).
+    set of size at most ``bound`` = 7 * (requested - 1).  ``order`` is the
+    lexicographically smallest topological order (X before Y, by index) of
+    the input minus ``fas``, the same order that certified the residual cut.
     """
 
     requested: int
@@ -57,19 +59,16 @@ SolveOutcome = Union[PackingOutcome, FasOutcome]
 def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> frozenset[Arc]:
     """Arcs of the cycles whose tail comes after their head in the order, 1 to 3 per cycle.
 
-    Positions are kept per side by index, so each cycle must have ``FourCycle``'s (x, y, x', y') shape.
+    ``order`` must list every vertex of the cycles' graph, as ``solve``'s does.  Positions are
+    kept per side by index, so each cycle must have ``FourCycle``'s (x, y, x', y') shape.
     """
-    xpos, ypos = {}, {}  # a vertex listed twice keeps its last position
+    xpos, ypos = [0] * len(order), [0] * len(order)  # a vertex listed twice keeps its last position
     for t, v in enumerate(order):
         (xpos if v.side == "X" else ypos)[v.index] = t
     new, backward = tuple.__new__, []
     for cycle in cycles:
-        x, y, x2, y2 = verts = cycle.vertices
-        try:
-            a, b, c, d = xpos[x.index], ypos[y.index], xpos[x2.index], ypos[y2.index]
-        except KeyError:
-            v = next(v for v, pos in zip(verts, (xpos, ypos) * 2) if v.index not in pos)
-            raise VertexNotInOrder(f"cycle vertex {v} missing from the order") from None
+        x, y, x2, y2 = cycle.vertices
+        a, b, c, d = xpos[x.index], ypos[y.index], xpos[x2.index], ypos[y2.index]
         if a > b:
             backward.append(new(Arc, (x, y)))
         if b > c:
@@ -108,6 +107,5 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     # has no 4-cycle; its absent pairs are exactly the deleted arcs.
     certificate = fas_c4free(packing.residual)
     backward_part = backward_arcs(certificate.order, packing.cycles)
-    # Every kept arc is forward in the order that certified the residual cut.
     require(check_fas(tournament, [*certificate.fas, *backward_part], bound, certificate.order))
     return FasOutcome(k, packing, certificate.fas, backward_part, certificate.order, bound)

@@ -33,7 +33,7 @@ from btfas import (
 from btfas.c4free_fas import trim_acyclic_vertices
 from btfas.certify import check_fas, check_packing, require
 from btfas.cli import MAX_PAIRS, InstanceFormatError
-from btfas.errors import DuplicatePair, NotATournament, OutOfRange, PreconditionError, VertexNotInOrder
+from btfas.errors import DuplicatePair, NotATournament, OutOfRange, PreconditionError
 from btfas.graph_core import (
     TO_X,
     TO_Y,
@@ -840,9 +840,6 @@ def backward_arcs_reference(order, cycles) -> frozenset[Arc]:
     backward = []
     for cycle in cycles:
         verts = cycle.vertices
-        for v in verts:
-            if v not in position:
-                raise VertexNotInOrder(f"cycle vertex {v} missing from the order")
         backward.extend(
             Arc(verts[t], verts[(t + 1) % 4])
             for t in range(4)
@@ -869,3 +866,45 @@ def solve_reference(tournament: BipartiteDigraph, k: int):
     bound = 7 * (k - 1)
     require(check_fas(tournament, fas, bound, order=topo.order))
     return FasOutcome(k, packing, certificate.fas, backward, topo.order, bound)
+
+
+# ----------------------------------------------------------------------
+# a seeded hill climb towards deep decompositions inside solve
+
+
+def residual_trace_score(graph: BipartiteDigraph) -> tuple[int, bool, bool, int]:
+    """(max depth, reversed reached, Y center reached, nodes) of the greedy residual's trace."""
+    trace = fas_c4free(greedy_pack(graph).residual).trace
+    return (
+        max((node.depth for node in trace), default=-1),
+        any(node.mode == "reversed" for node in trace),
+        any(node.center.side == "Y" for node in trace),
+        len(trace),
+    )
+
+
+def climb_deep_residual(seed: int, blocks: int, depth: int, steps: int) -> BipartiteDigraph:
+    """Flip 1 or 2 random pairs of ``planted_bt(seed, blocks)`` per step until the residual reaches depth.
+
+    A step's flips are kept unless ``residual_trace_score`` goes down; the
+    climb stops at the first instance whose trace reaches ``depth`` with a
+    reversed node and a Y center, or after ``steps`` steps.  The flips are
+    drawn from ``random.Random(seed)``, so a call is deterministic.
+    """
+    graph = planted_bt(seed, blocks)
+    rng, orient = random.Random(seed), bytearray(graph.orient)
+    score = residual_trace_score(graph)
+    for _ in range(steps):
+        if score[:3] >= (depth, True, True):
+            break
+        pairs = rng.sample(range(len(orient)), rng.choice((1, 2)))
+        for p in pairs:
+            orient[p] ^= TO_X ^ TO_Y
+        trial = BipartiteDigraph(graph.m, graph.n, bytes(orient))
+        trial_score = residual_trace_score(trial)
+        if trial_score >= score:
+            graph, score = trial, trial_score
+        else:
+            for p in pairs:
+                orient[p] ^= TO_X ^ TO_Y
+    return graph

@@ -322,12 +322,27 @@ def test_trace_properties_on_blowups(seed):
     assert len(cert.fas) <= bound == cert.bound
     assert g.is_feedback_arc_set(cert.fas)
     assert len(cert.fas) == sum(node.cut_size for node in cert.trace)
-    for node in cert.trace:
-        if node.depth == 0:
-            assert node.cut_size + sum(node.sub_bounds) <= bound
     depths = [node.depth for node in cert.trace]
     assert depths[0] == 0
     assert all(b <= a + 1 for a, b in zip(depths, depths[1:]))
+    # The trace is a preorder: a node's parent is the last node one level up.
+    children, path = {}, []
+    for t, node in enumerate(cert.trace):
+        del path[node.depth :]
+        children.setdefault(path[-1] if path else None, []).append(t)
+        path.append(t)
+    # The induction step at every node: its cut and its halves' bounds fit its
+    # own bound, the absent pairs at the root and elsewhere the parent's entry
+    # for its half.  Half 1 is traced first; a lone traced child may be either.
+    for parent, kids in children.items():
+        for half, t in enumerate(kids):
+            node = cert.trace[t]
+            if parent is None:
+                own = bound
+            else:
+                entries = cert.trace[parent].sub_bounds
+                own = entries[half] if len(kids) == 2 else max(entries)
+            assert node.cut_size + sum(node.sub_bounds) <= own
 
 
 @pytest.mark.parametrize(

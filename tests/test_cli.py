@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -479,6 +480,24 @@ def test_stdin_is_read_as_strict_utf8_whatever_the_locale(tmp_path):
     path = write(tmp_path, "c4.bt", four_cycle_bt())
     piped = solve("-", pathlib.Path(path).read_bytes())
     assert (piped.returncode, piped.stdout, piped.stderr) == (0, solve(path).stdout, b"")
+
+
+def test_running_out_of_memory_exits_2_without_a_traceback():
+    """8192x8192 with one arc: the child's address space holds one copy of the 64 MiB storage, not two."""
+    limit = 128 << 20
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "btfas", "solve", "-", "--k", "1"],
+        input=b"p bt 8192 8192\na x0 y0\n",
+        capture_output=True,
+        env=env,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert time.perf_counter() - start < 10
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr == b"btfas: error: out of memory: the instance is too large for this machine\n"
 
 
 @pytest.mark.parametrize(
