@@ -32,7 +32,7 @@ from .graph_core import (
     Rows,
     VertexRef,
     bit_indices,
-    pair_arc,
+    key_arcs,
     xv,
     yv,
 )
@@ -126,10 +126,10 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     if witness is not None:
         raise HasFourCycle(witness)
     keys, trace = _decomposition(graph)
-    bound, n = graph.absent_pair_count(), graph.n
-    reason, _, order = check_fas_keys(graph, keys, lambda t: str(pair_arc(n, *keys[t])), bound)
+    bound = graph.absent_pair_count()
+    reason, _, order = check_fas_keys(graph, keys, lambda t: str(key_arcs(graph, keys[t : t + 1])[0]), bound)
     require(reason)
-    return FasCertificate(frozenset(pair_arc(n, p, state) for p, state in keys), bound, tuple(trace), order)
+    return FasCertificate(frozenset(key_arcs(graph, keys)), bound, tuple(trace), order)
 
 
 def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list[TraceNode]]:

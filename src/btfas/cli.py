@@ -138,6 +138,11 @@ def parse_instance(text: str) -> BipartiteDigraph:
     straight in the storage.  An arc :func:`place_arc` rejects is held until the
     scan ends, so line and token errors come first, as if the file were read, then built.
     """
+    return _parse(text)[0]
+
+
+def _parse(text: str) -> tuple[BipartiteDigraph, _Tokens]:
+    """:func:`parse_instance`'s graph and the token table it filled, for a certificate to read on."""
     sizes: Optional[tuple[int, int]] = None
     orient: Optional[bytearray] = None  # made at the first arc: no arcs, one allocation
     defect: Optional[PreconditionError] = None
@@ -199,7 +204,7 @@ def parse_instance(text: str) -> BipartiteDigraph:
             raise defect
     except PreconditionError as exc:
         raise InstanceFormatError(str(exc)) from exc
-    return graph
+    return graph, tokens
 
 
 def render_instance(graph: BipartiteDigraph) -> str:
@@ -409,7 +414,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    graph = _load_instance(args.instance)
+    graph, tokens = _parse(_read(args.instance, stdin=args.instance == "-"))
     kind = "fas" if args.fas is not None else "packing"
     bound = None if args.k is None else fas_engine.fas_bound(args.k)  # rejects a negative k
     raw = _load_json(getattr(args, kind)).get(kind)
@@ -421,7 +426,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if not isinstance(raw, list):
         return fail(f"certificate has no {'arc' if kind == 'fas' else 'cycle'} list under {kind!r}")
-    tokens = _Tokens(graph.m, graph.n)
     if kind == "fas":
         for token in raw:
             if not isinstance(token, str):

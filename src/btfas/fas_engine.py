@@ -1,23 +1,23 @@
 """The k-cycles-or-small-feedback-arc-set pipeline for bipartite tournaments.
 
-``solve`` either returns k arc-disjoint 4-cycles or a feedback arc set of
-size at most 7(k-1), built from a greedy maximal packing with fewer than
-k cycles, a certified feedback arc set of the 4-cycle-free residual, and
-the packed-cycle arcs that :func:`backward_arcs` finds running backward in
-the order that certified that set.  Both outcomes are machine-checked by
-``certify`` before they are returned; the final check alone validates that order.
+``solve`` either returns k arc-disjoint 4-cycles or a feedback arc set of size at most 7(k-1),
+built from a greedy maximal packing with fewer than k cycles, a certified feedback arc set of the
+4-cycle-free residual, and the packed-cycle arcs running backward in the order that certified it,
+which :func:`backward_arcs` reads as (pair index, state) keys in one pass over the order.  Both
+outcomes are machine-checked by ``certify`` before they are returned, the feedback arc set as
+keys; the final check alone validates the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .c4free_fas import fas_c4free
-from .certify import check_fas, check_packing, require
+from .certify import check_fas_keys, check_packing, require
 from .cycle_packing import Packing, greedy_pack
 from .errors import NotATournament, OutOfRange
-from .graph_core import Arc, BipartiteDigraph, FourCycle, VertexRef
+from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, VertexRef, key_arcs, pair_state
 
 
 @dataclass(frozen=True)
@@ -56,28 +56,30 @@ class FasOutcome:
 SolveOutcome = Union[PackingOutcome, FasOutcome]
 
 
-def backward_arcs(order: Sequence[VertexRef], cycles: Iterable[FourCycle]) -> frozenset[Arc]:
-    """Arcs of the cycles whose tail comes after their head in the order, 1 to 3 per cycle.
+def backward_arcs(
+    tournament: BipartiteDigraph, residual: BipartiteDigraph, order: Sequence[VertexRef]
+) -> list[tuple[int, int]]:
+    """The packed arcs that run backward in order, as (pair index, state) keys, 1 to 3 per cycle.
 
-    ``order`` must list every vertex of the cycles' graph, as ``solve``'s does.  Positions are
-    kept per side by index, so each cycle must have ``FourCycle``'s (x, y, x', y') shape.
+    The packed pairs are those ``residual`` lacks, since the tournament has every pair.  One pass
+    over ``order`` keeps the Y vertices placed so far: at x_i, a packed x_i -> y_j runs backward
+    when y_j is placed, a packed y_j -> x_i when it is not.  ``order`` must list each vertex of the
+    tournament exactly once, as ``solve``'s does; the final check alone validates it.
     """
-    xpos, ypos = [0] * len(order), [0] * len(order)  # a vertex listed twice keeps its last position
-    for t, v in enumerate(order):
-        (xpos if v.side == "X" else ypos)[v.index] = t
-    new, backward = tuple.__new__, []
-    for cycle in cycles:
-        x, y, x2, y2 = cycle.vertices
-        a, b, c, d = xpos[x.index], ypos[y.index], xpos[x2.index], ypos[y2.index]
-        if a > b:
-            backward.append(new(Arc, (x, y)))
-        if b > c:
-            backward.append(new(Arc, (y, x2)))
-        if c > d:
-            backward.append(new(Arc, (x2, y2)))
-        if d > a:
-            backward.append(new(Arc, (y2, x)))
-    return frozenset(backward)
+    n = tournament.n
+    (t_out, t_in), (r_out, r_in) = tournament.x_masks, residual.x_masks
+    placed_y, keys = 0, []
+    for side, i in order:
+        if side == "Y":
+            placed_y |= 1 << i
+            continue
+        packed, base = ~(r_out[i] | r_in[i]), i * n
+        for mask, state in ((t_out[i] & placed_y & packed, TO_Y), (t_in[i] & ~placed_y & packed, TO_X)):
+            while mask:
+                low = mask & -mask
+                keys.append((base + low.bit_length() - 1, state))
+                mask ^= low
+    return keys
 
 
 def fas_bound(k: int) -> int:
@@ -106,6 +108,9 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     # The limit was not reached, so the packing is maximal and the residual
     # has no 4-cycle; its absent pairs are exactly the deleted arcs.
     certificate = fas_c4free(packing.residual)
-    backward_part = backward_arcs(certificate.order, packing.cycles)
-    require(check_fas(tournament, [*certificate.fas, *backward_part], bound, certificate.order))
+    backward = backward_arcs(tournament, packing.residual, certificate.order)
+    keys = [pair_state(tournament.m, tournament.n, *arc) for arc in certificate.fas] + backward
+    spell = lambda t: str(keys[t] and key_arcs(tournament, keys[t : t + 1])[0])  # noqa: E731
+    require(check_fas_keys(tournament, keys, spell, bound, certificate.order)[0])
+    backward_part = frozenset(key_arcs(tournament, backward))  # built from the checked keys
     return FasOutcome(k, packing, certificate.fas, backward_part, certificate.order, bound)

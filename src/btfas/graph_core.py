@@ -188,10 +188,10 @@ class BipartiteDigraph:
     def arcs(self) -> list[Arc]:
         """All arcs in canonical order: X-tail arcs by (i, j), then Y-tail by (j, i)."""
         n, orient = self.n, self.orient
-        out = [pair_arc(n, p, TO_Y) for p, state in enumerate(orient) if state == TO_Y]
+        keys = [(p, TO_Y) for p, state in enumerate(orient) if state == TO_Y]
         for j in range(n):  # Y-tail arcs by (j, i): pair column j
-            out += [pair_arc(n, i * n + j, TO_X) for i, s in enumerate(orient[j::n]) if s == TO_X]
-        return out
+            keys += [(i * n + j, TO_X) for i, s in enumerate(orient[j::n]) if s == TO_X]
+        return key_arcs(self, keys)
 
     @cached_property
     def x_masks(self) -> Rows:
@@ -391,10 +391,10 @@ def pair_state(m: int, n: int, tail: VertexRef, head: VertexRef) -> Optional[tup
     return i * n + j, state
 
 
-def pair_arc(n: int, p: int, state: int) -> Arc:
-    """The arc that state ``state`` of pair ``p`` carries: :func:`pair_state` inverted."""
-    i, j = divmod(p, n)
-    return tuple.__new__(Arc, (xv(i), yv(j)) if state == TO_Y else (yv(j), xv(i)))
+def key_arcs(graph: BipartiteDigraph, keys: Iterable[tuple[int, int]]) -> list[Arc]:
+    """The arcs that (pair index, state) keys carry, on ``graph.labels``: :func:`pair_state` inverted."""
+    n, (xs, ys), new = graph.n, graph.labels, tuple.__new__
+    return [new(Arc, (xs[p // n], ys[p % n]) if s == TO_Y else (ys[p % n], xs[p // n])) for p, s in keys]
 
 
 def place_arc(orient: bytearray, m: int, n: int, tail: VertexRef, head: VertexRef) -> None:

@@ -848,6 +848,24 @@ def backward_arcs_reference(order, cycles) -> frozenset[Arc]:
     return frozenset(backward)
 
 
+def one_packed_cycle(rng: random.Random, m: int, n: int):
+    """A random m x n tournament holding a random 4-cycle, without that cycle's pairs, and a random order.
+
+    Returns (tournament, residual, order): the residual lacks exactly the cycle's four pairs,
+    and the order lists every vertex once.
+    """
+    xi, xk = rng.sample(range(m), 2)
+    yj, yl = rng.sample(range(n), 2)
+    orient = bytearray(rng.choice((TO_Y, TO_X)) for _ in range(m * n))
+    cycle = {xi * n + yj: TO_Y, xk * n + yj: TO_X, xk * n + yl: TO_Y, xi * n + yl: TO_X}
+    for p, state in cycle.items():
+        orient[p] = state
+    tournament = BipartiteDigraph(m, n, bytes(orient))
+    order = x_vertices(tournament) + y_vertices(tournament)
+    rng.shuffle(order)
+    return tournament, tournament.clear_pairs(cycle), order
+
+
 def solve_reference(tournament: BipartiteDigraph, k: int):
     """solve over Arcs: the residual cut as Arcs, a second sort, Arc backward arcs."""
     if k < 0:

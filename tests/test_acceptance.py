@@ -28,10 +28,9 @@ from btfas import (
 from btfas.c4free_fas import find_4cycle
 from btfas.cli import run
 from btfas.fas_engine import backward_arcs
-from btfas.graph_core import four_cycle
 from btfas.oracles import check_c4free, check_census, check_dichotomy, check_oracles
 
-from helpers import four_cycle_bt, random_digraph, reverse_arcs, six_cycle
+from helpers import four_cycle_bt, one_packed_cycle, random_digraph, reverse_arcs, six_cycle
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -118,13 +117,8 @@ def test_criterion_6_backward_arc_range():
     started = time.perf_counter()
     rng = random.Random(606060)
     for _ in range(1000):
-        m, n = rng.randint(2, 7), rng.randint(2, 7)
-        xi, xk = rng.sample(range(m), 2)
-        yj, yl = rng.sample(range(n), 2)
-        cycle = four_cycle(min(xi, xk), yj, max(xi, xk), yl)
-        order = [xv(i) for i in range(m)] + [yv(j) for j in range(n)]
-        rng.shuffle(order)
-        assert len(backward_arcs(order, [cycle])) in (1, 2, 3)
+        tournament, residual, order = one_packed_cycle(rng, rng.randint(2, 7), rng.randint(2, 7))
+        assert len(backward_arcs(tournament, residual, order)) in (1, 2, 3)
     _finish("criterion-6 backward-arc-range", "1000 (order, cycle) pairs", started, 1.0)
 
 

@@ -163,21 +163,29 @@ def test_check_packing_reasons_for_bad_cycles():
 
 
 def test_solve_fas_branch_rejects_a_missing_backward_part(monkeypatch):
-    monkeypatch.setattr(fas_engine, "backward_arcs", lambda order, cycles: frozenset())
-    with pytest.raises(InternalInvariantError, match="leaves a cycle"):
-        solve(four_cycle_bt(), 2)
+    """The whole backward part dropped, or either of its two keys: the order then certifies nothing."""
+    real = fas_engine.backward_arcs
+    for drop in (slice(None), slice(0, 1), slice(1, 2)):
+
+        def dropping(tournament, residual, order, drop=drop):
+            keys = real(tournament, residual, order)
+            del keys[drop]
+            return keys
+
+        monkeypatch.setattr(fas_engine, "backward_arcs", dropping)
+        with pytest.raises(InternalInvariantError, match="leaves a cycle"):
+            solve(four_cycle_bt(), 2)
 
 
 @pytest.mark.parametrize("spoil", ["reversed", "same side"])
 def test_solve_fas_branch_rejects_an_unchecked_backward_arc(monkeypatch, spoil):
-    # backward_arcs builds its arcs with Arc._make, which skips the side
-    # check, so only the final check stands between such an arc and the caller.
+    # backward_arcs reads its keys off the masks unchecked, so only the final check stands
+    # between a bad key and the caller: a flipped state, or None, the key of a same-side arc.
     real = fas_engine.backward_arcs
 
-    def spoiled(order, cycles):
-        (tail, head), *rest = sorted(real(order, cycles))
-        x, _, x2, _ = cycles[0].vertices
-        return frozenset([Arc._make((head, tail) if spoil == "reversed" else (x, x2)), *rest])
+    def spoiled(tournament, residual, order):
+        (p, state), *rest = real(tournament, residual, order)
+        return [(p, state ^ 3) if spoil == "reversed" else None, *rest]
 
     monkeypatch.setattr(fas_engine, "backward_arcs", spoiled)
     with pytest.raises(InternalInvariantError, match="is not in the instance"):

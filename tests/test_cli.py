@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -310,6 +311,41 @@ def test_verify_counts_a_repeated_arc_once(tmp_path, capsys):
     # Leading zeros name the same arc.
     path.write_text(json.dumps({"fas": ["y01>x00", "y1>x0"]}), encoding="utf-8")
     assert run_json(capsys, ["verify", instance, "--fas", str(path)])["size"] == 1
+
+
+def test_solve_stdout_keeps_its_pinned_md5(tmp_path, capsys):
+    """Whole `btfas solve` outputs, pinned: 15,131 cycles and their backward part, and a deep residual."""
+    cases = [
+        (write(tmp_path, "r256.bt", random_bt(GenSpec(256, 256, seed=1))), 15132, "0b2e549c9e7a10c69b74c2d9246fa34b"),
+        (str(GOLDEN / "deep_residual.bt"), 44, "09c454d57244546f6904cd65d4501387"),
+    ]
+    for path, k, digest in cases:
+        assert run(["solve", path, "--k", str(k)]) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_parses_each_distinct_token_once(tmp_path, capsys, monkeypatch):
+    """The certificate reads on the instance's token table: one parse_vertex call per distinct token."""
+    import btfas.cli as cli_module
+
+    instance = write(tmp_path, "r.bt", random_bt(GenSpec(6, 5, seed=2)))
+    fas = run_json(capsys, ["solve", instance, "--k", str(6 * 5 // 4 + 1)])["fas"]
+    tail, head = fas[0].split(">")
+    fas.append(f"{tail[0]}0{tail[1:]}>{head}")  # the first arc again, under a token of its own
+    cert = tmp_path / "fas.json"
+    cert.write_text(json.dumps({"fas": fas}), encoding="utf-8")
+    calls = collections.Counter()
+
+    def counted(token):
+        calls[token] += 1
+        return parse_vertex(token)
+
+    monkeypatch.setattr(cli_module, "parse_vertex", counted)
+    doc = run_json(capsys, ["verify", instance, "--fas", str(cert)])
+    assert doc["valid"] and doc["size"] == len(fas) - 1
+    tokens = {t for line in pathlib.Path(instance).read_text().splitlines()[1:] for t in line.split()[1:]}
+    tokens |= {t for arc in fas for t in arc.split(">")}
+    assert calls == collections.Counter(tokens)
 
 
 def test_gen_to_stdout_and_file(tmp_path, capsys):

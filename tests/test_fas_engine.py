@@ -11,9 +11,12 @@ from btfas import (
     GenSpec,
     PackingOutcome,
     build,
+    certify,
+    cycle_packing,
     enumerate_bt,
     fas_c4free,
     fas_engine,
+    graph_core,
     greedy_pack,
     min_fas_exact,
     random_bt,
@@ -24,13 +27,14 @@ from btfas import (
 from btfas.cli import parse_instance, render_instance, run
 from btfas.errors import InternalInvariantError, NotATournament, OutOfRange
 from btfas.fas_engine import backward_arcs
-from btfas.graph_core import four_cycle, pair_state
+from btfas.graph_core import TO_X, key_arcs, pair_state
 
 from helpers import (
     all_x_to_y,
     backward_arcs_reference,
     climb_deep_residual,
     four_cycle_bt,
+    one_packed_cycle,
     planted_bt,
     solve_reference,
 )
@@ -46,13 +50,15 @@ DEPTH2_RESIDUAL = GOLDEN / "depth2_residual.bt"
 
 
 def test_backward_arcs_hand_checked():
-    cycle = four_cycle(0, 0, 1, 1)
+    g = four_cycle_bt()
+    residual = greedy_pack(g).residual  # the cycle's four pairs are packed
     order = (xv(0), xv(1), yv(0), yv(1))
-    assert backward_arcs(order, [cycle]) == {Arc(yv(0), xv(1)), Arc(yv(1), xv(0))}
+    # y0>x1 crosses pair 1*2 + 0, y1>x0 pair 0*2 + 1; both set TO_X.
+    assert backward_arcs(g, residual, order) == [(1, TO_X), (2, TO_X)]
+    assert key_arcs(g, backward_arcs(g, residual, order)) == [Arc(yv(1), xv(0)), Arc(yv(0), xv(1))]
     interleaved = (xv(0), yv(0), xv(1), yv(1))
-    assert backward_arcs(interleaved, [cycle]) == {Arc(yv(1), xv(0))}
-    repeated = interleaved + (xv(0),)  # a vertex listed twice keeps its last position
-    assert backward_arcs(repeated, [cycle]) == {Arc(xv(0), yv(0))}
+    assert backward_arcs(g, residual, interleaved) == [(1, TO_X)]
+    assert backward_arcs(g, g, order) == []  # no pair packed, no backward arc
 
 
 def test_an_order_missing_a_vertex_fails_the_final_check(capsys, monkeypatch):
@@ -73,13 +79,8 @@ def test_an_order_missing_a_vertex_fails_the_final_check(capsys, monkeypatch):
 def test_backward_arcs_range_over_random_orders():
     rng = random.Random(8)
     for _ in range(300):
-        m, n = rng.randint(2, 6), rng.randint(2, 6)
-        xi, xk = rng.sample(range(m), 2)
-        yj, yl = rng.sample(range(n), 2)
-        cycle = four_cycle(min(xi, xk), yj, max(xi, xk), yl)
-        order = [xv(i) for i in range(m)] + [yv(j) for j in range(n)]
-        rng.shuffle(order)
-        assert 1 <= len(backward_arcs(order, [cycle])) <= 3
+        g, residual, order = one_packed_cycle(rng, rng.randint(2, 6), rng.randint(2, 6))
+        assert 1 <= len(backward_arcs(g, residual, order)) <= 3
 
 
 def test_solve_packing_branch():
@@ -202,27 +203,17 @@ def test_planted_tournaments_reach_the_residual_branch():
 
 
 def test_backward_arcs_matches_the_reference_on_random_orders():
+    """The pass gives the reference's arcs, each once, on random permutations as orders."""
     rng = random.Random(31)
     for _ in range(300):
         g = random_bt(GenSpec(rng.randint(2, 7), rng.randint(2, 7), seed=rng.randrange(10**6)))
-        cycles = greedy_pack(g).cycles
+        packing = greedy_pack(g)
         order = list(g.vertices())
         rng.shuffle(order)
-        assert backward_arcs(order, cycles) == backward_arcs_reference(order, cycles)
-
-
-def test_backward_arcs_matches_the_reference_on_degenerate_orders():
-    """Repeated vertices, and extra ones whose index is below the order's length."""
-    rng = random.Random(47)
-    for _ in range(300):
-        m, n = rng.randint(2, 7), rng.randint(2, 7)
-        g = random_bt(GenSpec(m, n, seed=rng.randrange(10**6)))
-        cycles = greedy_pack(g).cycles
-        order = list(g.vertices())
-        order += rng.choices(order, k=rng.randint(1, 4))  # repeated vertices
-        order += [xv(m + rng.randrange(3)), yv(n + rng.randrange(3))]  # vertices outside the graph
-        rng.shuffle(order)
-        assert backward_arcs(order, cycles) == backward_arcs_reference(order, cycles)
+        keys = backward_arcs(g, packing.residual, order)
+        reference = backward_arcs_reference(order, packing.cycles)
+        assert len(keys) == len(reference)
+        assert frozenset(key_arcs(g, keys)) == reference
 
 
 def test_solve_matches_the_object_reference_on_exhaustive_small_tournaments():
@@ -300,6 +291,7 @@ def _fas_branch_corpus():
             g = planted_bt(seed, blocks)
             yield g, len(greedy_pack(g).cycles) + 1
     yield parse_instance(DEEP_RESIDUAL.read_text(encoding="utf-8")), 44
+    yield parse_instance(DEPTH2_RESIDUAL.read_text(encoding="utf-8")), 42
 
 
 def test_the_order_is_the_smallest_topological_order_of_the_input_minus_fas():
@@ -312,6 +304,43 @@ def test_the_order_is_the_smallest_topological_order_of_the_input_minus_fas():
         assert out.order == kept.topological_order().order
         nonempty += bool(out.residual_part)
     assert nonempty >= 100, nonempty
+
+
+def test_the_parts_keep_the_papers_bounds():
+    """Each packed cycle has 1 to 3 arcs in backward_part; the parts fit 3(k-1), 4(k-1) and 7(k-1)."""
+    nonempty = 0
+    for g, k in _fas_branch_corpus():
+        out = solve(g, k)
+        assert isinstance(out, FasOutcome)
+        per_cycle = [len(out.backward_part.intersection(cycle.arcs())) for cycle in out.packing.cycles]
+        assert all(1 <= count <= 3 for count in per_cycle), per_cycle
+        assert sum(per_cycle) == len(out.backward_part)  # every backward arc is a packed one
+        assert len(out.backward_part) <= 3 * (k - 1)
+        assert len(out.residual_part) <= 4 * (k - 1)
+        assert len(out.fas) <= 7 * (k - 1)
+        nonempty += bool(out.residual_part)
+    assert nonempty >= 100, nonempty
+
+
+def test_the_fas_branch_maps_only_the_residual_part_through_pair_state(monkeypatch):
+    """The backward part reaches the final check as keys: one pair_state call per residual arc at most."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pair_state(*args)
+
+    for module in (certify, cycle_packing, fas_engine, graph_core):
+        if hasattr(module, "pair_state"):
+            monkeypatch.setattr(module, "pair_state", counted)
+    deep, planted = parse_instance(DEEP_RESIDUAL.read_text(encoding="utf-8")), planted_bt(0, 8)
+    cases = [(deep, 44), (planted, len(greedy_pack(planted).cycles) + 1), (random_bt(GenSpec(24, 24, seed=5)), 145)]
+    for g, k in cases:
+        calls.clear()
+        out = solve(g, k)
+        assert isinstance(out, FasOutcome)
+        assert out.backward_part
+        assert len(calls) <= len(out.residual_part)
 
 
 def _count_calls(monkeypatch, names):

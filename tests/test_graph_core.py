@@ -6,7 +6,7 @@ import pytest
 
 from btfas import Arc, BipartiteDigraph, FourCycle, build, xv, yv
 from btfas.errors import ArcNotPresent, DuplicatePair, InternalInvariantError, OutOfRange, SameSideArc
-from btfas.graph_core import TO_X, TO_Y, four_cycle, pair_arc, pair_state
+from btfas.graph_core import TO_X, TO_Y, four_cycle, key_arcs, pair_state
 from btfas.c4free_fas import fas_c4free, find_4cycle
 from btfas.instance_gen import GenSpec, random_bt
 from btfas.oracles import all_4cycles, check_acyclicity
@@ -392,13 +392,13 @@ def test_is_forward_order_rejects_foreign_vertices_and_arcs():
         g.delete_arcs({Arc(yv(0), xv(0))}).is_forward_order((xv(0), xv(1), yv(0), yv(1)))
 
 
-def test_pair_arc_inverts_pair_state():
+def test_key_arcs_inverts_pair_state():
     for m, n in ((1, 1), (2, 3), (3, 2), (4, 4)):
-        for p in range(m * n):
-            for state in (TO_Y, TO_X):
-                arc = pair_arc(n, p, state)
-                assert pair_state(m, n, arc.tail, arc.head) == (p, state)
-                assert (arc.tail.side == "X") == (state == TO_Y)
+        keys = [(p, state) for p in range(m * n) for state in (TO_Y, TO_X)]
+        arcs = key_arcs(BipartiteDigraph(m, n, bytes(m * n)), keys)
+        assert [pair_state(m, n, arc.tail, arc.head) for arc in arcs] == keys
+        assert all(type(arc) is Arc for arc in arcs)
+        assert all((arc.tail.side == "X") == (state == TO_Y) for arc, (_, state) in zip(arcs, keys))
 
 
 # ----------------------------------------------------------------------
