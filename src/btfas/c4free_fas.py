@@ -17,6 +17,7 @@ it before it was handed out.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import sub
 from typing import Optional
@@ -29,6 +30,8 @@ from .graph_core import (
     Arc,
     BipartiteDigraph,
     FourCycle,
+    HeldArcs,
+    LazyArcSet,
     Rows,
     VertexRef,
     bit_indices,
@@ -52,9 +55,13 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class FasCertificate:
-    """A feedback arc set with its proven size bound, its trace and its certifying order."""
+    """A feedback arc set with its proven size bound, its trace and its certifying order.
 
-    fas: frozenset[Arc]
+    ``fas_c4free`` holds ``fas`` as the cut's checked pairs and builds the set on its first read;
+    threads racing on that read build equal sets.
+    """
+
+    fas: frozenset[Arc] = LazyArcSet()  # type: ignore[assignment]
     bound: int
     trace: tuple[TraceNode, ...]
     order: tuple[VertexRef, ...]  # topological order of the input minus fas
@@ -129,7 +136,7 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     bound = graph.absent_pair_count()
     reason, _, order = check_fas_keys(graph, keys, lambda t: str(key_arcs(graph, keys[t : t + 1])[0]), bound)
     require(reason)
-    return FasCertificate(frozenset(key_arcs(graph, keys)), bound, tuple(trace), order)
+    return FasCertificate(HeldArcs(graph, array("q", [p for p, _ in keys])), bound, tuple(trace), order)
 
 
 def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list[TraceNode]]:

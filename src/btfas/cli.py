@@ -23,13 +23,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import heapq
 import itertools
 import json
 import os
 import re
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import c4free_fas, certify, fas_engine, instance_gen, oracles, p4_census
 from .cycle_packing import greedy_pack
@@ -40,6 +39,7 @@ from .graph_core import (
     Arc,
     BipartiteDigraph,
     FourCycle,
+    HeldArcs,
     VertexRef,
     build,
     place_arc,
@@ -222,8 +222,20 @@ def render_instance(graph: BipartiteDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _arc_strings(arcs: Iterable[Arc]) -> list[str]:
-    return [str(a) for a in sorted(arcs)]
+def _arc_keys(graph: BipartiteDigraph, arcs: Iterable) -> list[int]:
+    """An arc set's sort keys, from the pairs it holds or its Arcs: X-tail arcs by i*n + j, then
+    Y-tail arcs by m*n + j*m + i, the order sorting the Arcs gives."""
+    m, n, keys = graph.m, graph.n, HeldArcs.keys(graph, arcs)
+    return sorted(p if state == TO_Y else m * n + p % n * m + p // n for p, state in keys)
+
+
+def _arc_namer(graph: BipartiteDigraph) -> Callable[[list[int]], list[str]]:
+    """Strings for :func:`_arc_keys`'s keys, through name tables built once per command."""
+    m, n, total = graph.m, graph.n, graph.m * graph.n
+    xs, ys = [f"x{i}" for i in range(m)], [f"y{j}" for j in range(n)]
+    return lambda keys: [
+        f"{xs[k // n]}>{ys[k % n]}" if k < total else f"{ys[k // m - n]}>{xs[k % m]}" for k in keys
+    ]
 
 
 def _cycle_lists(cycles: Iterable[FourCycle]) -> list[list[str]]:
@@ -332,13 +344,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "fas": None,
         "bound": None,
     }
-    if not packed:
-        # fas is the disjoint union of the two parts: merge their sorted runs.
-        residual, backward = sorted(outcome.residual_part), sorted(outcome.backward_part)
-        residual_strings, backward_strings = [str(a) for a in residual], [str(a) for a in backward]
-        merged = heapq.merge(zip(residual, residual_strings), zip(backward, backward_strings))
-        doc.update(fas=[text for _, text in merged], bound=outcome.bound, residual_fas=residual_strings)
-        doc.update(backward=backward_strings, order=[str(v) for v in outcome.order])
+    if not packed:  # fas is the disjoint union of the two parts, rendered from their held pairs
+        names, held = _arc_namer(graph), vars(outcome)
+        residual, backward = _arc_keys(graph, held["residual_part"]), _arc_keys(graph, held["backward_part"])
+        doc.update(fas=names(sorted(residual + backward)), bound=outcome.bound, residual_fas=names(residual))
+        doc.update(backward=names(backward), order=[str(v) for v in outcome.order])
     _emit(doc)
     return 0
 
@@ -351,7 +361,7 @@ def _cmd_fas_c4free(args: argparse.Namespace) -> int:
             "mode": "fas-c4free",
             "branch": "fas",
             "lambda": graph.absent_pair_count(),
-            "fas": _arc_strings(certificate.fas),
+            "fas": _arc_namer(graph)(_arc_keys(graph, vars(certificate)["fas"])),
             "bound": certificate.bound,
             "trace": [dict(vars(t), center=str(t.center)) for t in certificate.trace],
         }
@@ -382,7 +392,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
     if args.min_fas:
         result = oracles.min_fas_exact(graph)
-        witness = _arc_strings(result.witness)
+        witness = _arc_namer(graph)(_arc_keys(graph, result.witness))
         kind = "min-fas"
     else:
         result = oracles.max_c4_packing_exact(graph)

@@ -5,11 +5,13 @@ built from a greedy maximal packing with fewer than k cycles, a certified feedba
 4-cycle-free residual, and the packed-cycle arcs running backward in the order that certified it,
 which :func:`backward_arcs` reads as (pair index, state) keys in one pass over the order.  Both
 outcomes are machine-checked by ``certify`` before they are returned, the feedback arc set as
-keys; the final check alone validates the order.
+keys; the final check alone validates the order.  No ``Arc`` is built in the call: the outcome
+holds the checked pairs, and its sets are built when first read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -17,7 +19,7 @@ from .c4free_fas import fas_c4free
 from .certify import check_fas_keys, check_packing, require
 from .cycle_packing import Packing, greedy_pack
 from .errors import NotATournament, OutOfRange
-from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, VertexRef, key_arcs, pair_state
+from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, HeldArcs, LazyArcSet, VertexRef, key_arcs
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,14 @@ class FasOutcome:
     set of size at most ``bound`` = 7 * (requested - 1).  ``order`` is the
     lexicographically smallest topological order (X before Y, by index) of
     the input minus ``fas``, the same order that certified the residual cut.
+    ``solve`` holds both parts as their checked pairs and builds each set on
+    its first read; threads racing on that read build equal sets.
     """
 
     requested: int
     packing: Packing
-    residual_part: frozenset[Arc]
-    backward_part: frozenset[Arc]
+    residual_part: frozenset[Arc] = LazyArcSet()  # type: ignore[assignment]
+    backward_part: frozenset[Arc] = LazyArcSet()  # type: ignore[assignment]
     order: tuple[VertexRef, ...]
     bound: int
 
@@ -108,9 +112,10 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     # The limit was not reached, so the packing is maximal and the residual
     # has no 4-cycle; its absent pairs are exactly the deleted arcs.
     certificate = fas_c4free(packing.residual)
+    cut = vars(certificate)["fas"]  # the cut's checked pairs, unless the set was built
     backward = backward_arcs(tournament, packing.residual, certificate.order)
-    keys = [pair_state(tournament.m, tournament.n, *arc) for arc in certificate.fas] + backward
+    keys = [*HeldArcs.keys(tournament, cut), *backward]
     spell = lambda t: str(keys[t] and key_arcs(tournament, keys[t : t + 1])[0])  # noqa: E731
     require(check_fas_keys(tournament, keys, spell, bound, certificate.order)[0])
-    backward_part = frozenset(key_arcs(tournament, backward))  # built from the checked keys
-    return FasOutcome(k, packing, certificate.fas, backward_part, certificate.order, bound)
+    backward_part = HeldArcs(tournament, array("q", [p for p, _ in backward]))  # the checked pairs
+    return FasOutcome(k, packing, cut, backward_part, certificate.order, bound)

@@ -397,6 +397,50 @@ def key_arcs(graph: BipartiteDigraph, keys: Iterable[tuple[int, int]]) -> list[A
     return [new(Arc, (xs[p // n], ys[p % n]) if s == TO_Y else (ys[p % n], xs[p // n])) for p, s in keys]
 
 
+class HeldArcs(NamedTuple):
+    """An arc set held as a graph and an ``array('q')`` of its checked pairs, each arc the one
+    ``graph.orient`` holds there.  Pickled and copied as the frozenset it stands for."""
+
+    graph: BipartiteDigraph
+    pairs: Sequence[int]
+
+    @staticmethod
+    def keys(graph: BipartiteDigraph, arcs: Iterable) -> Iterator[Optional[tuple[int, int]]]:
+        """The (pair index, state) keys of a :class:`LazyArcSet` field's value: held pairs, or Arcs."""
+        if isinstance(arcs, HeldArcs):
+            return zip(arcs.pairs, map(arcs.graph.orient.__getitem__, arcs.pairs))
+        return (pair_state(graph.m, graph.n, *arc) for arc in arcs)
+
+    def arcs(self) -> frozenset[Arc]:
+        """The set, as :func:`key_arcs` would build it from the keys, with each state read in place."""
+        n, (xs, ys), orient, new = self.graph.n, self.graph.labels, self.graph.orient, tuple.__new__
+        return frozenset(
+            [new(Arc, (xs[p // n], ys[p % n]) if orient[p] == TO_Y else (ys[p % n], xs[p // n])) for p in self.pairs]
+        )
+
+    def __reduce__(self):  # type: ignore[override]
+        return frozenset, (self.arcs(),)
+
+
+class LazyArcSet:
+    """A ``frozenset[Arc]`` dataclass field, without default, that also takes a :class:`HeldArcs`:
+    the first read builds the set in its place, and threads racing on that read build equal sets."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: Optional[type] = None) -> frozenset[Arc]:
+        if obj is None:  # no class-level value, so the dataclass field gets no default
+            raise AttributeError(self.name)
+        held = vars(obj)[self.name]
+        if isinstance(held, HeldArcs):
+            held = vars(obj)[self.name] = held.arcs()
+        return held
+
+    def __set__(self, obj: object, value: object) -> None:
+        vars(obj)[self.name] = value
+
+
 def place_arc(orient: bytearray, m: int, n: int, tail: VertexRef, head: VertexRef) -> None:
     """The one pair validator: set tail->head's pair in m x n ``orient``, or raise build's error."""
     found = pair_state(m, n, tail, head)

@@ -7,9 +7,12 @@ implementations they check.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import heapq
 import itertools
 import json
+import pickle
 import random
 import re
 from dataclasses import dataclass
@@ -37,6 +40,7 @@ from btfas.errors import DuplicatePair, NotATournament, OutOfRange, Precondition
 from btfas.graph_core import (
     TO_X,
     TO_Y,
+    HeldArcs,
     Subgraph,
     TopoResult,
     bit_indices,
@@ -926,3 +930,29 @@ def climb_deep_residual(seed: int, blocks: int, depth: int, steps: int) -> Bipar
             for p in pairs:
                 orient[p] ^= TO_X ^ TO_Y
     return graph
+
+
+# ----------------------------------------------------------------------
+# arc sets held as pairs until read
+
+
+def check_lazy_arc_sets(lazy, eager, fields: tuple[str, ...]) -> None:
+    """``lazy`` holds ``fields`` as pairs and behaves as ``eager``, built publicly from frozensets.
+
+    ==, hash and repr each run on an unread shallow copy (which shares the held pairs), then again
+    once that read has built the sets; a pickle round trip, ``copy.deepcopy`` and
+    ``dataclasses.replace`` of unread copies each give an object of equal value and hash.  A round
+    trip rebuilds each set by insertion, so its repr may list the arcs in another order, as it
+    may for an object whose sets were built eagerly.
+    """
+    unread = lambda obj: all(isinstance(vars(obj)[name], HeldArcs) for name in fields)  # noqa: E731
+    assert unread(lazy)
+    for same in (lambda c: c == eager, lambda c: hash(c) == hash(eager), lambda c: repr(c) == repr(eager)):
+        twin = copy.copy(lazy)
+        assert unread(twin) and same(twin)
+        assert not any(isinstance(vars(twin)[name], HeldArcs) for name in fields)
+        assert same(twin)
+    rebuilt = [pickle.loads(pickle.dumps(copy.copy(lazy))), copy.deepcopy(copy.copy(lazy))]
+    rebuilt.append(dataclasses.replace(copy.copy(lazy)))
+    assert unread(lazy)
+    assert all(obj == eager and hash(obj) == hash(eager) for obj in rebuilt)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from btfas import (
     Arc,
     BipartiteDigraph,
+    FasCertificate,
     GenSpec,
     build,
     enumerate_bt,
@@ -27,6 +28,7 @@ from helpers import (
     all_oriented,
     all_x_to_y,
     c4free_blowup,
+    check_lazy_arc_sets,
     fas_c4free_reference,
     find_4cycle_reference,
     four_cycle_bt,
@@ -192,6 +194,18 @@ def test_certificates_equal_the_reference_on_blowups():
             reached.update((node.mode, node.center.side, min(node.depth, 2)))
     # Every branch of the decomposition runs, so the comparison is not vacuous.
     assert reached == {"direct", "reversed", "X", "Y", 0, 1, 2}
+
+
+def test_lazy_certificates_equal_their_eager_twins():
+    """Each blow-up certificate behaves as the one built publicly from a frozenset, read or unread."""
+    sizes = []
+    for seed in range(30):
+        g = c4free_blowup(seed)
+        lazy, source = fas_c4free(g), fas_c4free(g)
+        eager = FasCertificate(frozenset(source.fas), source.bound, source.trace, source.order)
+        check_lazy_arc_sets(lazy, eager, ("fas",))
+        sizes.append(len(eager.fas))
+    assert min(sizes) > 0, sizes
 
 
 def test_certificates_equal_the_reference_across_the_multiply_cut_off(monkeypatch):

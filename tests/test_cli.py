@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from btfas import GenSpec, build, enumerate_bt, greedy_pack, random_bt, solve, xv, yv
+from btfas import GenSpec, build, enumerate_bt, greedy_pack, min_fas_exact, random_bt, solve, xv, yv
 from btfas.cli import (
     MAX_SIDE,
     InstanceFormatError,
@@ -34,6 +34,7 @@ from btfas.oracles import all_4cycles
 from helpers import (
     PACKING_REASONS,
     all_x_to_y,
+    c4free_blowup,
     candidate_packing,
     check_packing_reference,
     four_cycle_bt,
@@ -180,6 +181,18 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert doc["value"] == 0
 
 
+def test_oracle_witness_lists_the_arcs_in_sorted_arc_order(tmp_path, capsys):
+    """The witness renders through the name tables in the order sorting its Arcs gives."""
+    tails = set()
+    for seed in range(6):
+        g = random_bt(GenSpec(4, 5, seed=seed))
+        witness = min_fas_exact(g).witness
+        doc = run_json(capsys, ["oracle", write(tmp_path, f"r{seed}.bt", g), "--min-fas"])
+        assert doc["witness"] == [str(arc) for arc in sorted(witness)]
+        tails.update(arc.tail.side for arc in witness)
+    assert tails == {"X", "Y"}
+
+
 def test_census_subcommand(tmp_path, capsys):
     path = write(tmp_path, "six.bt", six_cycle())
     doc = run_json(capsys, ["census", path])
@@ -321,6 +334,17 @@ def test_solve_stdout_keeps_its_pinned_md5(tmp_path, capsys):
     ]
     for path, k, digest in cases:
         assert run(["solve", path, "--k", str(k)]) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_fas_c4free_stdout_keeps_its_pinned_md5(tmp_path, capsys):
+    """Whole `btfas fas-c4free` outputs, pinned: the six-cycle golden and a 75x79 blow-up at depth 3."""
+    cases = [
+        (str(GOLDEN / "six_cycle.bt"), "2da5b52e13358cb179256f91570cb6a6"),
+        (write(tmp_path, "blowup.bt", c4free_blowup(1, (60, 80))), "d75b60c33071861669e0765639362980"),
+    ]
+    for path, digest in cases:
+        assert run(["fas-c4free", path]) == 0
         assert hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 

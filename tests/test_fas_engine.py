@@ -1,6 +1,8 @@
 import dataclasses
 import pathlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -11,6 +13,7 @@ from btfas import (
     GenSpec,
     PackingOutcome,
     build,
+    c4free_fas,
     certify,
     cycle_packing,
     enumerate_bt,
@@ -27,11 +30,12 @@ from btfas import (
 from btfas.cli import parse_instance, render_instance, run
 from btfas.errors import InternalInvariantError, NotATournament, OutOfRange
 from btfas.fas_engine import backward_arcs
-from btfas.graph_core import TO_X, key_arcs, pair_state
+from btfas.graph_core import TO_X, HeldArcs, key_arcs, pair_state
 
 from helpers import (
     all_x_to_y,
     backward_arcs_reference,
+    check_lazy_arc_sets,
     climb_deep_residual,
     four_cycle_bt,
     one_packed_cycle,
@@ -322,25 +326,59 @@ def test_the_parts_keep_the_papers_bounds():
     assert nonempty >= 100, nonempty
 
 
-def test_the_fas_branch_maps_only_the_residual_part_through_pair_state(monkeypatch):
-    """The backward part reaches the final check as keys: one pair_state call per residual arc at most."""
-    calls = []
+def test_the_fas_branch_builds_no_arc(monkeypatch):
+    """solve checks and holds both parts as pairs: no key_arcs or pair_state call, and no part built."""
+    calls = {"key_arcs": 0, "pair_state": 0}
+    for name in calls:
+        real = getattr(graph_core, name)
 
-    def counted(*args):
-        calls.append(args)
-        return pair_state(*args)
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
 
-    for module in (certify, cycle_packing, fas_engine, graph_core):
-        if hasattr(module, "pair_state"):
-            monkeypatch.setattr(module, "pair_state", counted)
-    deep, planted = parse_instance(DEEP_RESIDUAL.read_text(encoding="utf-8")), planted_bt(0, 8)
-    cases = [(deep, 44), (planted, len(greedy_pack(planted).cycles) + 1), (random_bt(GenSpec(24, 24, seed=5)), 145)]
-    for g, k in cases:
-        calls.clear()
+        for module in (certify, cycle_packing, c4free_fas, fas_engine, graph_core):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    deep, depth2 = (parse_instance(path.read_text(encoding="utf-8")) for path in (DEEP_RESIDUAL, DEPTH2_RESIDUAL))
+    for g, k in [(deep, 44), (depth2, 42), (random_bt(GenSpec(24, 24, seed=5)), 145)]:
         out = solve(g, k)
         assert isinstance(out, FasOutcome)
-        assert out.backward_part
-        assert len(calls) <= len(out.residual_part)
+        assert calls == {"key_arcs": 0, "pair_state": 0}
+        assert all(isinstance(vars(out)[part], HeldArcs) for part in ("residual_part", "backward_part"))
+        assert out.backward_part and (out.residual_part or g.m == 24)  # both goldens have a residual cut
+        assert not any(isinstance(vars(out)[part], HeldArcs) for part in ("residual_part", "backward_part"))
+
+
+def test_lazy_outcomes_equal_their_eager_twins():
+    """Every outcome on the corpus behaves as the one built publicly from frozensets, read or unread."""
+    nonempty = 0
+    for g, k in _fas_branch_corpus():
+        lazy, source = solve(g, k), solve(g, k)
+        parts = frozenset(source.residual_part), frozenset(source.backward_part)
+        eager = FasOutcome(k, source.packing, *parts, source.order, source.bound)
+        check_lazy_arc_sets(lazy, eager, ("residual_part", "backward_part"))
+        nonempty += bool(parts[0])
+    assert nonempty >= 100, nonempty
+
+
+def test_threads_racing_on_the_first_read_build_equal_sets():
+    """Four threads read fas of one unread outcome at once, switching every microsecond: equal sets."""
+    g = random_bt(GenSpec(24, 24, seed=7))
+    expected = solve(g, 145).fas
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            out, results = solve(g, 145), []
+            threads = [threading.Thread(target=lambda: results.append(out.fas)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == 4 and all(fas == expected for fas in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _count_calls(monkeypatch, names):

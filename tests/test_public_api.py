@@ -39,7 +39,9 @@ PUBLIC = {
 # Names that live only in their modules: proof machinery and oracle internals.
 MODULE_ONLY = {
     "certify": ["check_fas_keys", "check_packing_keys"],
-    "graph_core": ["ABSENT", "TO_X", "TO_Y", "Rows", "Subgraph", "TopoResult", "four_cycle", "key_arcs"],
+    "graph_core": [
+        "ABSENT", "TO_X", "TO_Y", "HeldArcs", "LazyArcSet", "Rows", "Subgraph", "TopoResult", "four_cycle", "key_arcs"
+    ],
     "c4free_fas": ["find_4cycle", "trim_acyclic_vertices"],
     "fas_engine": ["backward_arcs"],
     "p4_census": ["first_count", "sec_count", "partition_around"],
