@@ -35,7 +35,6 @@ from .graph_core import (
     Rows,
     VertexRef,
     bit_indices,
-    key_arcs,
     xv,
     yv,
 )
@@ -134,7 +133,7 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
         raise HasFourCycle(witness)
     keys, trace = _decomposition(graph)
     bound = graph.absent_pair_count()
-    reason, _, order = check_fas_keys(graph, keys, lambda t: str(key_arcs(graph, keys[t : t + 1])[0]), bound)
+    reason, _, order = check_fas_keys(graph, keys, bound=bound)
     require(reason)
     return FasCertificate(HeldArcs(graph, array("q", [p for p, _ in keys])), bound, tuple(trace), order)
 

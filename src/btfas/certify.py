@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .graph_core import BipartiteDigraph, FourCycle, VertexRef, pair_state
+from .graph_core import BipartiteDigraph, FourCycle, HeldArcs, VertexRef, cycle_keys, key_arcs
 
 Arcs = Iterable[tuple[VertexRef, VertexRef]]
 Keys = Sequence[Optional[tuple[int, int]]]
@@ -23,8 +23,7 @@ def check_packing(
     graph: BipartiteDigraph, cycles: Sequence[FourCycle], k: Optional[int] = None
 ) -> Optional[str]:
     """Why ``cycles`` are not at least k arc-disjoint 4-cycles of graph; see :func:`check_packing_keys`."""
-    m, n = graph.m, graph.n
-    keys = ([pair_state(m, n, c.vertices[t - 1], v) for t, v in enumerate(c.vertices)] for c in cycles)
+    keys = (cycle_keys(graph, c) for c in cycles)
     return check_packing_keys(graph, keys, lambda t: str([str(v) for v in cycles[t].vertices]), k)
 
 
@@ -57,32 +56,33 @@ def check_fas(
     A repeated arc counts once, in the size and against ``bound``.  With
     ``order``, acyclicity is certified by every other arc running forward
     in it; without, by a topological sort of the graph minus the arcs.
-    Each arc's :func:`pair_state` key goes to :func:`check_fas_keys`.
+    Each arc's :meth:`HeldArcs.keys` key goes to :func:`check_fas_keys`.
     """
     arcs = list(arcs)
-    keys = [pair_state(graph.m, graph.n, tail, head) for tail, head in arcs]
+    keys = list(HeldArcs.keys(graph, arcs))
     return check_fas_keys(graph, keys, lambda t: "%s>%s" % tuple(arcs[t]), bound, order)[0]
 
 
 def check_fas_keys(
     graph: BipartiteDigraph,
     keys: list[Optional[tuple[int, int]]],
-    spell: Callable[[int], str],
+    spell: Optional[Callable[[int], str]] = None,
     bound: Optional[int] = None,
     order: Order = None,
 ) -> Sized:
     """The one feedback-arc-set check, on (pair index, state) keys; None crosses no pair.
 
-    Each key is tested against the unmodified graph, so x0>y0 and y0>x0
-    together still reject one; ``spell(t)`` names the t-th arc then.  The
-    order is ``order`` itself, or else a topological sort's, taken without
-    a copy when nothing is deleted.  The size is the rise in absent pairs.
+    Each key is tested against the unmodified graph, so x0>y0 and y0>x0 together still
+    reject one; ``spell(t)`` names the t-th arc then, and without it :func:`key_arcs` names
+    the key's arc (a None key as None).  The order is ``order`` itself, or else a topological
+    sort's, taken without a copy when nothing is deleted.  The size is the rise in absent pairs.
     """
     orient = graph.orient
     for key in keys:
         if key is None or orient[key[0]] != key[1]:
             # Every earlier key passed, so the first key equal to this one is this one.
-            return f"arc {spell(keys.index(key))} is not in the instance", 0, None
+            name = (key and key_arcs(graph, [key])[0]) if spell is None else spell(keys.index(key))
+            return f"arc {name} is not in the instance", 0, None
     remaining = graph.clear_pairs(p for p, _ in keys) if keys else graph
     size = remaining.absent_pair_count() - graph.absent_pair_count()
     if order is None:

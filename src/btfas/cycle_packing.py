@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 from .c4free_fas import find_4cycle
 from .certify import check_packing_keys
 from .errors import OutOfRange
-from .graph_core import BipartiteDigraph, FourCycle, VertexRef, pair_state
+from .graph_core import BipartiteDigraph, FourCycle, VertexRef, cycle_keys
 
 
 @dataclass(frozen=True)
@@ -20,13 +20,9 @@ class Packing:
 
     def validate(self, source: BipartiteDigraph) -> bool:
         """Re-check the packing, and that the residual is ``source`` minus its arcs, on one key list."""
-        m, n = source.m, source.n
-        keys = [
-            [pair_state(m, n, c.vertices[t - 1], v) for t, v in enumerate(c.vertices)] for c in self.cycles
-        ]
-        if check_packing_keys(source, keys, str) is not None:  # the reason is not read
-            return False
-        return self.residual == source.clear_pairs(p for cycle in keys for p, _ in cycle)
+        keys = [cycle_keys(source, c) for c in self.cycles]
+        valid = check_packing_keys(source, keys, str) is None  # the reason is not read
+        return valid and self.residual == source.clear_pairs(p for cycle in keys for p, _ in cycle)
 
 
 class _MaskView(NamedTuple):

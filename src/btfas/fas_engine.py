@@ -19,7 +19,7 @@ from .c4free_fas import fas_c4free
 from .certify import check_fas_keys, check_packing, require
 from .cycle_packing import Packing, greedy_pack
 from .errors import NotATournament, OutOfRange
-from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, HeldArcs, LazyArcSet, VertexRef, key_arcs
+from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, HeldArcs, LazyArcSet, VertexRef
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,9 @@ class FasOutcome:
 
     @property
     def fas(self) -> frozenset[Arc]:
-        """The union of the two disjoint parts, built on each read: the set is stored once."""
-        return self.residual_part | self.backward_part
+        """The union of the two disjoint parts, built on each read, or one part itself if the other is empty."""
+        residual, backward = self.residual_part, self.backward_part
+        return residual | backward if residual and backward else residual or backward
 
 
 SolveOutcome = Union[PackingOutcome, FasOutcome]
@@ -115,7 +116,6 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     cut = vars(certificate)["fas"]  # the cut's checked pairs, unless the set was built
     backward = backward_arcs(tournament, packing.residual, certificate.order)
     keys = [*HeldArcs.keys(tournament, cut), *backward]
-    spell = lambda t: str(keys[t] and key_arcs(tournament, keys[t : t + 1])[0])  # noqa: E731
-    require(check_fas_keys(tournament, keys, spell, bound, certificate.order)[0])
+    require(check_fas_keys(tournament, keys, bound=bound, order=certificate.order)[0])
     backward_part = HeldArcs(tournament, array("q", [p for p, _ in backward]))  # the checked pairs
     return FasOutcome(k, packing, cut, backward_part, certificate.order, bound)

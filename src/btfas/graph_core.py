@@ -391,6 +391,11 @@ def pair_state(m: int, n: int, tail: VertexRef, head: VertexRef) -> Optional[tup
     return i * n + j, state
 
 
+def cycle_keys(graph: BipartiteDigraph, cycle: FourCycle) -> list[Optional[tuple[int, int]]]:
+    """A 4-cycle's (pair index, state) keys by :func:`pair_state`, the closing arc first; None off graph."""
+    return [pair_state(graph.m, graph.n, cycle.vertices[t - 1], v) for t, v in enumerate(cycle.vertices)]
+
+
 def key_arcs(graph: BipartiteDigraph, keys: Iterable[tuple[int, int]]) -> list[Arc]:
     """The arcs that (pair index, state) keys carry, on ``graph.labels``: :func:`pair_state` inverted."""
     n, (xs, ys), new = graph.n, graph.labels, tuple.__new__
@@ -406,7 +411,7 @@ class HeldArcs(NamedTuple):
 
     @staticmethod
     def keys(graph: BipartiteDigraph, arcs: Iterable) -> Iterator[Optional[tuple[int, int]]]:
-        """The (pair index, state) keys of a :class:`LazyArcSet` field's value: held pairs, or Arcs."""
+        """The (pair index, state) keys of held pairs, or of (tail, head) pairs by :func:`pair_state`."""
         if isinstance(arcs, HeldArcs):
             return zip(arcs.pairs, map(arcs.graph.orient.__getitem__, arcs.pairs))
         return (pair_state(graph.m, graph.n, *arc) for arc in arcs)

@@ -27,8 +27,8 @@ from .graph_core import (
     BipartiteDigraph,
     FourCycle,
     VertexRef,
+    cycle_keys,
     four_cycle,
-    pair_state,
     xv,
     yv,
 )
@@ -129,8 +129,7 @@ def max_c4_packing_exact(graph: BipartiteDigraph) -> OracleResult:
     cycles = tuple(itertools.islice(_iter_4cycles(graph), DEFAULT_CYCLE_CAP + 1))  # stop past the cap
     if len(cycles) > DEFAULT_CYCLE_CAP:
         raise TooLarge(f"more than {DEFAULT_CYCLE_CAP} 4-cycles exceed the configured cap")
-    m, n = graph.m, graph.n
-    masks = [sum(1 << pair_state(m, n, a.tail, a.head)[0] for a in c.arcs()) for c in cycles]
+    masks = [sum(1 << p for p, _ in cycle_keys(graph, c)) for c in cycles]
 
     best: tuple[FourCycle, ...] = ()
     stack = [(0, 0, best)]  # (next cycle index, arcs used, cycles chosen); include pops before exclude

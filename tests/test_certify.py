@@ -20,7 +20,7 @@ from btfas import (
 )
 from btfas.certify import check_fas, check_fas_keys, check_packing
 from btfas.errors import InternalInvariantError
-from btfas.graph_core import ABSENT, FourCycle, four_cycle, pair_state
+from btfas.graph_core import ABSENT, TO_X, TO_Y, FourCycle, four_cycle, pair_state
 from btfas.oracles import all_4cycles, find_cycle_brute
 
 from helpers import (
@@ -104,6 +104,17 @@ def test_check_fas_reasons_for_foreign_arcs():
         assert check_fas(g, [foreign], order=order[1:]) == reason  # a foreign arc outranks a bad order
         assert check_by_keys(g, [(yv(1), xv(0)), foreign]) == (reason, 0, None)
     assert check_fas(g, [(yv(1), xv(0)), (yv(1), xv(0))], bound=1) is None
+
+
+def test_without_spell_a_failing_key_is_named_by_its_arc():
+    g = four_cycle_bt()  # x0>y0, y0>x1, x1>y1, y1>x0
+    order = (xv(0), yv(0), xv(1), yv(1))
+    assert check_fas_keys(g, [(0, TO_X)]) == ("arc y0>x0 is not in the instance", 0, None)
+    assert check_fas_keys(g, [(1, TO_X), (2, TO_Y)], order=order)[0] == "arc x1>y0 is not in the instance"
+    assert check_fas_keys(g, [(1, TO_X), None], bound=1) == ("arc None is not in the instance", 0, None)
+    assert check_fas_keys(g, [(1, TO_X)], bound=1) == (None, 1, order)
+    # A spell still names the arc as the caller wrote it.
+    assert check_fas_keys(g, [None], lambda t: "x9>y0")[0] == "arc x9>y0 is not in the instance"
 
 
 def test_a_large_key_check_holds_no_set_of_its_keys():

@@ -1,11 +1,14 @@
 import dataclasses
+import importlib
 import pathlib
+import pkgutil
 import random
 import sys
 import threading
 
 import pytest
 
+import btfas
 from btfas import (
     Arc,
     BipartiteDigraph,
@@ -13,9 +16,7 @@ from btfas import (
     GenSpec,
     PackingOutcome,
     build,
-    c4free_fas,
     certify,
-    cycle_packing,
     enumerate_bt,
     fas_c4free,
     fas_engine,
@@ -30,7 +31,7 @@ from btfas import (
 from btfas.cli import parse_instance, render_instance, run
 from btfas.errors import InternalInvariantError, NotATournament, OutOfRange
 from btfas.fas_engine import backward_arcs
-from btfas.graph_core import TO_X, HeldArcs, key_arcs, pair_state
+from btfas.graph_core import TO_X, TO_Y, HeldArcs, key_arcs, pair_state
 
 from helpers import (
     all_x_to_y,
@@ -327,8 +328,16 @@ def test_the_parts_keep_the_papers_bounds():
 
 
 def test_the_fas_branch_builds_no_arc(monkeypatch):
-    """solve checks and holds both parts as pairs: no key_arcs or pair_state call, and no part built."""
+    """solve checks and holds both parts as pairs: no key_arcs or pair_state call, and no part built.
+
+    Every library module that binds either name is patched.  ``certify`` binds ``key_arcs`` to name
+    a failing key when no ``spell`` is given, and a failing key at the end shows that this default
+    is counted too.
+    """
     calls = {"key_arcs": 0, "pair_state": 0}
+    names = [info.name for info in pkgutil.iter_modules(btfas.__path__) if info.name != "__main__"]
+    modules = [importlib.import_module(f"btfas.{name}") for name in names]
+    patched = {}
     for name in calls:
         real = getattr(graph_core, name)
 
@@ -336,9 +345,10 @@ def test_the_fas_branch_builds_no_arc(monkeypatch):
             calls[name] += 1
             return real(*args)
 
-        for module in (certify, cycle_packing, c4free_fas, fas_engine, graph_core):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        patched[name] = {module for module in modules if hasattr(module, name)}
+        for module in patched[name]:
+            monkeypatch.setattr(module, name, counted)
+    assert patched == {"key_arcs": {certify, graph_core}, "pair_state": {graph_core}}
     deep, depth2 = (parse_instance(path.read_text(encoding="utf-8")) for path in (DEEP_RESIDUAL, DEPTH2_RESIDUAL))
     for g, k in [(deep, 44), (depth2, 42), (random_bt(GenSpec(24, 24, seed=5)), 145)]:
         out = solve(g, k)
@@ -347,6 +357,23 @@ def test_the_fas_branch_builds_no_arc(monkeypatch):
         assert all(isinstance(vars(out)[part], HeldArcs) for part in ("residual_part", "backward_part"))
         assert out.backward_part and (out.residual_part or g.m == 24)  # both goldens have a residual cut
         assert not any(isinstance(vars(out)[part], HeldArcs) for part in ("residual_part", "backward_part"))
+    flipped = TO_X if g.orient[0] == TO_Y else TO_Y
+    expected = "arc x0>y0" if flipped == TO_Y else "arc y0>x0"
+    assert certify.check_fas_keys(g, [(0, flipped)])[0] == f"{expected} is not in the instance"
+    assert calls == {"key_arcs": 1, "pair_state": 0}
+
+
+def test_fas_is_the_one_non_empty_part_itself():
+    """With an empty residual part, as on random instances, reading fas builds no third set."""
+    out = solve(random_bt(GenSpec(24, 24, seed=5)), 145)
+    assert not out.residual_part and out.backward_part
+    assert out.fas is out.backward_part and out.fas is out.fas
+    deep = solve(parse_instance(DEEP_RESIDUAL.read_text(encoding="utf-8")), 44)
+    assert deep.residual_part and deep.backward_part
+    assert deep.fas == deep.residual_part | deep.backward_part
+    assert len(deep.fas) == len(deep.residual_part) + len(deep.backward_part)
+    both_empty = dataclasses.replace(out, residual_part=frozenset(), backward_part=frozenset())
+    assert both_empty.fas == frozenset()
 
 
 def test_lazy_outcomes_equal_their_eager_twins():

@@ -6,7 +6,7 @@ import pytest
 
 from btfas import Arc, BipartiteDigraph, FourCycle, build, xv, yv
 from btfas.errors import ArcNotPresent, DuplicatePair, InternalInvariantError, OutOfRange, SameSideArc
-from btfas.graph_core import TO_X, TO_Y, four_cycle, key_arcs, pair_state
+from btfas.graph_core import TO_X, TO_Y, cycle_keys, four_cycle, key_arcs, pair_state
 from btfas.c4free_fas import fas_c4free, find_4cycle
 from btfas.instance_gen import GenSpec, random_bt
 from btfas.oracles import all_4cycles, check_acyclicity
@@ -457,6 +457,17 @@ def test_a_four_cycle_is_its_plain_one_tuple():
         "VertexRef(side='X', index=1), VertexRef(side='Y', index=1)))"
     )
     assert c.arcs() == (Arc(xv(0), yv(0)), Arc(yv(0), xv(1)), Arc(xv(1), yv(1)), Arc(yv(1), xv(0)))
+
+
+def test_cycle_keys_put_the_closing_arc_first():
+    g = four_cycle_bt()  # x0>y0, y0>x1, x1>y1, y1>x0 on a 2x2 graph
+    c = four_cycle(0, 0, 1, 1)
+    # y1>x0 closes the cycle: pair 0*2 + 1, set to TO_X; then x0>y0, y0>x1 and x1>y1.
+    assert cycle_keys(g, c) == [(1, TO_X), (0, TO_Y), (2, TO_X), (3, TO_Y)]
+    assert cycle_keys(g, c) == [pair_state(2, 2, *arc) for arc in c.arcs()[-1:] + c.arcs()[:-1]]
+    # x2 lies outside the 2x2 graph and x1>x0, y0>y1 do not cross it: no key for these arcs.
+    assert cycle_keys(g, four_cycle(0, 0, 2, 1)) == [(1, TO_X), (0, TO_Y), None, None]
+    assert cycle_keys(g, FourCycle((xv(0), yv(0), yv(1), xv(1)))) == [None, (0, TO_Y), None, (3, TO_X)]
 
 
 def test_labels_hold_the_shared_handles():

@@ -40,7 +40,8 @@ PUBLIC = {
 MODULE_ONLY = {
     "certify": ["check_fas_keys", "check_packing_keys"],
     "graph_core": [
-        "ABSENT", "TO_X", "TO_Y", "HeldArcs", "LazyArcSet", "Rows", "Subgraph", "TopoResult", "four_cycle", "key_arcs"
+        "ABSENT", "TO_X", "TO_Y", "HeldArcs", "LazyArcSet", "Rows", "Subgraph", "TopoResult",
+        "cycle_keys", "four_cycle", "key_arcs",
     ],
     "c4free_fas": ["find_4cycle", "trim_acyclic_vertices"],
     "fas_engine": ["backward_arcs"],

@@ -132,3 +132,44 @@ def test_the_library_parses_as_the_python_version_it_declares():
     files = sorted(LIBRARY.glob("*.py"))
     assert len(files) > 5
     assert [path.name for path in files if not parses_as(path.read_text(encoding="utf-8"), DECLARED)] == []
+
+
+# Arc <-> key conversion lives in graph_core: certify also names a failing key through key_arcs.
+CONVERTERS = {"pair_state": {"graph_core.py"}, "key_arcs": {"graph_core.py", "certify.py"}}
+
+
+def name_uses(source: str, name: str) -> list[int]:
+    """Lines that use ``name``: a call, any other read of it or of an attribute so named, or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == name for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_the_name_use_detector_finds_each_form():
+    source = (
+        "from .graph_core import pair_state as ps\n"
+        "keys = [pair_state(m, n, *arc) for arc in arcs]\n"
+        "key = graph_core.pair_state(m, n, tail, head)\n"
+        "keys = map(pair_state, tails, heads)\n"
+        "import btfas.graph_core.pair_state\n"
+        "'''pair_state in a docstring'''  # pair_state in a comment\n"
+        "pair_states = HeldArcs.keys(graph, arcs)\n"
+        "def pair_state_of(x):\n"
+        "    return x\n"
+    )
+    assert name_uses(source, "pair_state") == [1, 2, 3, 4, 5]
+    certify = (LIBRARY / "certify.py").read_text(encoding="utf-8")
+    assert name_uses(certify, "key_arcs") and not name_uses(certify, "pair_state")
+
+
+def test_only_graph_core_converts_between_arcs_and_keys():
+    """Only graph_core uses pair_state, and only graph_core and certify use key_arcs."""
+    for name, owners in CONVERTERS.items():
+        found = {path.name: name_uses(path.read_text(encoding="utf-8"), name) for path in LIBRARY.glob("*.py")}
+        assert len(found) > 5 and all(found[owner] for owner in owners)
+        assert {module: lines for module, lines in found.items() if lines and module not in owners} == {}
