@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Optional
 
-from .certify import check_fas_keys, require
+from .certify import check_fas_pairs, require
 from .errors import HasFourCycle, InternalInvariantError
 from .graph_core import (
-    TO_X,
-    TO_Y,
     Arc,
     BipartiteDigraph,
     FourCycle,
@@ -131,15 +129,15 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     witness = find_4cycle(graph)
     if witness is not None:
         raise HasFourCycle(witness)
-    keys, trace = _decomposition(graph)
+    pairs, trace = _decomposition(graph)
     bound = graph.absent_pair_count()
-    reason, _, order = check_fas_keys(graph, keys, bound=bound)
+    reason, _, order = check_fas_pairs(graph, pairs, bound=bound)
     require(reason)
-    return FasCertificate(HeldArcs(graph, array("q", [p for p, _ in keys])), bound, tuple(trace), order)
+    return FasCertificate(HeldArcs(graph, array("q", pairs)), bound, tuple(trace), order)
 
 
-def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list[TraceNode]]:
-    """Cut arcs as (pair index, state) keys and preorder trace, in root labels.
+def _decomposition(graph: BipartiteDigraph) -> tuple[list[int], list[TraceNode]]:
+    """Cut arcs as the pair indices they cross and preorder trace, in root labels.
 
     A work item (xs, ys, rev, x_side, depth) is a sub-instance: the live X
     and Y vertices as masks over the root graph, whether an odd number of
@@ -152,7 +150,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
     sides = (graph.x_masks, graph.y_masks)
     views = (sides, [Rows(r.inn, r.out) for r in sides])  # views[rev][side]
     n = graph.n
-    cut_keys: list[tuple[int, int]] = []
+    cut_pairs: list[int] = []
     trace: list[TraceNode] = []
     stack = [((1 << graph.m) - 1, (1 << graph.n) - 1, 0, 0, 0)]
     while stack:
@@ -186,13 +184,12 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
         if any(rows.out[a] & part.ins for a in bit_indices(part.two)):
             raise InternalInvariantError(f"an arc runs from two into ins at center {c}")
         # The cut arcs run two -> non, or non -> two when reversed.
-        state = TO_Y if side == rev else TO_X
         cut = [
-            (a * n + b if side == 0 else b * n + a, state)
+            a * n + b if side == 0 else b * n + a
             for a in bit_indices(part.two)
             for b in bit_indices(rows.out[a] & part.non)
         ]
-        cut_keys += cut
+        cut_pairs += cut
         half1 = (part.rest, part.ins | part.non)
         half2 = (part.two | 1 << c, part.outs)
         bounds = (_absent_pairs(rows, *half1), _absent_pairs(rows, *half2))
@@ -201,7 +198,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[tuple[int, int]], list
         for ps, qs in (half2, half1):
             xs, ys = (ps, qs) if side == 0 else (qs, ps)
             stack.append((xs, ys, rev, side, depth + 1))
-    return cut_keys, trace
+    return cut_pairs, trace
 
 
 def _absent_pairs(rows: Rows, ps: int, qs: int) -> int:

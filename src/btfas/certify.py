@@ -2,12 +2,14 @@
 
 Each check returns None for a valid certificate and otherwise the reason
 it is not, never raising on its content: a foreign vertex, an out-of-range
-index, a same-side arc or a non-alternating cycle is a reason.  Each kind has
-one core on (pair index, state) keys, fed by vertex pairs here and by verify's tokens.
+index, a same-side arc or a non-alternating cycle is a reason.  Packings have one core on
+(pair index, state) keys, fed by vertex pairs here and by verify's tokens; feedback arc sets
+one on pair indices, which those keys reach once :func:`check_fas_keys` has checked them.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalInvariantError
@@ -16,6 +18,7 @@ from .graph_core import BipartiteDigraph, FourCycle, HeldArcs, VertexRef, cycle_
 Arcs = Iterable[tuple[VertexRef, VertexRef]]
 Keys = Sequence[Optional[tuple[int, int]]]
 Order = Optional[Sequence[VertexRef]]
+Pairs = Iterable[int]  # pair indices: a Sequence, unless checked
 Sized = tuple[Optional[str], int, Order]  # the reason, the number of distinct arcs, the order
 
 
@@ -70,12 +73,11 @@ def check_fas_keys(
     bound: Optional[int] = None,
     order: Order = None,
 ) -> Sized:
-    """The one feedback-arc-set check, on (pair index, state) keys; None crosses no pair.
+    """The feedback-arc-set check on (pair index, state) keys; None crosses no pair.
 
     Each key is tested against the unmodified graph, so x0>y0 and y0>x0 together still
     reject one; ``spell(t)`` names the t-th arc then, and without it :func:`key_arcs` names
-    the key's arc (a None key as None).  The order is ``order`` itself, or else a topological
-    sort's, taken without a copy when nothing is deleted.  The size is the rise in absent pairs.
+    the key's arc (a None key as None).  The core then reads each checked key's pair.
     """
     orient = graph.orient
     for key in keys:
@@ -83,8 +85,24 @@ def check_fas_keys(
             # Every earlier key passed, so the first key equal to this one is this one.
             name = (key and key_arcs(graph, [key])[0]) if spell is None else spell(keys.index(key))
             return f"arc {name} is not in the instance", 0, None
-    remaining = graph.clear_pairs(p for p, _ in keys) if keys else graph
+    return check_fas_pairs(graph, map(itemgetter(0), keys) if keys else (), bound, order, checked=True)
+
+
+def check_fas_pairs(
+    graph: BipartiteDigraph, pairs: Pairs, bound: Optional[int] = None, order: Order = None, checked: bool = False
+) -> Sized:
+    """The one feedback-arc-set core, on pair indices, each standing for the arc graph holds there.
+
+    The size is the rise in absent pairs.  Unless the pairs are ``checked`` (as the keys' pairs,
+    which may repeat), a pair out of range by ``min`` or ``max``, or a size short of ``len(pairs)``
+    (a repeated or arc-less pair), is a reason.  The order is ``order``, or else a topological sort's.
+    """
+    if not checked and pairs and not 0 <= min(pairs) <= max(pairs) < len(graph.orient):
+        return f"pairs {min(pairs)}..{max(pairs)} are not all in the {graph.m}x{graph.n} graph", 0, None
+    remaining = graph.clear_pairs(pairs) if pairs else graph
     size = remaining.absent_pair_count() - graph.absent_pair_count()
+    if not checked and size != len(pairs):
+        return f"{len(pairs) - size} of {len(pairs)} pairs repeat or carry no arc", size, None
     if order is None:
         order = remaining.topological_order().order
     elif not remaining.is_forward_order(order):

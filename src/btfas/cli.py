@@ -225,8 +225,8 @@ def render_instance(graph: BipartiteDigraph) -> str:
 def _arc_keys(graph: BipartiteDigraph, arcs: Iterable) -> list[int]:
     """An arc set's sort keys, from the pairs it holds or its Arcs: X-tail arcs by i*n + j, then
     Y-tail arcs by m*n + j*m + i, the order sorting the Arcs gives."""
-    m, n, keys = graph.m, graph.n, HeldArcs.keys(graph, arcs)
-    return sorted(p if state == TO_Y else m * n + p % n * m + p // n for p, state in keys)
+    m, n, orient = graph.m, graph.n, graph.orient
+    return sorted(p if orient[p] == TO_Y else m * n + p % n * m + p // n for p in HeldArcs.pairs_of(graph, arcs))
 
 
 def _arc_namer(graph: BipartiteDigraph) -> Callable[[list[int]], list[str]]:

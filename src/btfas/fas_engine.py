@@ -1,12 +1,11 @@
 """The k-cycles-or-small-feedback-arc-set pipeline for bipartite tournaments.
 
-``solve`` either returns k arc-disjoint 4-cycles or a feedback arc set of size at most 7(k-1),
-built from a greedy maximal packing with fewer than k cycles, a certified feedback arc set of the
-4-cycle-free residual, and the packed-cycle arcs running backward in the order that certified it,
-which :func:`backward_arcs` reads as (pair index, state) keys in one pass over the order.  Both
-outcomes are machine-checked by ``certify`` before they are returned, the feedback arc set as
-keys; the final check alone validates the order.  No ``Arc`` is built in the call: the outcome
-holds the checked pairs, and its sets are built when first read.
+``solve`` either returns k arc-disjoint 4-cycles or a feedback arc set of at most 7(k-1) arcs: the
+cut that certifies the 4-cycle-free residual of a greedy maximal packing with fewer than k cycles,
+and the packed arcs running backward in the order that certified it, which :func:`backward_arcs`
+reads as pair indices in one pass.  ``certify`` checks either outcome before it is returned, the
+set as the pairs it crosses; the final check alone validates the order.  No ``Arc`` is built in
+the call: the outcome holds the checked pairs, and its sets are built when first read.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .c4free_fas import fas_c4free
-from .certify import check_fas_keys, check_packing, require
+from .certify import check_fas_pairs, check_packing, require
 from .cycle_packing import Packing, greedy_pack
 from .errors import NotATournament, OutOfRange
-from .graph_core import TO_X, TO_Y, Arc, BipartiteDigraph, HeldArcs, LazyArcSet, VertexRef
+from .graph_core import Arc, BipartiteDigraph, HeldArcs, LazyArcSet, VertexRef
 
 
 @dataclass(frozen=True)
@@ -61,30 +60,27 @@ class FasOutcome:
 SolveOutcome = Union[PackingOutcome, FasOutcome]
 
 
-def backward_arcs(
-    tournament: BipartiteDigraph, residual: BipartiteDigraph, order: Sequence[VertexRef]
-) -> list[tuple[int, int]]:
-    """The packed arcs that run backward in order, as (pair index, state) keys, 1 to 3 per cycle.
+def backward_arcs(tournament: BipartiteDigraph, residual: BipartiteDigraph, order: Sequence[VertexRef]) -> list[int]:
+    """The packed arcs that run backward in order, as pair indices, 1 to 3 per cycle.
 
-    The packed pairs are those ``residual`` lacks, since the tournament has every pair.  One pass
-    over ``order`` keeps the Y vertices placed so far: at x_i, a packed x_i -> y_j runs backward
-    when y_j is placed, a packed y_j -> x_i when it is not.  ``order`` must list each vertex of the
-    tournament exactly once, as ``solve``'s does; the final check alone validates it.
+    The packed pairs are those ``residual`` lacks, as the tournament has every pair.  One pass over
+    ``order`` keeps the Y vertices placed so far: at x_i, a packed x_i -> y_j runs backward when y_j
+    is placed, a packed y_j -> x_i when it is not; each row's pairs come out by y index.  ``order``
+    must list each vertex once, as ``solve``'s does; the final check alone validates it.
     """
     n = tournament.n
     (t_out, t_in), (r_out, r_in) = tournament.x_masks, residual.x_masks
-    placed_y, keys = 0, []
+    placed_y, pairs = 0, []
     for side, i in order:
         if side == "Y":
             placed_y |= 1 << i
             continue
-        packed, base = ~(r_out[i] | r_in[i]), i * n
-        for mask, state in ((t_out[i] & placed_y & packed, TO_Y), (t_in[i] & ~placed_y & packed, TO_X)):
-            while mask:
-                low = mask & -mask
-                keys.append((base + low.bit_length() - 1, state))
-                mask ^= low
-    return keys
+        mask, base = (t_out[i] & placed_y | t_in[i] & ~placed_y) & ~(r_out[i] | r_in[i]), i * n
+        while mask:
+            low = mask & -mask
+            pairs.append(base + low.bit_length() - 1)
+            mask ^= low
+    return pairs
 
 
 def fas_bound(k: int) -> int:
@@ -115,7 +111,6 @@ def solve(tournament: BipartiteDigraph, k: int) -> SolveOutcome:
     certificate = fas_c4free(packing.residual)
     cut = vars(certificate)["fas"]  # the cut's checked pairs, unless the set was built
     backward = backward_arcs(tournament, packing.residual, certificate.order)
-    keys = [*HeldArcs.keys(tournament, cut), *backward]
-    require(check_fas_keys(tournament, keys, bound=bound, order=certificate.order)[0])
-    backward_part = HeldArcs(tournament, array("q", [p for p, _ in backward]))  # the checked pairs
-    return FasOutcome(k, packing, cut, backward_part, certificate.order, bound)
+    pairs = [*HeldArcs.pairs_of(packing.residual, cut), *backward]
+    require(check_fas_pairs(tournament, pairs, bound=bound, order=certificate.order)[0])
+    return FasOutcome(k, packing, cut, HeldArcs(tournament, array("q", backward)), certificate.order, bound)

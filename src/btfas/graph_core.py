@@ -249,13 +249,10 @@ class BipartiteDigraph:
 
     def delete_arcs(self, arcs: Iterable[tuple[VertexRef, VertexRef]]) -> "BipartiteDigraph":
         """Remove the listed (tail, head) arcs; their pairs become absent."""
-        m, n, orient = self.m, self.n, self.orient
-        pairs = []
-        for tail, head in arcs:
-            found = pair_state(m, n, tail, head)
-            if found is None or orient[found[0]] != found[1]:
-                raise ArcNotPresent(f"arc {tail}>{head} not in the graph")
-            pairs.append(found[0])
+        arcs = list(arcs)
+        pairs = HeldArcs.pairs_of(self, arcs)
+        if -1 in pairs:
+            raise ArcNotPresent("arc %s>%s not in the graph" % tuple(arcs[pairs.index(-1)]))
         return self.clear_pairs(pairs)
 
     def clear_pairs(self, pairs: Iterable[int]) -> "BipartiteDigraph":
@@ -411,10 +408,15 @@ class HeldArcs(NamedTuple):
 
     @staticmethod
     def keys(graph: BipartiteDigraph, arcs: Iterable) -> Iterator[Optional[tuple[int, int]]]:
-        """The (pair index, state) keys of held pairs, or of (tail, head) pairs by :func:`pair_state`."""
-        if isinstance(arcs, HeldArcs):
-            return zip(arcs.pairs, map(arcs.graph.orient.__getitem__, arcs.pairs))
+        """The (pair index, state) keys of (tail, head) pairs, by :func:`pair_state`."""
         return (pair_state(graph.m, graph.n, *arc) for arc in arcs)
+
+    @staticmethod
+    def pairs_of(graph: BipartiteDigraph, arcs: Iterable) -> Sequence[int]:
+        """Held pairs as they are, or the pair of each (tail, head) pair graph holds, else -1."""
+        if isinstance(arcs, HeldArcs):
+            return arcs.pairs
+        return [key[0] if key and graph.orient[key[0]] == key[1] else -1 for key in HeldArcs.keys(graph, arcs)]
 
     def arcs(self) -> frozenset[Arc]:
         """The set, as :func:`key_arcs` would build it from the keys, with each state read in place."""

@@ -185,23 +185,9 @@ def enumerate_induced_p4(graph: BipartiteDigraph) -> list[tuple[VertexRef, Verte
     )
 
 
-def first_sec_by_buckets(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
-    """Enumeration-based first/sec counts for every vertex.
-
-    A path's classes are keyed by (v1, v3, v4) and (v1, v2, v4).
-    Independent of the closed forms in ``p4_census``; used to cross-check them.
-    """
-    return _bucket_counts(graph, *_classes(enumerate_induced_p4(graph)))
-
-
 def _classes(paths: list) -> tuple[set, set]:
     """The paths' classes of both kinds: (v1, v3, v4) and (v1, v2, v4)."""
     return {(v1, v3, v4) for v1, _, v3, v4 in paths}, {(v1, v2, v4) for v1, v2, _, v4 in paths}
-
-
-def _bucket_counts(graph: BipartiteDigraph, firsts: set, seconds: set) -> dict[VertexRef, tuple[int, int]]:
-    first, sec = Counter(c[0] for c in firsts), Counter(c[1] for c in seconds)
-    return {v: (first[v], sec[v]) for v in graph.vertices()}
 
 
 class CensusSums(NamedTuple):
@@ -236,11 +222,11 @@ def check_census(graph: BipartiteDigraph) -> Optional[str]:
     """Closed forms against one enumeration per graph: per vertex, summed, and under reversal."""
     flipped = graph.reverse()
     paths, rpaths = enumerate_induced_p4(graph), enumerate_induced_p4(flipped)
-    classes = _classes(paths)
-    buckets, closed = _bucket_counts(graph, *classes), vertex_counts(graph)
+    classes, closed = _classes(paths), vertex_counts(graph)
+    first, sec = Counter(c[0] for c in classes[0]), Counter(c[1] for c in classes[1])  # by enumeration
     for v in graph.vertices():
-        if closed[v] != buckets[v]:
-            return f"closed-form counts {closed[v]} at {v}, enumerated {buckets[v]}"
+        if closed[v] != (first[v], sec[v]):
+            return f"closed-form counts {closed[v]} at {v}, enumerated {(first[v], sec[v])}"
     sums, rsums = _class_sums(closed, *classes), _class_sums(vertex_counts(flipped), *_classes(rpaths))
     if sums[:2] != sums[2:] or sums[:2] != (rsums.sum_sec, rsums.sum_first):
         return f"census sums {tuple(sums)} and {tuple(rsums)} reversed break the identities"

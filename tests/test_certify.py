@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -13,12 +14,13 @@ from btfas import (
     enumerate_bt,
     fas_c4free,
     fas_engine,
+    greedy_pack,
     random_bt,
     solve,
     xv,
     yv,
 )
-from btfas.certify import check_fas, check_fas_keys, check_packing
+from btfas.certify import check_fas, check_fas_keys, check_fas_pairs, check_packing
 from btfas.errors import InternalInvariantError
 from btfas.graph_core import ABSENT, TO_X, TO_Y, FourCycle, four_cycle, pair_state
 from btfas.oracles import all_4cycles, find_cycle_brute
@@ -29,6 +31,7 @@ from helpers import (
     candidate_packing,
     check_packing_reference,
     four_cycle_bt,
+    planted_bt,
     random_digraph,
     six_cycle,
     topological_order_reference,
@@ -188,19 +191,63 @@ def test_solve_fas_branch_rejects_a_missing_backward_part(monkeypatch):
             solve(four_cycle_bt(), 2)
 
 
-@pytest.mark.parametrize("spoil", ["reversed", "same side"])
+@pytest.mark.parametrize("spoil", ["at m*n", "negative", "repeated", "in the cut"])
 def test_solve_fas_branch_rejects_an_unchecked_backward_arc(monkeypatch, spoil):
-    # backward_arcs reads its keys off the masks unchecked, so only the final check stands
-    # between a bad key and the caller: a flipped state, or None, the key of a same-side arc.
+    # backward_arcs reads its pairs off the masks unchecked, so only the final check stands
+    # between a bad pair and the caller: one past the last pair, a negative one, a pair given
+    # twice, or a pair that the residual cut holds too, so that the set holds it twice.
+    g = planted_bt(0, 8)
+    packing = greedy_pack(g)
+    cut = vars(fas_c4free(packing.residual))["fas"].pairs
+    assert cut  # the planted instance has a residual cut
     real = fas_engine.backward_arcs
 
     def spoiled(tournament, residual, order):
-        (p, state), *rest = real(tournament, residual, order)
-        return [(p, state ^ 3) if spoil == "reversed" else None, *rest]
+        pairs = real(tournament, residual, order)
+        return [*pairs, {"at m*n": g.m * g.n, "negative": -1, "repeated": pairs[0], "in the cut": cut[0]}[spoil]]
 
     monkeypatch.setattr(fas_engine, "backward_arcs", spoiled)
-    with pytest.raises(InternalInvariantError, match="is not in the instance"):
-        solve(four_cycle_bt(), 2)
+    out_of_range = spoil in ("at m*n", "negative")
+    reason = "pairs .* are not all in the 16x16 graph" if out_of_range else "1 of .* pairs repeat or carry no arc"
+    with pytest.raises(InternalInvariantError, match=reason):
+        solve(g, len(packing.cycles) + 1)
+
+
+def test_solve_checks_a_cut_read_into_a_set_through_its_pairs(monkeypatch):
+    """A certificate whose cut was built into a set, as dataclasses.replace does, still reaches the
+    final check: the same outcome for the cut itself, a reason once one of its arcs is reversed."""
+    g = planted_bt(0, 8)
+    k = len(greedy_pack(g).cycles) + 1
+    expected, real = solve(g, k), fas_engine.fas_c4free
+    for reverse in (False, True):
+
+        def built(graph, reverse=reverse):
+            certificate = real(graph)
+            fas = sorted(certificate.fas)
+            fas[0] = Arc(fas[0].head, fas[0].tail) if reverse else fas[0]
+            return dataclasses.replace(certificate, fas=frozenset(fas))
+
+        monkeypatch.setattr(fas_engine, "fas_c4free", built)
+        if reverse:
+            with pytest.raises(InternalInvariantError, match="pairs -1.* are not all in the 16x16 graph"):
+                solve(g, k)
+        else:
+            assert solve(g, k) == expected
+
+
+def test_the_pair_check_gives_a_reason_for_each_bad_pair():
+    """Negative, out-of-range, repeated and arc-less pairs are reasons, never an IndexError."""
+    g = four_cycle_bt()  # x0>y0 at pair 0, y1>x0 at 1, y0>x1 at 2, x1>y1 at 3
+    order = (xv(0), yv(0), xv(1), yv(1))
+    assert check_fas_pairs(g, [1], bound=1) == check_fas_pairs(g, [1], order=order) == (None, 1, order)
+    assert check_fas_pairs(g, [1, 0], bound=1) == ("2 arcs exceed the bound 1", 2, order)
+    assert check_fas_pairs(g, []) == ("deleting the arcs leaves a cycle", 0, None)
+    assert check_fas_pairs(g, [-1]) == ("pairs -1..-1 are not all in the 2x2 graph", 0, None)
+    assert check_fas_pairs(g, [1, 4], order=order) == ("pairs 1..4 are not all in the 2x2 graph", 0, None)
+    assert check_fas_pairs(g, [1, 1], bound=0) == ("1 of 2 pairs repeat or carry no arc", 1, None)
+    gap = g.clear_pairs([3])  # not a tournament: pair 3 carries no arc
+    assert check_fas_pairs(gap, [3]) == ("1 of 1 pairs repeat or carry no arc", 0, None)
+    assert check_fas_pairs(gap, [1, 3], order=order) == ("1 of 2 pairs repeat or carry no arc", 1, None)
 
 
 def test_solve_packing_branch_rejects_a_repeated_cycle(monkeypatch):

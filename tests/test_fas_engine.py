@@ -31,7 +31,7 @@ from btfas import (
 from btfas.cli import parse_instance, render_instance, run
 from btfas.errors import InternalInvariantError, NotATournament, OutOfRange
 from btfas.fas_engine import backward_arcs
-from btfas.graph_core import TO_X, TO_Y, HeldArcs, key_arcs, pair_state
+from btfas.graph_core import TO_X, TO_Y, HeldArcs, pair_state
 
 from helpers import (
     all_x_to_y,
@@ -58,11 +58,11 @@ def test_backward_arcs_hand_checked():
     g = four_cycle_bt()
     residual = greedy_pack(g).residual  # the cycle's four pairs are packed
     order = (xv(0), xv(1), yv(0), yv(1))
-    # y0>x1 crosses pair 1*2 + 0, y1>x0 pair 0*2 + 1; both set TO_X.
-    assert backward_arcs(g, residual, order) == [(1, TO_X), (2, TO_X)]
-    assert key_arcs(g, backward_arcs(g, residual, order)) == [Arc(yv(1), xv(0)), Arc(yv(0), xv(1))]
+    # y1>x0 crosses pair 0*2 + 1, y0>x1 pair 1*2 + 0.
+    assert backward_arcs(g, residual, order) == [1, 2]
+    assert HeldArcs(g, backward_arcs(g, residual, order)).arcs() == {Arc(yv(1), xv(0)), Arc(yv(0), xv(1))}
     interleaved = (xv(0), yv(0), xv(1), yv(1))
-    assert backward_arcs(g, residual, interleaved) == [(1, TO_X)]
+    assert backward_arcs(g, residual, interleaved) == [1]
     assert backward_arcs(g, g, order) == []  # no pair packed, no backward arc
 
 
@@ -215,10 +215,10 @@ def test_backward_arcs_matches_the_reference_on_random_orders():
         packing = greedy_pack(g)
         order = list(g.vertices())
         rng.shuffle(order)
-        keys = backward_arcs(g, packing.residual, order)
+        pairs = backward_arcs(g, packing.residual, order)
         reference = backward_arcs_reference(order, packing.cycles)
-        assert len(keys) == len(reference)
-        assert frozenset(key_arcs(g, keys)) == reference
+        assert len(pairs) == len(reference)
+        assert HeldArcs(g, pairs).arcs() == reference
 
 
 def test_solve_matches_the_object_reference_on_exhaustive_small_tournaments():
@@ -327,6 +327,11 @@ def test_the_parts_keep_the_papers_bounds():
     assert nonempty >= 100, nonempty
 
 
+def _library_modules():
+    names = [info.name for info in pkgutil.iter_modules(btfas.__path__) if info.name != "__main__"]
+    return [importlib.import_module(f"btfas.{name}") for name in names]
+
+
 def test_the_fas_branch_builds_no_arc(monkeypatch):
     """solve checks and holds both parts as pairs: no key_arcs or pair_state call, and no part built.
 
@@ -335,8 +340,7 @@ def test_the_fas_branch_builds_no_arc(monkeypatch):
     is counted too.
     """
     calls = {"key_arcs": 0, "pair_state": 0}
-    names = [info.name for info in pkgutil.iter_modules(btfas.__path__) if info.name != "__main__"]
-    modules = [importlib.import_module(f"btfas.{name}") for name in names]
+    modules = _library_modules()
     patched = {}
     for name in calls:
         real = getattr(graph_core, name)
@@ -422,7 +426,8 @@ def _count_calls(monkeypatch, names):
 
 
 def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
-    """One FAS-branch solve: the residual cut's sort is the only one, and no delete_arcs."""
+    """One FAS-branch solve: the residual cut's sort is the only one, no delete_arcs, and the
+    feedback arc set reaches the final check as pairs, with no check_fas_keys call."""
     planted = planted_bt(0, 8)
     # Copies: the residual, the residual cut's check unless the cut is
     # empty, and the final check.
@@ -430,12 +435,22 @@ def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
         (random_bt(GenSpec(24, 24, seed=5)), 24 * 24 // 4 + 1, 2),
         (planted, len(greedy_pack(planted).cycles) + 1, 3),
     ]
+    binders = {module for module in _library_modules() if hasattr(module, "check_fas_keys")}
+    assert certify in binders
     for g, k, copies in cases:
         calls = _count_calls(monkeypatch, ("topological_order", "delete_arcs", "__post_init__"))
+        key_checks = []
+        for module in binders:
+            real = module.check_fas_keys
+            counted = lambda *args, real=real: key_checks.append(1) or real(*args)  # noqa: E731
+            monkeypatch.setattr(module, "check_fas_keys", counted)
         out = solve(g, k)
         assert isinstance(out, FasOutcome)
         assert calls["topological_order"] == 1
         assert calls["__post_init__"] == copies  # every BipartiteDigraph construction
         assert calls["delete_arcs"] == 0
+        assert key_checks == []
+        certify.check_fas(g, [])
+        assert key_checks == [1]  # the counter sees certify's own calls
         monkeypatch.undo()
     assert out.residual_part  # the planted instance runs the residual branch

@@ -38,7 +38,7 @@ PUBLIC = {
 
 # Names that live only in their modules: proof machinery and oracle internals.
 MODULE_ONLY = {
-    "certify": ["check_fas_keys", "check_packing_keys"],
+    "certify": ["check_fas_keys", "check_fas_pairs", "check_packing_keys"],
     "graph_core": [
         "ABSENT", "TO_X", "TO_Y", "HeldArcs", "LazyArcSet", "Rows", "Subgraph", "TopoResult",
         "cycle_keys", "four_cycle", "key_arcs",
@@ -52,7 +52,6 @@ MODULE_ONLY = {
         "census_sums",
         "enumerate_induced_p4",
         "find_cycle_brute",
-        "first_sec_by_buckets",
     ],
 }
 

@@ -173,3 +173,12 @@ def test_only_graph_core_converts_between_arcs_and_keys():
         found = {path.name: name_uses(path.read_text(encoding="utf-8"), name) for path in LIBRARY.glob("*.py")}
         assert len(found) > 5 and all(found[owner] for owner in owners)
         assert {module: lines for module, lines in found.items() if lines and module not in owners} == {}
+
+
+def test_the_feedback_arc_set_paths_name_no_arc_state():
+    """solve and fas_c4free carry their feedback arc sets as pairs: neither module names TO_X or TO_Y."""
+    graph_core = (LIBRARY / "graph_core.py").read_text(encoding="utf-8")
+    assert name_uses(graph_core, "TO_X") and name_uses(graph_core, "TO_Y")
+    for module in ("fas_engine.py", "c4free_fas.py"):
+        source = (LIBRARY / module).read_text(encoding="utf-8")
+        assert (module, name_uses(source, "TO_X"), name_uses(source, "TO_Y")) == (module, [], [])
