@@ -103,9 +103,9 @@ class _Tokens:
             self.codes[token] = code
         return code
 
-    def arc_keys(self, arcs: Iterable[Sequence[str]]) -> list[Optional[tuple[int, int]]]:
-        """The (pair index, state) each (tail, head) token pair sets; None off the pairs."""
-        keys: list[Optional[tuple[int, int]]] = []
+    def arc_pairs(self, orient: bytes, arcs: Iterable[Sequence[str]]) -> list[int]:
+        """The pair of each (tail, head) token pair whose arc ``orient`` holds, else -1."""
+        pairs: list[int] = []
         codes, total = self.codes, self.total
         for ends in arcs:
             if len(ends) != 2:  # a tail>head token split into more or fewer ends
@@ -115,13 +115,13 @@ class _Tokens:
             except KeyError:
                 tail, head = self.code(ends[0]), self.code(ends[1])
             if tail >= 0 > head:
-                key = tail + ~head, TO_Y
+                p, state = tail + ~head, TO_Y
             elif head >= 0 > tail:
-                key = head + ~tail, TO_X
+                p, state = head + ~tail, TO_X
             else:  # same side
-                key = total, 0
-            keys.append(key if key[0] < total else None)
-        return keys
+                p = total
+            pairs.append(p if p < total and orient[p] == state else -1)
+        return pairs
 
 
 def parse_arc(token: str) -> Arc:
@@ -222,7 +222,7 @@ def render_instance(graph: BipartiteDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _arc_keys(graph: BipartiteDigraph, arcs: Iterable) -> list[int]:
+def _sort_keys(graph: BipartiteDigraph, arcs: Iterable) -> list[int]:
     """An arc set's sort keys, from the pairs it holds or its Arcs: X-tail arcs by i*n + j, then
     Y-tail arcs by m*n + j*m + i, the order sorting the Arcs gives."""
     m, n, orient = graph.m, graph.n, graph.orient
@@ -230,7 +230,7 @@ def _arc_keys(graph: BipartiteDigraph, arcs: Iterable) -> list[int]:
 
 
 def _arc_namer(graph: BipartiteDigraph) -> Callable[[list[int]], list[str]]:
-    """Strings for :func:`_arc_keys`'s keys, through name tables built once per command."""
+    """Strings for :func:`_sort_keys`'s keys, through name tables built once per command."""
     m, n, total = graph.m, graph.n, graph.m * graph.n
     xs, ys = [f"x{i}" for i in range(m)], [f"y{j}" for j in range(n)]
     return lambda keys: [
@@ -346,7 +346,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     }
     if not packed:  # fas is the disjoint union of the two parts, rendered from their held pairs
         names, held = _arc_namer(graph), vars(outcome)
-        residual, backward = _arc_keys(graph, held["residual_part"]), _arc_keys(graph, held["backward_part"])
+        residual, backward = _sort_keys(graph, held["residual_part"]), _sort_keys(graph, held["backward_part"])
         doc.update(fas=names(sorted(residual + backward)), bound=outcome.bound, residual_fas=names(residual))
         doc.update(backward=names(backward), order=[str(v) for v in outcome.order])
     _emit(doc)
@@ -361,7 +361,7 @@ def _cmd_fas_c4free(args: argparse.Namespace) -> int:
             "mode": "fas-c4free",
             "branch": "fas",
             "lambda": graph.absent_pair_count(),
-            "fas": _arc_namer(graph)(_arc_keys(graph, vars(certificate)["fas"])),
+            "fas": _arc_namer(graph)(_sort_keys(graph, vars(certificate)["fas"])),
             "bound": certificate.bound,
             "trace": [dict(vars(t), center=str(t.center)) for t in certificate.trace],
         }
@@ -392,7 +392,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
     if args.min_fas:
         result = oracles.min_fas_exact(graph)
-        witness = _arc_namer(graph)(_arc_keys(graph, result.witness))
+        witness = _arc_namer(graph)(_sort_keys(graph, result.witness))
         kind = "min-fas"
     else:
         result = oracles.max_c4_packing_exact(graph)
@@ -440,9 +440,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for token in raw:
             if not isinstance(token, str):
                 return fail(f"arc token {token!r} is not a string")
-        keys = tokens.arc_keys(token.split(">") for token in raw)  # lazily: errors come in order
+        pairs = tokens.arc_pairs(graph.orient, (token.split(">") for token in raw))  # lazily: errors in order
         spell = lambda t: "%s>%s" % tuple(map(parse_vertex, raw[t].split(">")))  # noqa: E731
-        reason, size, _ = certify.check_fas_keys(graph, keys, spell, bound)
+        reason, size, _ = certify.check_fas_listed(graph, pairs, spell, bound)
         result = {"size": size, "bound": bound}
     else:
         for entry in raw:  # every entry's shape and tokens are read before any cycle is checked
@@ -451,9 +451,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 return fail(f"bad cycle entry {entry!r}")
             for token in entry:
                 tokens.code(token)  # parsed into the table, or a bad vertex token raised
-        rings = (zip(entry[-1:] + entry, entry) for entry in raw)  # closing arc first
+        cycles = (tokens.arc_pairs(graph.orient, zip(entry[-1:] + entry, entry)) for entry in raw)  # closing first
         spell = lambda t: str([str(parse_vertex(token)) for token in raw[t]])  # noqa: E731
-        reason = certify.check_packing_keys(graph, map(tokens.arc_keys, rings), spell, args.k)
+        reason = certify.check_packing_pairs(graph, cycles, spell, args.k)
         result = {"count": len(raw)}
     if reason is not None:
         return fail(reason)

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .c4free_fas import find_4cycle
-from .certify import check_packing_keys
+from .certify import check_packing_pairs
 from .errors import OutOfRange
-from .graph_core import BipartiteDigraph, FourCycle, VertexRef, cycle_keys
+from .graph_core import BipartiteDigraph, FourCycle, VertexRef, cycle_pairs
 
 
 @dataclass(frozen=True)
@@ -19,10 +19,10 @@ class Packing:
     residual: BipartiteDigraph
 
     def validate(self, source: BipartiteDigraph) -> bool:
-        """Re-check the packing, and that the residual is ``source`` minus its arcs, on one key list."""
-        keys = [cycle_keys(source, c) for c in self.cycles]
-        valid = check_packing_keys(source, keys, str) is None  # the reason is not read
-        return valid and self.residual == source.clear_pairs(p for cycle in keys for p, _ in cycle)
+        """Re-check the packing, and that the residual is ``source`` minus its arcs, on one pair list."""
+        pairs = [cycle_pairs(source, c) for c in self.cycles]
+        valid = check_packing_pairs(source, pairs, str) is None  # the reason is not read
+        return valid and self.residual == source.clear_pairs(p for cycle in pairs for p in cycle)
 
 
 class _MaskView(NamedTuple):

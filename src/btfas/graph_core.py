@@ -173,8 +173,7 @@ class BipartiteDigraph:
 
     def has_arc(self, arc: tuple[VertexRef, VertexRef]) -> bool:
         """False also for a pair that does not cross sides or leaves this graph."""
-        found = pair_state(self.m, self.n, *arc)
-        return found is not None and self.orient[found[0]] == found[1]
+        return HeldArcs.pairs_of(self, [arc])[0] >= 0
 
     def absent_pair_count(self) -> int:
         """Number of non-adjacent cross pairs; equals m*n minus the arc count."""
@@ -188,10 +187,8 @@ class BipartiteDigraph:
     def arcs(self) -> list[Arc]:
         """All arcs in canonical order: X-tail arcs by (i, j), then Y-tail by (j, i)."""
         n, orient = self.n, self.orient
-        keys = [(p, TO_Y) for p, state in enumerate(orient) if state == TO_Y]
-        for j in range(n):  # Y-tail arcs by (j, i): pair column j
-            keys += [(i * n + j, TO_X) for i, s in enumerate(orient[j::n]) if s == TO_X]
-        return key_arcs(self, keys)
+        y_tails = [p for j in range(n) for p in range(j, len(orient), n) if orient[p] == TO_X]  # by (j, i)
+        return pair_arcs(self, [p for p, state in enumerate(orient) if state == TO_Y] + y_tails)
 
     @cached_property
     def x_masks(self) -> Rows:
@@ -341,7 +338,7 @@ class BipartiteDigraph:
         m, n = self.m, self.n
         ids = []
         for v in order:
-            if not 0 <= v.index < (m if v.side == "X" else n):
+            if not 0 <= v.index < (m if v.side == "X" else n if v.side == "Y" else 0):
                 return False
             ids.append(v.index if v.side == "X" else m + v.index)
         if sorted(ids) != list(range(m + n)):
@@ -374,56 +371,53 @@ class Subgraph:
 def pair_state(m: int, n: int, tail: VertexRef, head: VertexRef) -> Optional[tuple[int, int]]:
     """The row-major index of the pair an arc tail->head crosses, and the state it sets.
 
-    None when the arc does not cross the bipartition or an endpoint lies
-    outside an m x n graph.
+    None unless one end is on side X and the other on side Y, both inside an m x n graph.
+    Only :func:`place_arc` and :meth:`HeldArcs.pairs_of` read it.
     """
-    if tail.side == head.side:
-        return None
-    if tail.side == "X":
+    if tail.side == "X" and head.side == "Y":
         i, j, state = tail.index, head.index, TO_Y
-    else:
+    elif tail.side == "Y" and head.side == "X":
         i, j, state = head.index, tail.index, TO_X
+    else:
+        return None
     if not (0 <= i < m and 0 <= j < n):
         return None
     return i * n + j, state
 
 
-def cycle_keys(graph: BipartiteDigraph, cycle: FourCycle) -> list[Optional[tuple[int, int]]]:
-    """A 4-cycle's (pair index, state) keys by :func:`pair_state`, the closing arc first; None off graph."""
-    return [pair_state(graph.m, graph.n, cycle.vertices[t - 1], v) for t, v in enumerate(cycle.vertices)]
+def cycle_pairs(graph: BipartiteDigraph, cycle: FourCycle) -> Sequence[int]:
+    """A 4-cycle's pairs by :meth:`HeldArcs.pairs_of`, the closing arc first; -1 for an arc graph lacks."""
+    return HeldArcs.pairs_of(graph, zip(cycle.vertices[-1:] + cycle.vertices[:-1], cycle.vertices))
 
 
-def key_arcs(graph: BipartiteDigraph, keys: Iterable[tuple[int, int]]) -> list[Arc]:
-    """The arcs that (pair index, state) keys carry, on ``graph.labels``: :func:`pair_state` inverted."""
-    n, (xs, ys), new = graph.n, graph.labels, tuple.__new__
-    return [new(Arc, (xs[p // n], ys[p % n]) if s == TO_Y else (ys[p % n], xs[p // n])) for p, s in keys]
+def pair_arcs(graph: BipartiteDigraph, pairs: Iterable[int]) -> list[Arc]:
+    """The arcs ``graph.orient`` holds at the pairs, on ``graph.labels``: :meth:`HeldArcs.pairs_of` inverted."""
+    n, (xs, ys), orient, new = graph.n, graph.labels, graph.orient, tuple.__new__
+    return [new(Arc, (xs[p // n], ys[p % n]) if orient[p] == TO_Y else (ys[p % n], xs[p // n])) for p in pairs]
 
 
 class HeldArcs(NamedTuple):
     """An arc set held as a graph and an ``array('q')`` of its checked pairs, each arc the one
-    ``graph.orient`` holds there.  Pickled and copied as the frozenset it stands for."""
+    ``graph.orient`` holds there.  Pickled and copied as the frozenset it stands for.
+
+    :meth:`pairs_of` is the one step from arcs to pairs and :func:`pair_arcs` the one step back:
+    outside this module, arcs travel as pair indices, -1 for an arc the graph lacks.
+    """
 
     graph: BipartiteDigraph
     pairs: Sequence[int]
-
-    @staticmethod
-    def keys(graph: BipartiteDigraph, arcs: Iterable) -> Iterator[Optional[tuple[int, int]]]:
-        """The (pair index, state) keys of (tail, head) pairs, by :func:`pair_state`."""
-        return (pair_state(graph.m, graph.n, *arc) for arc in arcs)
 
     @staticmethod
     def pairs_of(graph: BipartiteDigraph, arcs: Iterable) -> Sequence[int]:
         """Held pairs as they are, or the pair of each (tail, head) pair graph holds, else -1."""
         if isinstance(arcs, HeldArcs):
             return arcs.pairs
-        return [key[0] if key and graph.orient[key[0]] == key[1] else -1 for key in HeldArcs.keys(graph, arcs)]
+        m, n, orient = graph.m, graph.n, graph.orient
+        return [key[0] if (key := pair_state(m, n, *arc)) and orient[key[0]] == key[1] else -1 for arc in arcs]
 
     def arcs(self) -> frozenset[Arc]:
-        """The set, as :func:`key_arcs` would build it from the keys, with each state read in place."""
-        n, (xs, ys), orient, new = self.graph.n, self.graph.labels, self.graph.orient, tuple.__new__
-        return frozenset(
-            [new(Arc, (xs[p // n], ys[p % n]) if orient[p] == TO_Y else (ys[p % n], xs[p // n])) for p in self.pairs]
-        )
+        """The set, built by :func:`pair_arcs`."""
+        return frozenset(pair_arcs(self.graph, self.pairs))
 
     def __reduce__(self):  # type: ignore[override]
         return frozenset, (self.arcs(),)

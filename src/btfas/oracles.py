@@ -27,7 +27,7 @@ from .graph_core import (
     BipartiteDigraph,
     FourCycle,
     VertexRef,
-    cycle_keys,
+    cycle_pairs,
     four_cycle,
     xv,
     yv,
@@ -129,7 +129,7 @@ def max_c4_packing_exact(graph: BipartiteDigraph) -> OracleResult:
     cycles = tuple(itertools.islice(_iter_4cycles(graph), DEFAULT_CYCLE_CAP + 1))  # stop past the cap
     if len(cycles) > DEFAULT_CYCLE_CAP:
         raise TooLarge(f"more than {DEFAULT_CYCLE_CAP} 4-cycles exceed the configured cap")
-    masks = [sum(1 << p for p, _ in cycle_keys(graph, c)) for c in cycles]
+    masks = [sum(1 << p for p in cycle_pairs(graph, c)) for c in cycles]
 
     best: tuple[FourCycle, ...] = ()
     stack = [(0, 0, best)]  # (next cycle index, arcs used, cycles chosen); include pops before exclude

@@ -20,9 +20,9 @@ from btfas import (
     xv,
     yv,
 )
-from btfas.certify import check_fas, check_fas_keys, check_fas_pairs, check_packing
+from btfas.certify import check_fas, check_fas_listed, check_fas_pairs, check_packing, check_packing_pairs
 from btfas.errors import InternalInvariantError
-from btfas.graph_core import ABSENT, TO_X, TO_Y, FourCycle, four_cycle, pair_state
+from btfas.graph_core import ABSENT, FourCycle, HeldArcs, four_cycle
 from btfas.oracles import all_4cycles, find_cycle_brute
 
 from helpers import (
@@ -47,11 +47,10 @@ def without(graph: BipartiteDigraph, arcs) -> BipartiteDigraph:
     return BipartiteDigraph(graph.m, graph.n, bytes(orient))
 
 
-def check_by_keys(graph: BipartiteDigraph, arcs, bound=None, order=None):
-    """check_fas_keys's (reason, size, order) on the arcs' pair_state keys."""
+def check_listed(graph: BipartiteDigraph, arcs, bound=None, order=None):
+    """check_fas_listed's (reason, size, order) on the arcs' pairs, -1 for each arc graph lacks."""
     arcs = list(arcs)
-    keys = [pair_state(graph.m, graph.n, *arc) for arc in arcs]
-    return check_fas_keys(graph, keys, lambda t: "%s>%s" % tuple(arcs[t]), bound, order)
+    return check_fas_listed(graph, HeldArcs.pairs_of(graph, arcs), lambda t: "%s>%s" % tuple(arcs[t]), bound, order)
 
 
 def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
@@ -61,11 +60,11 @@ def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
     size = len(set(subset))
     pairs = [tuple(a) for a in subset]
     # The certifying order is the sort of the graph minus the arcs, or None.
-    assert check_by_keys(graph, pairs) == (check_fas(graph, subset), size, order)
+    assert check_listed(graph, pairs) == (check_fas(graph, subset), size, order)
     for arcs in (subset, pairs):
         assert (check_fas(graph, arcs) is None) == acyclic
         if acyclic:
-            assert check_by_keys(graph, arcs, order=order) == (None, size, order)
+            assert check_listed(graph, arcs, order=order) == (None, size, order)
             assert check_fas(graph, arcs, bound=size) is None
             if subset:
                 assert check_fas(graph, arcs, bound=size - 1) == f"{size} arcs exceed the bound {size - 1}"
@@ -105,36 +104,55 @@ def test_check_fas_reasons_for_foreign_arcs():
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign, (xv(5), yv(5))]) == reason
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign], order=order) == reason
         assert check_fas(g, [foreign], order=order[1:]) == reason  # a foreign arc outranks a bad order
-        assert check_by_keys(g, [(yv(1), xv(0)), foreign]) == (reason, 0, None)
+        assert check_listed(g, [(yv(1), xv(0)), foreign]) == (reason, 0, None)
     assert check_fas(g, [(yv(1), xv(0)), (yv(1), xv(0))], bound=1) is None
 
 
-def test_without_spell_a_failing_key_is_named_by_its_arc():
-    g = four_cycle_bt()  # x0>y0, y0>x1, x1>y1, y1>x0
+def test_the_listed_check_spells_the_first_arc_off_the_graph():
+    g = four_cycle_bt()  # x0>y0 at pair 0, y1>x0 at 1, y0>x1 at 2, x1>y1 at 3
     order = (xv(0), yv(0), xv(1), yv(1))
-    assert check_fas_keys(g, [(0, TO_X)]) == ("arc y0>x0 is not in the instance", 0, None)
-    assert check_fas_keys(g, [(1, TO_X), (2, TO_Y)], order=order)[0] == "arc x1>y0 is not in the instance"
-    assert check_fas_keys(g, [(1, TO_X), None], bound=1) == ("arc None is not in the instance", 0, None)
-    assert check_fas_keys(g, [(1, TO_X)], bound=1) == (None, 1, order)
-    # A spell still names the arc as the caller wrote it.
-    assert check_fas_keys(g, [None], lambda t: "x9>y0")[0] == "arc x9>y0 is not in the instance"
+    spell = "#{}".format
+    assert check_fas_listed(g, [1, -1, 2, -1], spell) == ("arc #1 is not in the instance", 0, None)
+    # An arc off the graph outranks the bound and the order.
+    assert check_fas_listed(g, [-1, 1], spell, bound=0, order=order[1:])[0] == "arc #0 is not in the instance"
+    assert check_fas_listed(g, [1, 1], spell, bound=1) == (None, 1, order)  # a repeated pair counts once
+    assert check_fas_listed(g, [1, 0, 1], spell, bound=1) == ("2 arcs exceed the bound 1", 2, order)
+    assert check_fas_listed(g, [], spell) == ("deleting the arcs leaves a cycle", 0, None)
 
 
-def test_a_large_key_check_holds_no_set_of_its_keys():
-    """130,905 keys cost the copy and the sort, not a per-key structure of about 24 bytes per pair."""
+@pytest.mark.parametrize("bad", [-2, 4, -5, 99])
+def test_each_pair_check_gives_a_reason_for_a_pair_outside_the_graph(bad):
+    """A pair below -1 or at m*n and beyond is a reason alone and among valid pairs, never an
+    IndexError or a pair it wraps to: -2 would read pair 2 and -5 raise, 4 and 99 raise."""
+    g = four_cycle_bt()  # pairs 0..3
+    cycle = [1, 0, 2, 3]  # the 4-cycle's pairs, closing arc first
+    for pairs in ([bad], [0, bad], [bad, 1, 2]):
+        reason = f"pairs {min(pairs)}..{max(pairs)} are not all in the 2x2 graph"
+        assert check_fas_pairs(g, pairs) == check_fas_pairs(g, pairs, bound=9, order=()) == (reason, 0, None)
+        assert check_fas_listed(g, pairs, str) == (reason, 0, None)
+    for cycles in ([[bad, 0, 2, 3]], [[1, 0, bad, 3]], [cycle, [bad, bad, bad, bad]]):
+        spelled = len(cycles) - 1
+        assert check_packing_pairs(g, cycles, "cycle {}".format) == f"cycle {spelled} is not a 4-cycle here"
+    # -1 stands for an arc the graph lacks: the packing check spells its cycle, as its name, too.
+    assert check_packing_pairs(g, [[-1, 0, 1, 2]], str) == "0 is not a 4-cycle here"
+    assert check_packing_pairs(g, [cycle], str, k=1) is None
+
+
+def test_a_large_listed_check_holds_no_set_of_its_pairs():
+    """130,905 pairs cost the copy and the sort, not a per-pair structure of about 24 bytes per pair."""
     side = 512
     graph = random_bt(GenSpec(side, side, seed=1))
     order = [*map(xv, range(side)), *map(yv, range(side))]
     random.Random(1).shuffle(order)
     position = {v: t for t, v in enumerate(order)}
-    keys = [pair_state(side, side, *a) for a in graph.arcs() if position[a.tail] > position[a.head]]
+    pairs = HeldArcs.pairs_of(graph, [a for a in graph.arcs() if position[a.tail] > position[a.head]])
     tracemalloc.start()
     try:
-        reason, size, _ = check_fas_keys(graph, keys, str)
+        reason, size, _ = check_fas_listed(graph, pairs, str)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (reason, size, len(keys)) == (None, 130_905, 130_905)
+    assert (reason, size, len(pairs)) == (None, 130_905, 130_905)
     assert peak <= 8 * side * side
 
 

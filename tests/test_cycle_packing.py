@@ -62,9 +62,9 @@ def test_validate_rejects_a_residual_that_is_not_the_input_minus_the_packing():
 
 
 def test_validate_maps_each_cycle_through_pair_state_once(monkeypatch):
-    """Both checks read one key list: 4 pair_state calls per cycle, where mapping twice took 8.
+    """Both checks read one pair list: 4 pair_state calls per cycle, where mapping twice took 8.
 
-    Each cycle reaches its keys through ``graph_core.cycle_keys``, so the calls are counted in
+    Each cycle reaches its pairs through ``graph_core.cycle_pairs``, so the calls are counted in
     ``graph_core``, the one module that calls ``pair_state``.
     """
     import btfas.graph_core as graph_module

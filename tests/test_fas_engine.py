@@ -31,7 +31,7 @@ from btfas import (
 from btfas.cli import parse_instance, render_instance, run
 from btfas.errors import InternalInvariantError, NotATournament, OutOfRange
 from btfas.fas_engine import backward_arcs
-from btfas.graph_core import TO_X, TO_Y, HeldArcs, pair_state
+from btfas.graph_core import HeldArcs, pair_state
 
 from helpers import (
     all_x_to_y,
@@ -333,13 +333,12 @@ def _library_modules():
 
 
 def test_the_fas_branch_builds_no_arc(monkeypatch):
-    """solve checks and holds both parts as pairs: no key_arcs or pair_state call, and no part built.
+    """solve checks and holds both parts as pairs: no pair_arcs or pair_state call, and no part built.
 
-    Every library module that binds either name is patched.  ``certify`` binds ``key_arcs`` to name
-    a failing key when no ``spell`` is given, and a failing key at the end shows that this default
-    is counted too.
+    Every library module that binds either name is patched: only ``graph_core`` does.  Reading a part
+    then builds it through ``pair_arcs``, which shows that the counter sees the calls.
     """
-    calls = {"key_arcs": 0, "pair_state": 0}
+    calls = {"pair_arcs": 0, "pair_state": 0}
     modules = _library_modules()
     patched = {}
     for name in calls:
@@ -352,19 +351,17 @@ def test_the_fas_branch_builds_no_arc(monkeypatch):
         patched[name] = {module for module in modules if hasattr(module, name)}
         for module in patched[name]:
             monkeypatch.setattr(module, name, counted)
-    assert patched == {"key_arcs": {certify, graph_core}, "pair_state": {graph_core}}
+    assert patched == {"pair_arcs": {graph_core}, "pair_state": {graph_core}}
     deep, depth2 = (parse_instance(path.read_text(encoding="utf-8")) for path in (DEEP_RESIDUAL, DEPTH2_RESIDUAL))
     for g, k in [(deep, 44), (depth2, 42), (random_bt(GenSpec(24, 24, seed=5)), 145)]:
+        built = calls["pair_arcs"]
         out = solve(g, k)
         assert isinstance(out, FasOutcome)
-        assert calls == {"key_arcs": 0, "pair_state": 0}
+        assert calls == {"pair_arcs": built, "pair_state": 0}
         assert all(isinstance(vars(out)[part], HeldArcs) for part in ("residual_part", "backward_part"))
         assert out.backward_part and (out.residual_part or g.m == 24)  # both goldens have a residual cut
         assert not any(isinstance(vars(out)[part], HeldArcs) for part in ("residual_part", "backward_part"))
-    flipped = TO_X if g.orient[0] == TO_Y else TO_Y
-    expected = "arc x0>y0" if flipped == TO_Y else "arc y0>x0"
-    assert certify.check_fas_keys(g, [(0, flipped)])[0] == f"{expected} is not in the instance"
-    assert calls == {"key_arcs": 1, "pair_state": 0}
+        assert calls == {"pair_arcs": built + 2, "pair_state": 0}  # one call per part read
 
 
 def test_fas_is_the_one_non_empty_part_itself():
@@ -427,7 +424,7 @@ def _count_calls(monkeypatch, names):
 
 def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
     """One FAS-branch solve: the residual cut's sort is the only one, no delete_arcs, and the
-    feedback arc set reaches the final check as pairs, with no check_fas_keys call."""
+    feedback arc set reaches the final check as pairs, with no check_fas_listed call."""
     planted = planted_bt(0, 8)
     # Copies: the residual, the residual cut's check unless the cut is
     # empty, and the final check.
@@ -435,22 +432,22 @@ def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
         (random_bt(GenSpec(24, 24, seed=5)), 24 * 24 // 4 + 1, 2),
         (planted, len(greedy_pack(planted).cycles) + 1, 3),
     ]
-    binders = {module for module in _library_modules() if hasattr(module, "check_fas_keys")}
+    binders = {module for module in _library_modules() if hasattr(module, "check_fas_listed")}
     assert certify in binders
     for g, k, copies in cases:
         calls = _count_calls(monkeypatch, ("topological_order", "delete_arcs", "__post_init__"))
-        key_checks = []
+        listed_checks = []
         for module in binders:
-            real = module.check_fas_keys
-            counted = lambda *args, real=real: key_checks.append(1) or real(*args)  # noqa: E731
-            monkeypatch.setattr(module, "check_fas_keys", counted)
+            real = module.check_fas_listed
+            counted = lambda *args, real=real: listed_checks.append(1) or real(*args)  # noqa: E731
+            monkeypatch.setattr(module, "check_fas_listed", counted)
         out = solve(g, k)
         assert isinstance(out, FasOutcome)
         assert calls["topological_order"] == 1
         assert calls["__post_init__"] == copies  # every BipartiteDigraph construction
         assert calls["delete_arcs"] == 0
-        assert key_checks == []
+        assert listed_checks == []
         certify.check_fas(g, [])
-        assert key_checks == [1]  # the counter sees certify's own calls
+        assert listed_checks == [1]  # the counter sees certify's own calls
         monkeypatch.undo()
     assert out.residual_part  # the planted instance runs the residual branch

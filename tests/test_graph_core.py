@@ -4,9 +4,10 @@ import tracemalloc
 
 import pytest
 
-from btfas import Arc, BipartiteDigraph, FourCycle, build, xv, yv
+from btfas import Arc, BipartiteDigraph, FourCycle, VertexRef, build, xv, yv
+from btfas.certify import check_fas, check_packing
 from btfas.errors import ArcNotPresent, DuplicatePair, InternalInvariantError, OutOfRange, SameSideArc
-from btfas.graph_core import TO_X, TO_Y, cycle_keys, four_cycle, key_arcs, pair_state
+from btfas.graph_core import TO_X, TO_Y, HeldArcs, cycle_pairs, four_cycle, pair_arcs, pair_state
 from btfas.c4free_fas import fas_c4free, find_4cycle
 from btfas.instance_gen import GenSpec, random_bt
 from btfas.oracles import all_4cycles, check_acyclicity
@@ -392,13 +393,17 @@ def test_is_forward_order_rejects_foreign_vertices_and_arcs():
         g.delete_arcs({Arc(yv(0), xv(0))}).is_forward_order((xv(0), xv(1), yv(0), yv(1)))
 
 
-def test_key_arcs_inverts_pair_state():
+def test_pair_arcs_inverts_pairs_of():
+    """Each pair's arc, with the state read from orient, in both states and mixed."""
     for m, n in ((1, 1), (2, 3), (3, 2), (4, 4)):
-        keys = [(p, state) for p in range(m * n) for state in (TO_Y, TO_X)]
-        arcs = key_arcs(BipartiteDigraph(m, n, bytes(m * n)), keys)
-        assert [pair_state(m, n, arc.tail, arc.head) for arc in arcs] == keys
-        assert all(type(arc) is Arc for arc in arcs)
-        assert all((arc.tail.side == "X") == (state == TO_Y) for arc, (_, state) in zip(arcs, keys))
+        mixed = bytes((TO_Y, TO_X)[(p * 7) % 3 == 1] for p in range(m * n))
+        for orient in (bytes([TO_Y]) * (m * n), bytes([TO_X]) * (m * n), mixed):
+            g, pairs = BipartiteDigraph(m, n, orient), list(range(m * n))
+            arcs = pair_arcs(g, pairs + pairs[::-1])
+            assert HeldArcs.pairs_of(g, arcs) == pairs + pairs[::-1]
+            assert [pair_state(m, n, arc.tail, arc.head) for arc in arcs[: m * n]] == [*zip(pairs, orient)]
+            assert all(type(arc) is Arc for arc in arcs)
+            assert all((arc.tail.side == "X") == (orient[p] == TO_Y) for arc, p in zip(arcs, pairs))
 
 
 # ----------------------------------------------------------------------
@@ -459,15 +464,33 @@ def test_a_four_cycle_is_its_plain_one_tuple():
     assert c.arcs() == (Arc(xv(0), yv(0)), Arc(yv(0), xv(1)), Arc(xv(1), yv(1)), Arc(yv(1), xv(0)))
 
 
-def test_cycle_keys_put_the_closing_arc_first():
+def test_cycle_pairs_put_the_closing_arc_first():
     g = four_cycle_bt()  # x0>y0, y0>x1, x1>y1, y1>x0 on a 2x2 graph
     c = four_cycle(0, 0, 1, 1)
-    # y1>x0 closes the cycle: pair 0*2 + 1, set to TO_X; then x0>y0, y0>x1 and x1>y1.
-    assert cycle_keys(g, c) == [(1, TO_X), (0, TO_Y), (2, TO_X), (3, TO_Y)]
-    assert cycle_keys(g, c) == [pair_state(2, 2, *arc) for arc in c.arcs()[-1:] + c.arcs()[:-1]]
-    # x2 lies outside the 2x2 graph and x1>x0, y0>y1 do not cross it: no key for these arcs.
-    assert cycle_keys(g, four_cycle(0, 0, 2, 1)) == [(1, TO_X), (0, TO_Y), None, None]
-    assert cycle_keys(g, FourCycle((xv(0), yv(0), yv(1), xv(1)))) == [None, (0, TO_Y), None, (3, TO_X)]
+    # y1>x0 closes the cycle: pair 0*2 + 1; then x0>y0, y0>x1 and x1>y1.
+    assert cycle_pairs(g, c) == [1, 0, 2, 3]
+    assert cycle_pairs(g, c) == HeldArcs.pairs_of(g, c.arcs()[-1:] + c.arcs()[:-1])
+    # x2 lies outside the 2x2 graph and x1>x0, y0>y1 do not cross it: -1 for these arcs.
+    assert cycle_pairs(g, four_cycle(0, 0, 2, 1)) == [1, 0, -1, -1]
+    # y1>x1 crosses pair 3, which holds x1>y1: -1 for it too.
+    assert cycle_pairs(g, FourCycle((xv(0), yv(0), yv(1), xv(1)))) == [-1, 0, -1, -1]
+    assert cycle_pairs(g, four_cycle(1, 1, 0, 0)) == [2, 3, 1, 0]  # the cycle from x1
+    assert cycle_pairs(g, four_cycle(0, 1, 1, 0)) == [-1, -1, -1, -1]  # the cycle reversed
+
+
+def test_a_side_other_than_x_or_y_is_no_vertex():
+    """A VertexRef on side Z or Q is neither an X nor a Y vertex: no pair, no arc, no order."""
+    with pytest.raises(OutOfRange, match="arc z0>x0 outside a 1x1 graph"):
+        build(1, 1, [(VertexRef("Z", 0), xv(0))])
+    assert pair_state(1, 1, VertexRef("Z", 0), xv(0)) is None and pair_state(1, 1, xv(0), VertexRef("Z", 0)) is None
+    t = four_cycle_bt()  # x0>y0, y0>x1, x1>y1, y1>x0
+    assert check_fas(t, [(VertexRef("Z", 0), xv(1))]) == "arc z0>x1 is not in the instance"
+    bad = FourCycle((xv(0), VertexRef("Q", 0), xv(1), yv(1)))
+    assert check_packing(t, [bad], 1) == "['x0', 'q0', 'x1', 'y1'] is not a 4-cycle here"
+    assert not t.has_arc((VertexRef("Z", 0), xv(1)))
+    g = build(1, 1, [(xv(0), yv(0))])
+    assert g.is_forward_order([xv(0), yv(0)])
+    assert not g.is_forward_order([xv(0), VertexRef("Z", 0)])
 
 
 def test_labels_hold_the_shared_handles():

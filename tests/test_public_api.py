@@ -38,10 +38,10 @@ PUBLIC = {
 
 # Names that live only in their modules: proof machinery and oracle internals.
 MODULE_ONLY = {
-    "certify": ["check_fas_keys", "check_fas_pairs", "check_packing_keys"],
+    "certify": ["check_fas_listed", "check_fas_pairs", "check_packing_pairs"],
     "graph_core": [
         "ABSENT", "TO_X", "TO_Y", "HeldArcs", "LazyArcSet", "Rows", "Subgraph", "TopoResult",
-        "cycle_keys", "four_cycle", "key_arcs",
+        "cycle_pairs", "four_cycle", "pair_arcs",
     ],
     "c4free_fas": ["find_4cycle", "trim_acyclic_vertices"],
     "fas_engine": ["backward_arcs"],

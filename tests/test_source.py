@@ -134,8 +134,9 @@ def test_the_library_parses_as_the_python_version_it_declares():
     assert [path.name for path in files if not parses_as(path.read_text(encoding="utf-8"), DECLARED)] == []
 
 
-# Arc <-> key conversion lives in graph_core: certify also names a failing key through key_arcs.
-CONVERTERS = {"pair_state": {"graph_core.py"}, "key_arcs": {"graph_core.py", "certify.py"}}
+# The names of the (pair index, state) keys that once crossed modules, and the flag that let the
+# feedback-arc-set core skip its range check: arcs now leave graph_core as pair indices.
+REMOVED = ("key_arcs", "cycle_keys", "check_fas_keys", "check_packing_keys", "arc_keys", "_arc_keys", "checked")
 
 
 def name_uses(source: str, name: str) -> list[int]:
@@ -164,15 +165,51 @@ def test_the_name_use_detector_finds_each_form():
     )
     assert name_uses(source, "pair_state") == [1, 2, 3, 4, 5]
     certify = (LIBRARY / "certify.py").read_text(encoding="utf-8")
-    assert name_uses(certify, "key_arcs") and not name_uses(certify, "pair_state")
+    assert name_uses(certify, "cycle_pairs") and not name_uses(certify, "pair_state")
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name the source reads, binds, defines, imports or passes as a keyword, each attribute
+    as ``owner.attr`` when its owner is a plain name, and each method as ``Class.method``;
+    docstrings and comments are not read."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add(f"{node.value.id}.{node.attr}")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        if isinstance(node, ast.ClassDef):
+            found.update(f"{node.name}.{item.name}" for item in node.body if isinstance(item, ast.FunctionDef))
+        for field in ("id", "attr", "name", "arg"):
+            if isinstance(getattr(node, field, None), str):
+                found.add(getattr(node, field))
+    return found
+
+
+def test_the_identifier_detector_finds_each_form():
+    source = (
+        "from .graph_core import key_arcs as k\n"
+        "class HeldArcs:\n"
+        "    def keys(self, checked=False):\n"
+        "        return f(checked=checked)\n"
+        "x = HeldArcs.pairs_of(graph, arcs)  # cycle_keys in a comment\n"
+        "'''check_fas_keys in a docstring'''\n"
+    )
+    found = identifiers(source)
+    assert {"key_arcs", "HeldArcs.keys", "keys", "checked", "HeldArcs.pairs_of", "f"} <= found
+    assert not {"cycle_keys", "check_fas_keys", "k.keys"} & found
 
 
 def test_only_graph_core_converts_between_arcs_and_keys():
-    """Only graph_core uses pair_state, and only graph_core and certify use key_arcs."""
-    for name, owners in CONVERTERS.items():
-        found = {path.name: name_uses(path.read_text(encoding="utf-8"), name) for path in LIBRARY.glob("*.py")}
-        assert len(found) > 5 and all(found[owner] for owner in owners)
-        assert {module: lines for module, lines in found.items() if lines and module not in owners} == {}
+    """The guard on pair indices: only graph_core uses pair_state, the one source of (pair index,
+    state) keys, and no library module names a removed key helper, ``HeldArcs.keys`` or ``checked``."""
+    found = {path.name: name_uses(path.read_text(encoding="utf-8"), "pair_state") for path in LIBRARY.glob("*.py")}
+    assert len(found) > 5 and found["graph_core.py"]
+    assert {module: lines for module, lines in found.items() if lines and module != "graph_core.py"} == {}
+    names = {path.name: identifiers(path.read_text(encoding="utf-8")) for path in LIBRARY.glob("*.py")}
+    assert "HeldArcs.pairs_of" in names["graph_core.py"] and "_Tokens.arc_pairs" in names["cli.py"]
+    removed = {*REMOVED, "HeldArcs.keys", "_Tokens.arc_keys"}
+    assert {module: sorted(found & removed) for module, found in names.items() if found & removed} == {}
 
 
 def test_the_feedback_arc_set_paths_name_no_arc_state():

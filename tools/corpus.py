@@ -12,7 +12,9 @@ files beyond ``tests/golden``'s instances:
 - ``fas-c4free`` on ``tests/helpers.c4free_blowup``, on the benchmark's
   c4free-deep instances and on the golden six-cycle
 - ``verify`` of the certificates of the last two items, and of a copy of each
-  with its first entry reversed, with a foreign arc or cycle added, and emptied
+  with its first entry reversed, with a foreign arc or cycle added, emptied,
+  with a same-side arc or cycle added, with its first entry repeated, and with
+  an arc or cycle through y_n added
 - ``census`` on instances of up to 1024 pairs, and on one above
 - ``oracle`` on small tournaments
 
@@ -73,8 +75,9 @@ def _c4free_instances() -> Iterator[tuple[str, BipartiteDigraph]]:
         yield f"c4free-deep-s{seed}", to_graph(*c4free_deep_instance(seed))
 
 
-def _tampered(doc: dict, kind: str) -> Iterator[tuple[str, dict]]:
-    """A certificate with its first entry reversed, with an off-graph arc added, and emptied."""
+def _tampered(doc: dict, kind: str, n: int) -> Iterator[tuple[str, dict]]:
+    """A certificate of an m x n instance with its first entry reversed, with an off-graph arc added,
+    emptied, with a same-side arc added, with its first entry repeated, and with an arc to y_n added."""
     entries = doc[kind]
     if entries:
         first = entries[0]
@@ -82,6 +85,10 @@ def _tampered(doc: dict, kind: str) -> Iterator[tuple[str, dict]]:
         yield "flipped", {kind: [flipped, *entries[1:]]}
     yield "foreign", {kind: [*entries, "x99>y0" if kind == "fas" else ["x0", "y0", "x99", "y1"]]}
     yield "empty", {kind: []}
+    yield "same-side", {kind: [*entries, "x0>x1" if kind == "fas" else ["x0", "x1", "y0", "y1"]]}
+    if entries:
+        yield "repeated", {kind: [entries[0], *entries]}
+    yield "past-side", {kind: [*entries, f"x0>y{n}" if kind == "fas" else ["x0", f"y{n}", "x1", "y0"]]}
 
 
 class _Corpus:
@@ -112,7 +119,11 @@ class _Corpus:
         doc = json.loads(stdout)
         kind = "packing" if doc["branch"] == "packing" else "fas"
         extra = () if k is None else ("--k", str(k))
-        certs = [("", doc), *_tampered(doc, kind)] if tamper else [("", doc)]
+        if tamper:
+            n = cli.parse_instance(pathlib.Path(instance).read_text(encoding="utf-8")).n
+            certs = [("", doc), *_tampered(doc, kind, n)]
+        else:
+            certs = [("", doc)]
         for label, cert in certs:
             path = self.write(f"{name} {label}.json", json.dumps(cert))
             self.call(f"{name} | verify --{kind} {label}".rstrip(), "verify", instance, f"--{kind}", path, *extra)
