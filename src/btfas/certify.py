@@ -5,6 +5,9 @@ it is not, never raising on its content: a foreign vertex, an out-of-range
 index, a same-side arc or a non-alternating cycle is a reason.  Both checks run on pair
 indices, -1 for an arc the graph lacks, as :meth:`HeldArcs.pairs_of` turns arcs into pairs
 and verify's tokens reach them; :func:`check_fas` and :func:`check_packing` take arcs and cycles.
+:func:`check_fas_pairs` is the one feedback-arc-set core: given a ``spell``, its pairs are a
+listed arc set, which may repeat and whose -1 or arc-less pair is an arc not in the instance;
+without, each pair must carry a distinct arc.
 """
 
 from __future__ import annotations
@@ -58,40 +61,32 @@ def check_fas(
     A repeated arc counts once, in the size and against ``bound``.  With
     ``order``, acyclicity is certified by every other arc running forward
     in it; without, by a topological sort of the graph minus the arcs.
-    The arcs' :meth:`HeldArcs.pairs_of` pairs go to :func:`check_fas_listed`.
+    The arcs' :meth:`HeldArcs.pairs_of` pairs go to :func:`check_fas_pairs` as a listed set.
     """
     arcs = list(arcs)
     pairs = HeldArcs.pairs_of(graph, arcs)
-    return check_fas_listed(graph, pairs, lambda t: "%s>%s" % tuple(arcs[t]), bound, order)[0]
-
-
-def check_fas_listed(
-    graph: BipartiteDigraph, pairs: Pairs, spell: Spell, bound: Optional[int] = None, order: Order = None
-) -> Sized:
-    """The feedback-arc-set check on a listed arc set's pairs, which may repeat; -1 for an arc graph lacks.
-
-    ``spell(t)`` names the t-th arc when its pair is the first -1; the pairs then go to
-    :func:`check_fas_pairs`, each other pair standing for the arc graph holds there.
-    """
-    if -1 in pairs:
-        return f"arc {spell(pairs.index(-1))} is not in the instance", 0, None
-    return check_fas_pairs(graph, pairs, bound, order, repeats=True)
+    return check_fas_pairs(graph, pairs, bound, order, lambda t: "%s>%s" % tuple(arcs[t]))[0]
 
 
 def check_fas_pairs(
-    graph: BipartiteDigraph, pairs: Pairs, bound: Optional[int] = None, order: Order = None, repeats: bool = False
+    graph: BipartiteDigraph, pairs: Pairs, bound: Optional[int] = None, order: Order = None,
+    spell: Optional[Spell] = None,
 ) -> Sized:
     """The one feedback-arc-set core, on pair indices, each standing for the arc graph holds there.
 
-    The size is the rise in absent pairs.  A pair out of range by ``min`` or ``max`` is a reason, and
-    unless ``repeats`` are allowed, so is a size short of ``len(pairs)`` (a repeated or arc-less pair).
-    The order is ``order``, or else a topological sort's.
+    The size is the rise in absent pairs.  A pair out of range by ``min`` or ``max`` is a reason.
+    Given ``spell``, the pairs are a listed arc set: ``spell(t)`` names the t-th arc when its pair is
+    the first -1, before any other test, or, once every other test has passed, the first pair graph
+    leaves absent; a repeated pair counts once.  Without, a size short of ``len(pairs)`` (a repeated
+    or arc-less pair) is a reason.  The order is ``order``, or else a topological sort's.
     """
+    if spell is not None and -1 in pairs:
+        return f"arc {spell(pairs.index(-1))} is not in the instance", 0, None
     if pairs and not 0 <= min(pairs) <= max(pairs) < len(graph.orient):
         return f"pairs {min(pairs)}..{max(pairs)} are not all in the {graph.m}x{graph.n} graph", 0, None
     remaining = graph.clear_pairs(pairs) if pairs else graph
     size = remaining.absent_pair_count() - graph.absent_pair_count()
-    if not repeats and size != len(pairs):
+    if spell is None and size != len(pairs):
         return f"{len(pairs) - size} of {len(pairs)} pairs repeat or carry no arc", size, None
     if order is None:
         order = remaining.topological_order().order
@@ -101,6 +96,10 @@ def check_fas_pairs(
         return "deleting the arcs leaves a cycle", size, None
     if bound is not None and size > bound:
         return f"{size} arcs exceed the bound {bound}", size, order
+    # Only a repeat or an arc-less pair leaves the size short of len(pairs).
+    if spell is not None and size != len(pairs) and not all(map(graph.orient.__getitem__, pairs)):
+        absent = next(t for t, p in enumerate(pairs) if not graph.orient[p])
+        return f"arc {spell(absent)} is not in the instance", size, None
     return None, size, order
 
 

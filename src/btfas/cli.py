@@ -52,7 +52,7 @@ _VERTEX_RE = re.compile(r"([xy])([0-9]{1,4300})\Z")
 
 # Largest m*n an instance file may declare.  Storage takes one byte per
 # cross pair and is allocated before any arc is read, so the header is
-# checked first; 2**26 is 8192x8192, above the 2048x2048 solved in-process.
+# checked first; 2**26 is 8192x8192, above the 4096x4096 solved in-process.
 MAX_PAIRS = 2**26
 # Largest side size: masks are allocated per vertex even when m*n is 0.
 MAX_SIDE = 2**16
@@ -442,7 +442,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 return fail(f"arc token {token!r} is not a string")
         pairs = tokens.arc_pairs(graph.orient, (token.split(">") for token in raw))  # lazily: errors in order
         spell = lambda t: "%s>%s" % tuple(map(parse_vertex, raw[t].split(">")))  # noqa: E731
-        reason, size, _ = certify.check_fas_listed(graph, pairs, spell, bound)
+        reason, size, _ = certify.check_fas_pairs(graph, pairs, bound, spell=spell)
         result = {"size": size, "bound": bound}
     else:
         for entry in raw:  # every entry's shape and tokens are read before any cycle is checked

@@ -222,11 +222,6 @@ class BipartiteDigraph:
         """The X and the Y vertices by index, as the shared ``xv``/``yv`` handles."""
         return tuple(map(xv, range(self.m))), tuple(map(yv, range(self.n)))
 
-    def _check_vertex(self, v: VertexRef) -> None:
-        bound = self.m if v.side == "X" else self.n
-        if not (0 <= v.index < bound):
-            raise OutOfRange(f"vertex {v} outside a {self.m}x{self.n} graph")
-
     # ------------------------------------------------------------------
     # structural transforms
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import OutOfRange
 from .graph_core import BipartiteDigraph, Rows, VertexRef, bit_indices
 
 
@@ -103,8 +104,9 @@ def vertex_counts(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
 
 
 def _counts(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:
-    graph._check_vertex(v)
     rows, width = (graph.x_masks, graph.n) if v.side == "X" else (graph.y_masks, graph.m)
+    if v.side not in ("X", "Y") or not 0 <= v.index < len(rows.out):
+        raise OutOfRange(f"vertex {v} outside a {graph.m}x{graph.n} graph")
     return census(rows, (1 << len(rows.out)) - 1, (1 << width) - 1)[v.index][1:]
 
 

@@ -20,7 +20,7 @@ from btfas import (
     xv,
     yv,
 )
-from btfas.certify import check_fas, check_fas_listed, check_fas_pairs, check_packing, check_packing_pairs
+from btfas.certify import check_fas, check_fas_pairs, check_packing, check_packing_pairs
 from btfas.errors import InternalInvariantError
 from btfas.graph_core import ABSENT, FourCycle, HeldArcs, four_cycle
 from btfas.oracles import all_4cycles, find_cycle_brute
@@ -48,9 +48,9 @@ def without(graph: BipartiteDigraph, arcs) -> BipartiteDigraph:
 
 
 def check_listed(graph: BipartiteDigraph, arcs, bound=None, order=None):
-    """check_fas_listed's (reason, size, order) on the arcs' pairs, -1 for each arc graph lacks."""
+    """check_fas_pairs' listed (reason, size, order) on the arcs' pairs, -1 for each arc graph lacks."""
     arcs = list(arcs)
-    return check_fas_listed(graph, HeldArcs.pairs_of(graph, arcs), lambda t: "%s>%s" % tuple(arcs[t]), bound, order)
+    return check_fas_pairs(graph, HeldArcs.pairs_of(graph, arcs), bound, order, lambda t: "%s>%s" % tuple(arcs[t]))
 
 
 def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
@@ -112,12 +112,30 @@ def test_the_listed_check_spells_the_first_arc_off_the_graph():
     g = four_cycle_bt()  # x0>y0 at pair 0, y1>x0 at 1, y0>x1 at 2, x1>y1 at 3
     order = (xv(0), yv(0), xv(1), yv(1))
     spell = "#{}".format
-    assert check_fas_listed(g, [1, -1, 2, -1], spell) == ("arc #1 is not in the instance", 0, None)
-    # An arc off the graph outranks the bound and the order.
-    assert check_fas_listed(g, [-1, 1], spell, bound=0, order=order[1:])[0] == "arc #0 is not in the instance"
-    assert check_fas_listed(g, [1, 1], spell, bound=1) == (None, 1, order)  # a repeated pair counts once
-    assert check_fas_listed(g, [1, 0, 1], spell, bound=1) == ("2 arcs exceed the bound 1", 2, order)
-    assert check_fas_listed(g, [], spell) == ("deleting the arcs leaves a cycle", 0, None)
+    assert check_fas_pairs(g, [1, -1, 2, -1], spell=spell) == ("arc #1 is not in the instance", 0, None)
+    # An arc off the graph outranks the range, the bound and the order.
+    assert check_fas_pairs(g, [4, -1, 1], spell=spell)[0] == "arc #1 is not in the instance"
+    assert check_fas_pairs(g, [-1, 1], bound=0, order=order[1:], spell=spell)[0] == "arc #0 is not in the instance"
+    assert check_fas_pairs(g, [1, 1], bound=1, spell=spell) == (None, 1, order)  # a repeated pair counts once
+    assert check_fas_pairs(g, [1, 0, 1], bound=1, spell=spell) == ("2 arcs exceed the bound 1", 2, order)
+    assert check_fas_pairs(g, [], spell=spell) == ("deleting the arcs leaves a cycle", 0, None)
+
+
+def test_the_listed_check_spells_the_first_pair_the_graph_leaves_absent():
+    """A listed pair that carries no arc is an arc not in the instance, named once every other test
+    has passed; the strict check counts it among the pairs that repeat or carry no arc."""
+    gap = four_cycle_bt().clear_pairs([3])  # not a tournament: pair 3 carries no arc
+    assert check_fas_pairs(gap, [3], spell=str) == ("arc 0 is not in the instance", 0, None)
+    g = six_cycle()  # arcs at pairs 0, 2, 3, 4, 7 and 8; pairs 1, 5 and 6 carry none
+    spell = "#{}".format
+    assert check_fas_pairs(g, [0, 1], spell=spell) == ("arc #1 is not in the instance", 1, None)
+    assert check_fas_pairs(g, [0, 0, 6, 1, 5], spell=spell) == ("arc #2 is not in the instance", 1, None)
+    # The cycle, the order and the bound outrank it.
+    assert check_fas_pairs(g, [1], spell=spell) == ("deleting the arcs leaves a cycle", 0, None)
+    assert check_fas_pairs(g, [0, 1], order=(), spell=spell) == ("deleting the arcs leaves a cycle", 1, None)
+    assert check_fas_pairs(g, [0, 1], bound=0, spell=spell)[:2] == ("1 arcs exceed the bound 0", 1)
+    assert check_fas_pairs(g, [0, 1]) == ("1 of 2 pairs repeat or carry no arc", 1, None)
+    assert check_fas_pairs(g, [0, 0], spell=spell)[:2] == (None, 1)
 
 
 @pytest.mark.parametrize("bad", [-2, 4, -5, 99])
@@ -129,7 +147,7 @@ def test_each_pair_check_gives_a_reason_for_a_pair_outside_the_graph(bad):
     for pairs in ([bad], [0, bad], [bad, 1, 2]):
         reason = f"pairs {min(pairs)}..{max(pairs)} are not all in the 2x2 graph"
         assert check_fas_pairs(g, pairs) == check_fas_pairs(g, pairs, bound=9, order=()) == (reason, 0, None)
-        assert check_fas_listed(g, pairs, str) == (reason, 0, None)
+        assert check_fas_pairs(g, pairs, spell=str) == (reason, 0, None)
     for cycles in ([[bad, 0, 2, 3]], [[1, 0, bad, 3]], [cycle, [bad, bad, bad, bad]]):
         spelled = len(cycles) - 1
         assert check_packing_pairs(g, cycles, "cycle {}".format) == f"cycle {spelled} is not a 4-cycle here"
@@ -148,7 +166,7 @@ def test_a_large_listed_check_holds_no_set_of_its_pairs():
     pairs = HeldArcs.pairs_of(graph, [a for a in graph.arcs() if position[a.tail] > position[a.head]])
     tracemalloc.start()
     try:
-        reason, size, _ = check_fas_listed(graph, pairs, str)
+        reason, size, _ = check_fas_pairs(graph, pairs, spell=str)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

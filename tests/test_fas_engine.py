@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import random
@@ -424,7 +425,7 @@ def _count_calls(monkeypatch, names):
 
 def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
     """One FAS-branch solve: the residual cut's sort is the only one, no delete_arcs, and the
-    feedback arc set reaches the final check as pairs, with no check_fas_listed call."""
+    feedback arc set reaches the final check as pairs, with no listed-mode check_fas_pairs call."""
     planted = planted_bt(0, 8)
     # Copies: the residual, the residual cut's check unless the cut is
     # empty, and the final check.
@@ -432,22 +433,26 @@ def test_fas_branch_sorts_once_and_copies_at_most_three_times(monkeypatch):
         (random_bt(GenSpec(24, 24, seed=5)), 24 * 24 // 4 + 1, 2),
         (planted, len(greedy_pack(planted).cycles) + 1, 3),
     ]
-    binders = {module for module in _library_modules() if hasattr(module, "check_fas_listed")}
+    binders = {module for module in _library_modules() if hasattr(module, "check_fas_pairs")}
     assert certify in binders
     for g, k, copies in cases:
         calls = _count_calls(monkeypatch, ("topological_order", "delete_arcs", "__post_init__"))
-        listed_checks = []
+        checks = []  # whether each check_fas_pairs call is in listed mode
         for module in binders:
-            real = module.check_fas_listed
-            counted = lambda *args, real=real: listed_checks.append(1) or real(*args)  # noqa: E731
-            monkeypatch.setattr(module, "check_fas_listed", counted)
+            real = module.check_fas_pairs
+
+            def counted(*args, real=real, **kwargs):
+                checks.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("spell") is not None)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "check_fas_pairs", counted)
         out = solve(g, k)
         assert isinstance(out, FasOutcome)
         assert calls["topological_order"] == 1
         assert calls["__post_init__"] == copies  # every BipartiteDigraph construction
         assert calls["delete_arcs"] == 0
-        assert listed_checks == []
+        assert checks == [False, False]  # the residual cut's check and the final check
         certify.check_fas(g, [])
-        assert listed_checks == [1]  # the counter sees certify's own calls
+        assert checks == [False, False, True]  # the counter sees certify's own calls
         monkeypatch.undo()
     assert out.residual_part  # the planted instance runs the residual branch

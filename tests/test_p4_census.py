@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from btfas import BipartiteDigraph, build, xv, yv
+from btfas import BipartiteDigraph, VertexRef, build, xv, yv
+from btfas.errors import OutOfRange
 from btfas.graph_core import bit_indices
 from btfas.oracles import census_sums, check_census, enumerate_induced_p4
 from btfas.p4_census import (
@@ -36,6 +37,16 @@ def test_four_cycle_has_no_induced_p4():
     assert enumerate_induced_p4(g) == []
     assert census_sums(g) == (0, 0, 0, 0)
     assert all(first_count(g, v) == 0 and sec_count(g, v) == 0 for v in g.vertices())
+
+
+def test_a_vertex_off_its_side_raises_out_of_range():
+    """A side other than X or Y is no vertex, though its index is inside the graph: z1 is not y1."""
+    g = BipartiteDigraph(4, 4, bytes.fromhex("00020001000101010201000001000101"))
+    assert sec_count(g, yv(1)) == 1
+    for v in (VertexRef("Z", 1), VertexRef("Z", 0), xv(4), xv(-1), yv(4), yv(-1)):
+        for count in (first_count, sec_count):
+            with pytest.raises(OutOfRange, match=f"vertex {v} outside a 4x4 graph"):
+                count(g, v)
 
 
 def test_six_cycle_has_the_six_windows():

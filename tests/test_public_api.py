@@ -38,7 +38,7 @@ PUBLIC = {
 
 # Names that live only in their modules: proof machinery and oracle internals.
 MODULE_ONLY = {
-    "certify": ["check_fas_listed", "check_fas_pairs", "check_packing_pairs"],
+    "certify": ["check_fas_pairs", "check_packing_pairs"],
     "graph_core": [
         "ABSENT", "TO_X", "TO_Y", "HeldArcs", "LazyArcSet", "Rows", "Subgraph", "TopoResult",
         "cycle_pairs", "four_cycle", "pair_arcs",

@@ -135,8 +135,12 @@ def test_the_library_parses_as_the_python_version_it_declares():
 
 
 # The names of the (pair index, state) keys that once crossed modules, and the flag that let the
-# feedback-arc-set core skip its range check: arcs now leave graph_core as pair indices.
-REMOVED = ("key_arcs", "cycle_keys", "check_fas_keys", "check_packing_keys", "arc_keys", "_arc_keys", "checked")
+# feedback-arc-set core skip its range check: arcs now leave graph_core as pair indices.  Then the
+# listed-set layer and its flag for repeats: check_fas_pairs' optional spell marks a listed set.
+REMOVED = (
+    "key_arcs", "cycle_keys", "check_fas_keys", "check_packing_keys", "arc_keys", "_arc_keys", "checked",
+    "check_fas_listed", "repeats",
+)
 
 
 def name_uses(source: str, name: str) -> list[int]:
@@ -202,7 +206,8 @@ def test_the_identifier_detector_finds_each_form():
 
 def test_only_graph_core_converts_between_arcs_and_keys():
     """The guard on pair indices: only graph_core uses pair_state, the one source of (pair index,
-    state) keys, and no library module names a removed key helper, ``HeldArcs.keys`` or ``checked``."""
+    state) keys, and no library module names a removed key helper, ``HeldArcs.keys``, ``checked``,
+    ``check_fas_listed`` or ``repeats``."""
     found = {path.name: name_uses(path.read_text(encoding="utf-8"), "pair_state") for path in LIBRARY.glob("*.py")}
     assert len(found) > 5 and found["graph_core.py"]
     assert {module: lines for module, lines in found.items() if lines and module != "graph_core.py"} == {}

@@ -1,9 +1,9 @@
 """The solve ladder: in-process ``solve`` stage timings on random tournaments of growing size.
 
 Each rung is ``random_bt(GenSpec(n, n, seed))`` at k = greedy + 1, which forces the
-feedback-arc-set branch through the whole pipeline.  Every measurement runs in a fresh worker
-process that imports ``btfas`` from the tree it is given and times, from outside, the stages
-``solve`` looks up in ``fas_engine``:
+feedback-arc-set branch through the whole pipeline; the default rungs are n = 128, 512, 1024,
+2048 and 4096.  Every measurement runs in a fresh worker process that imports ``btfas`` from
+the tree it is given and times, from outside, the stages ``solve`` looks up in ``fas_engine``:
 
 - ``greedy_pack``
 - ``fas_c4free`` (the residual's certified cut, with its own check)
@@ -170,7 +170,7 @@ def ladder(trees: dict[str, pathlib.Path], args: argparse.Namespace) -> list[dic
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    sizes = [128, 512, 1024, 2048]
+    sizes = [128, 512, 1024, 2048, 4096]
     parser.add_argument("--sizes", type=int, nargs="+", default=sizes, help="sides n of the n x n rungs")
     parser.add_argument("--rounds", type=int, default=3, help="worker processes per tree and rung")
     parser.add_argument("--repeats", type=int, default=1, help="solves per worker")
