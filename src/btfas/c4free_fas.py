@@ -69,22 +69,26 @@ def find_4cycle(graph: BipartiteDigraph, after: Optional[FourCycle] = None) -> O
 
     The ordered pair (x_i, x_k) closes a cycle iff some y_j has
     x_i -> y_j -> x_k and some y_l has x_k -> y_l -> x_i; the lowest such
-    j and l give the first cycle through the pair.  With ``after``, a cycle
-    returned by this function, the scan starts at that cycle's (x, x')
-    pair instead of (x_0, x_0).  The scan reads only ``graph.m``,
-    ``graph.x_masks`` and, for the cycle it returns, ``graph.labels``, so
-    ``greedy_pack`` passes a view of masks it clears.
+    j and l give the first cycle through the pair.  That cycle started at
+    x_k runs through (x_k, x_i), so a pair closes a cycle iff its reverse
+    does, and the scan visits only pairs with i < k: every returned cycle
+    starts at the smaller X index of its pair, as ``oracles.all_4cycles``
+    lists them.  With ``after`` the scan starts at that cycle's pair, and
+    returns what a fresh scan would, provided no pair before it holds a
+    4-cycle: ``after`` was returned by this function for this graph, or
+    for the graph before some of its arcs were deleted.  The scan reads
+    only ``graph.m``, ``graph.x_masks`` and, for the cycle it returns,
+    ``graph.labels``, so ``greedy_pack`` passes a view of masks it clears.
     """
     out, inn = graph.x_masks
-    start_i = start_k = 0
+    start_i, start_k = 0, 1
     if after is not None:
         start_i, start_k = after.vertices[0].index, after.vertices[2].index
     for xi in range(start_i, graph.m):
         out_i, in_i = out[xi], inn[xi]
         if not (out_i and in_i):
             continue
-        # xk == xi needs no skip: out_i & in_i is always 0.
-        for xk in range(start_k if xi == start_i else 0, graph.m):
+        for xk in range(start_k if xi == start_i else xi + 1, graph.m):
             forward = out_i & inn[xk]
             if forward:
                 back = out[xk] & in_i

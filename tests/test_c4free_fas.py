@@ -22,7 +22,8 @@ from btfas import (
 from btfas import c4free_fas, certify, p4_census
 from btfas.c4free_fas import find_4cycle
 from btfas.errors import HasFourCycle, InternalInvariantError
-from btfas.graph_core import four_cycle
+from btfas.graph_core import cycle_pairs, four_cycle
+from btfas.oracles import all_4cycles
 
 from helpers import (
     all_oriented,
@@ -53,12 +54,40 @@ def _every_after(m):
     return [four_cycle(i, 0, k, 1) for i in range(m) for k in range(m) if i != k]
 
 
+def _pair(cycle):
+    return cycle.vertices[0].index, cycle.vertices[2].index
+
+
+def _afters_in_contract(g, first):
+    """The ``_every_after`` cycles before whose pair no ordered pair of g holds a 4-cycle.
+
+    ``first`` is the reference's fresh first cycle, which decides: None, or a pair at or after
+    the resume pair.
+    """
+    return [after for after in _every_after(g.m) if first is None or _pair(first) >= _pair(after)]
+
+
+def _assert_resumed_chain(g):
+    """greedy_pack's chain: each residual resumed after the cycle before finds the fresh first one."""
+    residual, previous = g, None
+    while True:
+        cycle = find_4cycle(residual, after=previous)
+        assert cycle == find_4cycle_reference(residual)
+        if cycle is None:
+            return
+        residual, previous = residual.clear_pairs(cycle_pairs(residual, cycle)), cycle
+
+
 def test_find_4cycle_matches_the_nested_loop_on_all_small_digraphs():
     for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
         for g in all_oriented(m, n):
-            assert find_4cycle(g) == find_4cycle_reference(g)
-            if m * n <= 6:  # 3x3 skips the resumed scans to keep the suite fast
-                for after in _every_after(m):
+            first = find_4cycle_reference(g)
+            assert find_4cycle(g) == first
+            # The scan visits only pairs x < x', so it returns the first cycle all_4cycles lists.
+            assert first == next(iter(all_4cycles(g)), None)
+            _assert_resumed_chain(g)
+            if m * n <= 6:  # 3x3 skips the every-pair resumes to keep the suite fast
+                for after in _afters_in_contract(g, first):
                     assert find_4cycle(g, after) == find_4cycle_reference(g, after)
 
 
@@ -70,8 +99,10 @@ def test_find_4cycle_resumes_like_the_nested_loop_on_random_graphs():
             g = random_digraph(rng, m, n)
         else:
             g = BipartiteDigraph(m, n, bytes(rng.choice((1, 2)) for _ in range(m * n)))
-        assert find_4cycle(g) == find_4cycle_reference(g)
-        for after in _every_after(m):
+        first = find_4cycle_reference(g)
+        assert find_4cycle(g) == first
+        _assert_resumed_chain(g)
+        for after in _afters_in_contract(g, first):
             assert find_4cycle(g, after) == find_4cycle_reference(g, after)
 
 

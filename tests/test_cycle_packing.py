@@ -117,6 +117,7 @@ def test_one_pass_packing_matches_rescanning_on_all_small_digraphs():
             packing = greedy_pack(g)
             assert (packing.cycles, packing.residual) == greedy_pack_reference(g)
             assert_masks_match_orient(packing.residual)
+            assert_starts_at_the_smaller_x(packing.cycles)
 
 
 def test_one_pass_packing_matches_rescanning_on_random_graphs():
@@ -131,6 +132,7 @@ def test_one_pass_packing_matches_rescanning_on_random_graphs():
             assert packing.cycles == cycles
             assert packing.residual.orient == residual.orient
             assert_masks_match_orient(packing.residual)
+            assert_starts_at_the_smaller_x(packing.cycles)
 
 
 def assert_masks_match_orient(graph):
@@ -138,6 +140,11 @@ def assert_masks_match_orient(graph):
     fresh = BipartiteDigraph(graph.m, graph.n, graph.orient)
     assert graph.x_masks == fresh.x_masks
     assert graph.y_masks == fresh.y_masks
+
+
+def assert_starts_at_the_smaller_x(cycles):
+    """Each cycle starts at the smaller X index of its pair, the form ``oracles.all_4cycles`` uses."""
+    assert all(c.vertices[0].index < c.vertices[2].index for c in cycles)
 
 
 def test_packing_builds_one_residual(monkeypatch):

@@ -10,10 +10,14 @@ the tree it is given and times, from outside, the stages ``solve`` looks up in `
 - ``backward_arcs``
 - the final check: ``check_fas_pairs``, or ``check_fas_keys`` in trees that predate it
 
-and the whole of ``solve``, on a fresh copy of the tournament with no cached masks.  It also
-counts the generation-2 collections inside ``solve`` and records the worker's peak RSS.  With
-``--against``, the other tree's workers run in the same session, alternating with this tree's
-round by round, so that the two are compared under the same load.
+and the whole of ``solve``, on a fresh copy of the tournament with no cached masks.  Beside
+them, and not in their sum, it times ``precheck``: the 4-cycle precheck's scan inside
+``fas_c4free``, through the ``c4free_fas.find_4cycle`` binding that ``fas_c4free`` reads.  The
+residual's X masks, derived on first use, are built before that timer starts, so they count in
+``fas_c4free`` alone.  ``greedy_pack`` calls through its own binding, so its scans are not timed.
+It also counts the generation-2 collections inside ``solve`` and records the worker's peak RSS.
+With ``--against``, the other tree's workers run in the same session, alternating with this
+tree's round by round, so that the two are compared under the same load.
 
 A worker over ``--cap`` seconds is killed and its rung is written as skipped, with the cap.  A
 rung whose peak RSS, scaled from the rung below by the pair count, would exceed half the
@@ -43,13 +47,14 @@ from typing import Optional
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 STAGES = ("greedy_pack", "fas_c4free", "backward_arcs", "final_check")
-TIMED = ("solve", *STAGES)
+NESTED = ("precheck",)  # timed inside a stage, so not part of the stages' sum
+TIMED = ("solve", *STAGES, *NESTED)
 FINAL_CHECKS = ("check_fas_pairs", "check_fas_keys")  # the first one fas_engine binds is timed
 
 
 def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
     """Time ``repeats`` solves of one rung with the ``btfas`` on ``sys.path``; k = greedy + 1 if None."""
-    from btfas import fas_engine
+    from btfas import c4free_fas, fas_engine
     from btfas.graph_core import BipartiteDigraph
     from btfas.instance_gen import GenSpec, random_bt
 
@@ -57,9 +62,16 @@ def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
     if k is None:
         k = len(fas_engine.greedy_pack(BipartiteDigraph(n, n, tournament.orient)).cycles) + 1
     final = next(name for name in FINAL_CHECKS if hasattr(fas_engine, name))
-    spent = dict.fromkeys(STAGES, 0.0)
+    spent = dict.fromkeys(STAGES + NESTED, 0.0)
     for stage, name in zip(STAGES, ("greedy_pack", "fas_c4free", "backward_arcs", final)):
         setattr(fas_engine, name, _timed(getattr(fas_engine, name), stage, spent))
+    scan = _timed(c4free_fas.find_4cycle, "precheck", spent)
+
+    def precheck(graph, *args, **kwargs):
+        graph.x_masks  # derived on first use: the build stays in fas_c4free's time, not the scan's
+        return scan(graph, *args, **kwargs)
+
+    c4free_fas.find_4cycle = precheck
     collections = [0]
 
     def count(phase: str, info: dict) -> None:
@@ -71,13 +83,13 @@ def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
     for _ in range(repeats):
         graph = BipartiteDigraph(n, n, tournament.orient)  # no cached masks
         gc.collect()
-        spent.update(dict.fromkeys(STAGES, 0.0))
+        spent.update(dict.fromkeys(STAGES + NESTED, 0.0))
         collections[0] = 0
         start = perf_counter()
         fas_engine.solve(graph, k)
         ms["solve"].append(1000 * (perf_counter() - start))
         gen2.append(collections[0])
-        for stage in STAGES:
+        for stage in STAGES + NESTED:
             ms[stage].append(1000 * spent[stage])
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"k": k, "ms": ms, "gen2_collections": gen2, "peak_rss_mb": round(peak_mb, 1)}
