@@ -53,19 +53,17 @@ def check_packing_pairs(
     return None
 
 
-def check_fas(
-    graph: BipartiteDigraph, arcs: Arcs, bound: Optional[int] = None, order: Order = None
-) -> Optional[str]:
+def check_fas(graph: BipartiteDigraph, arcs: Arcs, bound: Optional[int] = None) -> Optional[str]:
     """Why deleting the (tail, head) ``arcs`` does not leave graph acyclic.
 
-    A repeated arc counts once, in the size and against ``bound``.  With
-    ``order``, acyclicity is certified by every other arc running forward
-    in it; without, by a topological sort of the graph minus the arcs.
-    The arcs' :meth:`HeldArcs.pairs_of` pairs go to :func:`check_fas_pairs` as a listed set.
+    A repeated arc counts once, in the size and against ``bound``.  Acyclicity
+    is certified by a topological sort of the graph minus the arcs: the arcs'
+    :meth:`HeldArcs.pairs_of` pairs go to :func:`check_fas_pairs` as a listed
+    set, and a caller holding an order passes it there.
     """
     arcs = list(arcs)
     pairs = HeldArcs.pairs_of(graph, arcs)
-    return check_fas_pairs(graph, pairs, bound, order, lambda t: "%s>%s" % tuple(arcs[t]))[0]
+    return check_fas_pairs(graph, pairs, bound, spell=lambda t: "%s>%s" % tuple(arcs[t]))[0]
 
 
 def check_fas_pairs(

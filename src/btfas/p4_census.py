@@ -6,11 +6,12 @@ being non-adjacent.  Paths sharing (first, third, fourth) form one class,
 paths sharing (first, second, fourth) another.  ``first_count`` and
 ``sec_count`` report, per vertex, how many classes of the first kind start
 at it and how many of the second kind have it second, by a closed form
-over the neighborhood partition around the vertex; ``vertex_counts``
-gives both for every vertex.  ``census`` counts a side's live vertices
-from its live rows packed into integers, one (index, first, sec) row per
-vertex, and ``partition_around`` gives the partition around one vertex as
-masks over side indices.  The decomposition in ``c4free_fas`` calls both.
+over the neighborhood partition around the vertex, read from
+``vertex_counts``, which gives both for every vertex.  ``census`` counts
+a side's live vertices from its live rows packed into integers, one
+(index, first, sec) row per vertex, and ``partition_around`` gives the
+partition around one vertex as masks over side indices.  The
+decomposition in ``c4free_fas`` calls both.
 The path enumeration that checks the closed forms lives in ``oracles``.
 """
 
@@ -50,8 +51,8 @@ def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int, int]]:
     that meets the center's ``outs`` carries into its guard bit, marking the
     row as in ``two``, and ``sel`` spreads that bit over the row.  first
     counts the arcs from ``two`` to ``non``, sec the non-adjacent pairs
-    between ``two`` and ``ins``.  A center without out-neighbours has no
-    ``two``, so both its counts are 0.  ``rep`` repeats a mask in every
+    between ``two`` and ``ins``.  A center without out-neighbours gets no
+    carry, so both its counts come out 0.  ``rep`` repeats a mask in every
     live row: rows of at most ``MULTIPLY_MAX_STRIDE`` bytes multiply it by
     a constant with a 1 at the base of each row, which is cheaper there;
     wider rows repeat its bytes, since the product's cost grows with the
@@ -76,11 +77,7 @@ def census(rows: Rows, ps: int, qs: int) -> list[tuple[int, int, int]]:
     apart = full & ~(p_out | p_in)
     counts = []
     for c in live:
-        outs = out[c] & qs
-        if not outs:
-            counts.append((c, 0, 0))
-            continue
-        rep_outs, rep_ins = rep(outs), rep(inn[c] & qs)
+        rep_outs, rep_ins = rep(out[c] & qs), rep(inn[c] & qs)
         carry = ((p_in & rep_outs) + full) & guard
         sel = carry - (carry >> width)
         non = live_q ^ rep_outs ^ rep_ins  # ins and outs are disjoint parts of qs
@@ -104,10 +101,10 @@ def vertex_counts(graph: BipartiteDigraph) -> dict[VertexRef, tuple[int, int]]:
 
 
 def _counts(graph: BipartiteDigraph, v: VertexRef) -> tuple[int, int]:
-    rows, width = (graph.x_masks, graph.n) if v.side == "X" else (graph.y_masks, graph.m)
-    if v.side not in ("X", "Y") or not 0 <= v.index < len(rows.out):
+    counts = vertex_counts(graph).get(v)
+    if counts is None:
         raise OutOfRange(f"vertex {v} outside a {graph.m}x{graph.n} graph")
-    return census(rows, (1 << len(rows.out)) - 1, (1 << width) - 1)[v.index][1:]
+    return counts
 
 
 def first_count(graph: BipartiteDigraph, v: VertexRef) -> int:

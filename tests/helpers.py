@@ -34,7 +34,7 @@ from btfas import (
     yv,
 )
 from btfas.c4free_fas import trim_acyclic_vertices
-from btfas.certify import check_fas, check_packing, require
+from btfas.certify import check_fas_pairs, check_packing, require
 from btfas.cli import MAX_PAIRS, InstanceFormatError
 from btfas.errors import DuplicatePair, NotATournament, OutOfRange, PreconditionError
 from btfas.graph_core import (
@@ -886,7 +886,7 @@ def solve_reference(tournament: BipartiteDigraph, k: int):
     backward = backward_arcs_reference(topo.order, packing.cycles)
     fas = certificate.fas | backward
     bound = 7 * (k - 1)
-    require(check_fas(tournament, fas, bound, order=topo.order))
+    require(check_fas_pairs(tournament, HeldArcs.pairs_of(tournament, fas), bound, topo.order)[0])
     return FasOutcome(k, packing, certificate.fas, backward, topo.order, bound)
 
 

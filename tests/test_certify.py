@@ -70,7 +70,7 @@ def agrees_with_brute_force(graph: BipartiteDigraph, subset) -> None:
                 assert check_fas(graph, arcs, bound=size - 1) == f"{size} arcs exceed the bound {size - 1}"
         else:
             any_order = tuple(graph.vertices())
-            assert check_fas(graph, arcs, order=any_order) == "deleting the arcs leaves a cycle"
+            assert check_listed(graph, arcs, order=any_order) == ("deleting the arcs leaves a cycle", size, None)
 
 
 def test_check_fas_matches_brute_force_on_every_2x2_subset():
@@ -102,8 +102,8 @@ def test_check_fas_reasons_for_foreign_arcs():
         tail, head = foreign
         reason = f"arc {tail}>{head} is not in the instance"
         assert check_fas(g, [Arc(yv(1), xv(0)), foreign, (xv(5), yv(5))]) == reason
-        assert check_fas(g, [Arc(yv(1), xv(0)), foreign], order=order) == reason
-        assert check_fas(g, [foreign], order=order[1:]) == reason  # a foreign arc outranks a bad order
+        assert check_listed(g, [Arc(yv(1), xv(0)), foreign], order=order) == (reason, 0, None)
+        assert check_listed(g, [foreign], order=order[1:]) == (reason, 0, None)  # a foreign arc outranks a bad order
         assert check_listed(g, [(yv(1), xv(0)), foreign]) == (reason, 0, None)
     assert check_fas(g, [(yv(1), xv(0)), (yv(1), xv(0))], bound=1) is None
 

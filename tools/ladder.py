@@ -8,7 +8,7 @@ the tree it is given and times, from outside, the stages ``solve`` looks up in `
 - ``greedy_pack``
 - ``fas_c4free`` (the residual's certified cut, with its own check)
 - ``backward_arcs``
-- the final check: ``check_fas_pairs``, or ``check_fas_keys`` in trees that predate it
+- the final check, ``check_fas_pairs``
 
 and the whole of ``solve``, on a fresh copy of the tournament with no cached masks.  Beside
 them, and not in their sum, it times ``precheck``: the 4-cycle precheck's scan inside
@@ -49,7 +49,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 STAGES = ("greedy_pack", "fas_c4free", "backward_arcs", "final_check")
 NESTED = ("precheck",)  # timed inside a stage, so not part of the stages' sum
 TIMED = ("solve", *STAGES, *NESTED)
-FINAL_CHECKS = ("check_fas_pairs", "check_fas_keys")  # the first one fas_engine binds is timed
 
 
 def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
@@ -61,9 +60,8 @@ def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
     tournament = random_bt(GenSpec(n, n, seed))
     if k is None:
         k = len(fas_engine.greedy_pack(BipartiteDigraph(n, n, tournament.orient)).cycles) + 1
-    final = next(name for name in FINAL_CHECKS if hasattr(fas_engine, name))
     spent = dict.fromkeys(STAGES + NESTED, 0.0)
-    for stage, name in zip(STAGES, ("greedy_pack", "fas_c4free", "backward_arcs", final)):
+    for stage, name in zip(STAGES, ("greedy_pack", "fas_c4free", "backward_arcs", "check_fas_pairs")):
         setattr(fas_engine, name, _timed(getattr(fas_engine, name), stage, spent))
     scan = _timed(c4free_fas.find_4cycle, "precheck", spent)
 
