@@ -41,7 +41,6 @@ from .graph_core import (
     FourCycle,
     HeldArcs,
     VertexRef,
-    build,
     place_arc,
     xv,
     yv,
@@ -198,8 +197,8 @@ def _parse(text: str) -> tuple[BipartiteDigraph, _Tokens]:
     if sizes is None:
         raise InstanceFormatError("missing problem line 'p bt <m> <n>'")
     try:
-        # A negative size is rejected first, as in build, then the first held arc.
-        graph = build(*sizes) if orient is None else BipartiteDigraph(*sizes, bytes(orient))
+        # A negative size is rejected first, by the graph, then the first held arc.
+        graph = BipartiteDigraph(*sizes, bytes(total) if orient is None else bytes(orient))
         if defect is not None:
             raise defect
     except PreconditionError as exc:

@@ -5,6 +5,8 @@ import json
 import pathlib
 import sys
 
+from btfas import c4free_fas, p4_census
+
 ROOT = pathlib.Path(__file__).parents[1]
 SPEC = importlib.util.spec_from_file_location("corpus", ROOT / "tools" / "corpus.py")
 corpus = importlib.util.module_from_spec(SPEC)
@@ -32,3 +34,19 @@ def test_the_corpus_does_not_depend_on_the_hash_seed():
     first, second = (corpus.under(sys.executable, seed) for seed in ("0", "4242"))
     assert corpus.first_difference(first, second) is None
     assert corpus.first_difference(first, EXPECTED) is None
+
+
+def test_the_corpus_censuses_rows_on_both_sides_of_the_multiply_cut(monkeypatch):
+    """Both ways ``census`` repeats a mask run: rows of at most ``MULTIPLY_MAX_STRIDE`` bytes
+    multiply, wider ones repeat bytes, so the corpus pins both."""
+    strides = []
+
+    def census(rows, ps, qs):
+        strides.append(qs.bit_length() // 8 + 1)
+        return real(rows, ps, qs)
+
+    real = c4free_fas.census
+    monkeypatch.setattr(c4free_fas, "census", census)
+    for _, graph in corpus._c4free_instances():
+        c4free_fas.fas_c4free(graph)
+    assert min(strides) <= p4_census.MULTIPLY_MAX_STRIDE < max(strides)

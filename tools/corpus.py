@@ -10,11 +10,15 @@ files beyond ``tests/golden``'s instances:
 - ``solve`` on the golden tournaments at their pinned k and at k = 3, and
   ``fas-c4free``, which finds a 4-cycle in each
 - ``fas-c4free`` on ``tests/helpers.c4free_blowup``, on the benchmark's
-  c4free-deep instances and on the golden six-cycle
+  c4free-deep instances and on the golden six-cycle.  Two wider blow-ups,
+  75x79 at depth 3 and 72x80 at depth 4, give ``census`` rows wider than
+  ``p4_census.MULTIPLY_MAX_STRIDE``, so its bytes-repetition path runs too
 - ``verify`` of the certificates of the last two items, and of a copy of each
   with its first entry reversed, with a foreign arc or cycle added, emptied,
   with a same-side arc or cycle added, with its first entry repeated, and with
   an arc or cycle through y_n added
+- ``solve --k 15132`` on a 256x256 random tournament, with no verify: 15,131
+  packed cycles and their backward part
 - ``census`` on instances of up to 1024 pairs, and on one above
 - ``oracle`` on small tournaments
 
@@ -73,6 +77,8 @@ def _c4free_instances() -> Iterator[tuple[str, BipartiteDigraph]]:
         yield f"blowup-s{seed}", c4free_blowup(seed)
     for seed in range(10):
         yield f"c4free-deep-s{seed}", to_graph(*c4free_deep_instance(seed))
+    for seed, sides in ((1, (60, 80)), (3, (64, 96))):  # rows past MULTIPLY_MAX_STRIDE
+        yield f"blowup-s{seed}-{sides[0]}-{sides[1]}", c4free_blowup(seed, sides)
 
 
 def _tampered(doc: dict, kind: str, n: int) -> Iterator[tuple[str, dict]]:
@@ -152,6 +158,8 @@ def compute() -> dict[str, str]:
             for k in (pinned, 3):
                 corpus.solve(name, instance, k, tamper=True)
             corpus.call(f"{name} fas-c4free", "fas-c4free", instance)  # a 4-cycle: exit 2
+        instance = corpus.write("bt-256x256-s1.bt", cli.render_instance(random_bt(GenSpec(256, 256, 1))))
+        corpus.call("bt-256x256-s1 solve --k 15132", "solve", instance, "--k", "15132")
         for name, graph in [*_c4free_instances(), ("six_cycle", None)]:
             if graph is None:
                 instance = str(GOLDEN / f"{name}.bt")

@@ -11,11 +11,17 @@ the tree it is given and times, from outside, the stages ``solve`` looks up in `
 - the final check, ``check_fas_pairs``
 
 and the whole of ``solve``, on a fresh copy of the tournament with no cached masks.  Beside
-them, and not in their sum, it times ``precheck``: the 4-cycle precheck's scan inside
-``fas_c4free``, through the ``c4free_fas.find_4cycle`` binding that ``fas_c4free`` reads.  The
-residual's X masks, derived on first use, are built before that timer starts, so they count in
-``fas_c4free`` alone.  ``greedy_pack`` calls through its own binding, so its scans are not timed.
-It also counts the generation-2 collections inside ``solve`` and records the worker's peak RSS.
+them, and not in their sum, it times two stages nested inside ``fas_c4free``:
+
+- ``precheck``: the 4-cycle precheck's scan, through the ``c4free_fas.find_4cycle`` binding
+  that ``fas_c4free`` reads.  ``greedy_pack`` calls through its own binding, so its scans are
+  not timed.
+- ``topological_order``: ``BipartiteDigraph.topological_order``, wrapped on the class, which
+  the certificate check inside ``fas_c4free`` calls on the residual minus its cut.
+
+Each graph's masks, derived on first use, are built before either timer starts, so they count
+in ``fas_c4free`` alone.  The worker also counts the generation-2 collections inside ``solve``
+and records its peak RSS.
 With ``--against``, the other tree's workers run in the same session, alternating with this
 tree's round by round, so that the two are compared under the same load.
 
@@ -47,7 +53,7 @@ from typing import Optional
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 STAGES = ("greedy_pack", "fas_c4free", "backward_arcs", "final_check")
-NESTED = ("precheck",)  # timed inside a stage, so not part of the stages' sum
+NESTED = ("precheck", "topological_order")  # timed inside a stage, so not part of the stages' sum
 TIMED = ("solve", *STAGES, *NESTED)
 
 
@@ -70,6 +76,13 @@ def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
         return scan(graph, *args, **kwargs)
 
     c4free_fas.find_4cycle = precheck
+    sort = _timed(BipartiteDigraph.topological_order, "topological_order", spent)
+
+    def topological_order(graph):
+        graph.x_masks, graph.y_masks  # derived on first use, as for the precheck
+        return sort(graph)
+
+    BipartiteDigraph.topological_order = topological_order
     collections = [0]
 
     def count(phase: str, info: dict) -> None:
