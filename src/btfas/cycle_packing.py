@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 from .c4free_fas import find_4cycle
 from .certify import check_packing_pairs
 from .errors import OutOfRange
-from .graph_core import BipartiteDigraph, FourCycle, VertexRef, cycle_pairs
+from .graph_core import BipartiteDigraph, FourCycle, Rows, VertexRef, cycle_pairs
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,9 @@ def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing
     Each round takes the first 4-cycle of the lexicographic scan, clearing
     its arcs in place in the one copy of the X-row masks that
     :func:`find_4cycle` reads through a view, so the result is deterministic.
-    The residual is the input with the packed pairs cleared, by one copy.
-    Without a limit the packing is maximal: the residual contains no 4-cycle.
+    The residual is the input with the packed pairs cleared, by one copy of
+    ``orient``, and takes the cleared X rows as its ``x_masks``.  Without a
+    limit the packing is maximal: the residual contains no 4-cycle.
     """
     if limit is not None and limit < 0:
         raise OutOfRange(f"limit must be non-negative, got {limit}")
@@ -64,4 +65,4 @@ def greedy_pack(graph: BipartiteDigraph, limit: Optional[int] = None) -> Packing
         out[xk] ^= 1 << yl  # x_k -> y_l
         inn[xi] ^= 1 << yl  # y_l -> x_i
         pairs += (xi * n + yj, xk * n + yj, xk * n + yl, xi * n + yl)
-    return Packing(tuple(cycles), graph.clear_pairs(pairs))
+    return Packing(tuple(cycles), graph.clear_pairs(pairs, Rows(out, inn)))

@@ -83,6 +83,11 @@ def yv(j: int) -> VertexRef:
     return VertexRef("Y", j)
 
 
+@lru_cache(maxsize=16)  # a table per (m, n), shared by every graph of that size
+def _labels(m: int, n: int) -> tuple[tuple[VertexRef, ...], tuple[VertexRef, ...]]:
+    return tuple(map(xv, range(m))), tuple(map(yv, range(n)))
+
+
 class _ArcFields(NamedTuple):
     tail: VertexRef
     head: VertexRef
@@ -145,9 +150,10 @@ class BipartiteDigraph:
     TO_Y, TO_X per pair.  Use :func:`build` for validated construction.
 
     ``x_masks`` and ``y_masks`` are per-vertex adjacency bitmasks derived
-    from ``orient`` on first use and cached on the instance, as is the
-    ``labels`` table.  They are not fields, so they take no part in
-    equality, hashing or ``repr``.
+    from ``orient`` on first use and cached on the instance; a greedy
+    residual is handed its X rows by :meth:`clear_pairs` instead.  The
+    ``labels`` table is shared by every graph of one size.  None of them is
+    a field, so they take no part in equality, hashing or ``repr``.
     """
 
     m: int
@@ -217,10 +223,10 @@ class BipartiteDigraph:
         states = (TO_Y, TO_X) if x_side else (TO_X, TO_Y)
         return Rows(*(read(flipped.translate(_DIGITS[state])) for state in states))
 
-    @cached_property
+    @property
     def labels(self) -> tuple[tuple[VertexRef, ...], tuple[VertexRef, ...]]:
-        """The X and the Y vertices by index, as the shared ``xv``/``yv`` handles."""
-        return tuple(map(xv, range(self.m))), tuple(map(yv, range(self.n)))
+        """The X and the Y vertices by index, as the shared ``xv``/``yv`` handles: one table per size."""
+        return _labels(self.m, self.n)
 
     # ------------------------------------------------------------------
     # structural transforms
@@ -247,16 +253,20 @@ class BipartiteDigraph:
             raise ArcNotPresent("arc %s>%s not in the graph" % tuple(arcs[pairs.index(-1)]))
         return self.clear_pairs(pairs)
 
-    def clear_pairs(self, pairs: Iterable[int]) -> "BipartiteDigraph":
+    def clear_pairs(self, pairs: Iterable[int], x_rows: Optional[Rows] = None) -> "BipartiteDigraph":
         """The graph with the pairs at the given row-major indices made absent.
 
-        Only ``orient`` is copied; the result derives its own masks on first
-        use.  Clearing a pair twice is harmless.
+        Only ``orient`` is copied.  ``x_rows``, which only ``greedy_pack`` passes, are the result's
+        (out, in) X rows, already cleared by its scan: they become its ``x_masks`` as tuples.  Every
+        other mask is derived on first use.  Clearing a pair twice is harmless.
         """
         orient = bytearray(self.orient)
         for p in pairs:
             orient[p] = ABSENT
-        return BipartiteDigraph(self.m, self.n, bytes(orient))
+        graph = BipartiteDigraph(self.m, self.n, bytes(orient))
+        if x_rows is not None:
+            graph.__dict__["x_masks"] = Rows(*map(tuple, x_rows))
+        return graph
 
     def induced_subgraph(self, xs: Iterable[int], ys: Iterable[int]) -> "Subgraph":
         """Induced subgraph on the given side indices, with compacted labels.

@@ -35,7 +35,7 @@ from btfas import (
 )
 from btfas.c4free_fas import trim_acyclic_vertices
 from btfas.certify import check_fas_pairs, check_packing, require
-from btfas.cli import MAX_PAIRS, InstanceFormatError
+from btfas.cli import MAX_PAIRS, MAX_SIDE, InstanceFormatError
 from btfas.errors import DuplicatePair, NotATournament, OutOfRange, PreconditionError
 from btfas.graph_core import (
     TO_X,
@@ -639,6 +639,8 @@ def parse_instance_reference(text: str) -> BipartiteDigraph:
                 raise InstanceFormatError(
                     f"line {lineno}: {sizes[0]}x{sizes[1]} has more than {MAX_PAIRS} cross pairs"
                 )
+            if max(sizes) > MAX_SIDE:
+                raise InstanceFormatError(f"line {lineno}: a side has more than {MAX_SIDE} vertices")
         elif fields[0] == "a":
             if sizes is None:
                 raise InstanceFormatError(f"line {lineno}: arc before the problem line")

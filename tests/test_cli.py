@@ -874,6 +874,18 @@ def test_parser_matches_the_reference_on_a_seeded_corpus():
     for fragment in ("outside a", "listed more than once", "does not cross", "bad vertex token", "non-negative"):
         assert sum(fragment in message for message in messages) >= 20, fragment
 
+    # Headers at and past the side cap, which the seeded generators never write, with and without an arc.
+    over = ((MAX_SIDE + 1, 0), (0, MAX_SIDE + 1), (70000, 0), (-1, 70000), (70000, -1), (MAX_SIDE + 1, 1))
+    within = ((MAX_SIDE, 0), (0, MAX_SIDE), (MAX_SIDE, 1), (1, MAX_SIDE), (-70000, -1), (-1, 1))
+    capped = []
+    for m, n in over + within:
+        for arc in ("", "a x0 y0\n"):
+            text = f"p bt {m} {n}\n{arc}"
+            expected = _outcome(parse_instance_reference, text)
+            assert _outcome(parse_instance, text) == expected, text
+            capped.append(isinstance(expected, tuple) and f"more than {MAX_SIDE} vertices" in expected[1])
+    assert capped == [True] * 12 + [False] * 12
+
 
 def test_an_arc_free_file_allocates_its_storage_once():
     side = 4000

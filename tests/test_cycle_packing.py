@@ -7,7 +7,7 @@ from btfas.c4free_fas import find_4cycle
 from btfas.errors import OutOfRange
 from btfas.graph_core import pair_state
 
-from helpers import all_oriented, four_cycle_bt, greedy_pack_reference, random_digraph, six_cycle
+from helpers import all_oriented, four_cycle_bt, greedy_pack_reference, planted_bt, random_digraph, six_cycle
 
 
 def test_single_cycle_tournament():
@@ -125,7 +125,7 @@ def test_one_pass_packing_matches_rescanning_on_random_graphs():
     for t in range(16):
         m, n = rng.randint(8, 16), rng.randint(8, 16)
         g = random_digraph(rng, m, n) if t % 2 else random_bt(GenSpec(m, n, seed=t))
-        g.y_masks  # cached on the input, so the residual is handed both mask sets
+        g.y_masks  # cached on the input: the residual is handed its X rows only
         for limit in (None, 0, 1, 5):
             packing = greedy_pack(g, limit)
             cycles, residual = greedy_pack_reference(g, limit)
@@ -133,6 +133,21 @@ def test_one_pass_packing_matches_rescanning_on_random_graphs():
             assert packing.residual.orient == residual.orient
             assert_masks_match_orient(packing.residual)
             assert_starts_at_the_smaller_x(packing.cycles)
+
+
+def test_the_residual_is_handed_the_x_rows_its_orient_gives():
+    """``greedy_pack`` hands its residual the X rows its scan cleared, and ``random_c4free`` and
+    ``pack``'s maximality check read them: they must be the rows a fresh graph derives."""
+    graphs = [random_bt(GenSpec(m, n, seed=1)) for m, n in ((0, 5), (5, 0), (1, 1), (24, 24), (64, 64))]
+    graphs += [planted_bt(seed, blocks) for seed, blocks in ((0, 4), (2, 4), (1, 6), (3, 8))]
+    for g in graphs:
+        greedy = len(greedy_pack(g).cycles)
+        assert greedy > 1 or g.m * g.n < 4
+        for limit in (None, 0, 1, max(greedy - 1, 0)):
+            residual = greedy_pack(g, limit).residual
+            assert "x_masks" in vars(residual) and "y_masks" not in vars(residual)  # handed, not derived
+            fresh = BipartiteDigraph(residual.m, residual.n, residual.orient)
+            assert residual.x_masks == fresh.x_masks, (g.m, g.n, limit)
 
 
 def assert_masks_match_orient(graph):

@@ -500,6 +500,24 @@ def test_labels_hold_the_shared_handles():
     assert list(g.vertices()) == [*xs, *ys]
 
 
+def test_labels_are_one_bounded_table_per_size():
+    """Graphs of one size share one ``labels`` object; each other size, empty sides too, gets its own."""
+    import btfas.graph_core as graph_module
+
+    g = random_digraph(random.Random(43), 3, 4)
+    assert g.labels is BipartiteDigraph(3, 4, bytes(12)).labels is g.reverse().labels
+    for m, n in ((4, 3), (0, 4), (3, 0), (0, 0), (0, 5), (5, 0), (1, 1)):
+        labels = BipartiteDigraph(m, n, bytes(m * n)).labels
+        assert labels == (tuple(map(xv, range(m))), tuple(map(yv, range(n))))
+        assert labels is BipartiteDigraph(m, n, bytes(m * n)).labels
+    cache = graph_module._labels
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 64
+    for n in range(2 * maxsize):
+        BipartiteDigraph(1, n, bytes(n)).labels
+    assert cache.cache_info().currsize == maxsize
+
+
 def test_arc_rejects_a_same_side_pair():
     with pytest.raises(SameSideArc):
         Arc(xv(0), xv(1))

@@ -23,10 +23,11 @@ def test_a_small_rung_times_every_stage_on_both_trees(tmp_path):
     for tree in rung["trees"].values():
         stages = [tree[f"{stage}_ms"] for stage in ladder.STAGES]
         assert all(ms > 0 for ms in stages) and sum(stages) <= tree["solve_ms"]
-        for nested in ("precheck", "topological_order"):  # inside fas_c4free, outside the sum
+        for nested in ladder.NESTED:  # inside fas_c4free, outside the sum
             assert 0 < tree[f"{nested}_ms"] <= tree["fas_c4free_ms"]
         assert tree["samples"] == 4 and tree["peak_rss_mb"] > 0
     assert set(rung["ratio"]) == set(ladder.TIMED)
+    assert ladder.NESTED == ("precheck", "trim", "topological_order")
 
 
 def test_a_rung_over_its_cap_is_skipped_with_the_cap_and_so_is_every_larger_one(tmp_path):

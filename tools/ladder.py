@@ -1,9 +1,10 @@
 """The solve ladder: in-process ``solve`` stage timings on random tournaments of growing size.
 
 Each rung is ``random_bt(GenSpec(n, n, seed))`` at k = greedy + 1, which forces the
-feedback-arc-set branch through the whole pipeline; the default rungs are n = 128, 512, 1024,
-2048 and 4096.  Every measurement runs in a fresh worker process that imports ``btfas`` from
-the tree it is given and times, from outside, the stages ``solve`` looks up in ``fas_engine``:
+feedback-arc-set branch through the whole pipeline; the default rungs are n = 24 (the size
+the solve-fas benchmark workload runs), 128, 512, 1024, 2048 and 4096.  Every measurement runs
+in a fresh worker process that imports ``btfas`` from the tree it is given and times, from
+outside, the stages ``solve`` looks up in ``fas_engine``:
 
 - ``greedy_pack``
 - ``fas_c4free`` (the residual's certified cut, with its own check)
@@ -11,17 +12,23 @@ the tree it is given and times, from outside, the stages ``solve`` looks up in `
 - the final check, ``check_fas_pairs``
 
 and the whole of ``solve``, on a fresh copy of the tournament with no cached masks.  Beside
-them, and not in their sum, it times two stages nested inside ``fas_c4free``:
+them, and not in their sum, it times three stages nested inside ``fas_c4free``:
 
 - ``precheck``: the 4-cycle precheck's scan, through the ``c4free_fas.find_4cycle`` binding
   that ``fas_c4free`` reads.  ``greedy_pack`` calls through its own binding, so its scans are
   not timed.
+- ``trim``: ``c4free_fas.trim_acyclic_vertices``, through the binding ``_decomposition``
+  reads, over every work item of the decomposition.
 - ``topological_order``: ``BipartiteDigraph.topological_order``, wrapped on the class, which
   the certificate check inside ``fas_c4free`` calls on the residual minus its cut.
 
-Each graph's masks, derived on first use, are built before either timer starts, so they count
-in ``fas_c4free`` alone.  The worker also counts the generation-2 collections inside ``solve``
-and records its peak RSS.
+A graph's masks are derived on first use, in the stage that first reads them.  ``greedy_pack``
+derives the tournament's X rows and hands the residual the X rows its scan cleared.  The
+residual's Y rows and both masks of the residual minus its cut are derived in ``fas_c4free``:
+the precheck and ``topological_order`` wrappers read a graph's masks before their timers start,
+so that work stays out of the nested stages.  ``trim`` is given masks already built.  The final
+check derives the X rows of the tournament minus the whole set.  The worker also counts the
+generation-2 collections inside ``solve`` and records its peak RSS.
 With ``--against``, the other tree's workers run in the same session, alternating with this
 tree's round by round, so that the two are compared under the same load.
 
@@ -53,7 +60,7 @@ from typing import Optional
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 STAGES = ("greedy_pack", "fas_c4free", "backward_arcs", "final_check")
-NESTED = ("precheck", "topological_order")  # timed inside a stage, so not part of the stages' sum
+NESTED = ("precheck", "trim", "topological_order")  # timed inside a stage, so not part of the stages' sum
 TIMED = ("solve", *STAGES, *NESTED)
 
 
@@ -72,10 +79,11 @@ def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
     scan = _timed(c4free_fas.find_4cycle, "precheck", spent)
 
     def precheck(graph, *args, **kwargs):
-        graph.x_masks  # derived on first use: the build stays in fas_c4free's time, not the scan's
+        graph.x_masks  # derived here unless greedy_pack handed them on: in fas_c4free's time, not the scan's
         return scan(graph, *args, **kwargs)
 
     c4free_fas.find_4cycle = precheck
+    c4free_fas.trim_acyclic_vertices = _timed(c4free_fas.trim_acyclic_vertices, "trim", spent)
     sort = _timed(BipartiteDigraph.topological_order, "topological_order", spent)
 
     def topological_order(graph):
@@ -193,7 +201,7 @@ def ladder(trees: dict[str, pathlib.Path], args: argparse.Namespace) -> list[dic
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    sizes = [128, 512, 1024, 2048, 4096]
+    sizes = [24, 128, 512, 1024, 2048, 4096]
     parser.add_argument("--sizes", type=int, nargs="+", default=sizes, help="sides n of the n x n rungs")
     parser.add_argument("--rounds", type=int, default=3, help="worker processes per tree and rung")
     parser.add_argument("--repeats", type=int, default=1, help="solves per worker")
