@@ -28,9 +28,9 @@ import json
 import os
 import re
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from . import c4free_fas, certify, fas_engine, instance_gen, oracles, p4_census
+from . import c4free_fas, certify, fas_engine, instance_gen, oracles
 from .cycle_packing import greedy_pack
 from .errors import InternalInvariantError, PreconditionError
 from .graph_core import (
@@ -209,9 +209,8 @@ def _parse(text: str) -> tuple[BipartiteDigraph, _Tokens]:
 def render_instance(graph: BipartiteDigraph) -> str:
     m, n, orient = graph.m, graph.n, graph.orient
     lines = [f"p bt {m} {n}"]
-    if orient:  # with no pairs, skip the token lists: one side may be huge
-        xs = [f"x{i}" for i in range(m)]
-        ys = [f"y{j}" for j in range(n)]
+    if orient:  # with no pairs, skip the name tables: one side may be huge
+        xs, ys = _names(graph).values()
         for i, x in enumerate(xs):
             row = orient[i * n : (i + 1) * n]
             lines.extend([f"a {x} {ys[j]}" for j, state in enumerate(row) if state == TO_Y])
@@ -228,17 +227,20 @@ def _sort_keys(graph: BipartiteDigraph, arcs: Iterable) -> list[int]:
     return sorted(p if orient[p] == TO_Y else m * n + p % n * m + p // n for p in HeldArcs.pairs_of(graph, arcs))
 
 
-def _arc_namer(graph: BipartiteDigraph) -> Callable[[list[int]], list[str]]:
-    """Strings for :func:`_sort_keys`'s keys, through name tables built once per command."""
-    m, n, total = graph.m, graph.n, graph.m * graph.n
-    xs, ys = [f"x{i}" for i in range(m)], [f"y{j}" for j in range(n)]
-    return lambda keys: [
-        f"{xs[k // n]}>{ys[k % n]}" if k < total else f"{ys[k // m - n]}>{xs[k % m]}" for k in keys
-    ]
+def _names(graph: BipartiteDigraph) -> dict[str, list[str]]:
+    """Each side's vertex names by index, built once per command: the one spelling of printed vertices."""
+    return {"X": [f"x{i}" for i in range(graph.m)], "Y": [f"y{j}" for j in range(graph.n)]}
 
 
-def _cycle_lists(cycles: Iterable[FourCycle]) -> list[list[str]]:
-    return [[str(v) for v in c.vertices] for c in cycles]
+def _arc_names(names: dict[str, list[str]], keys: list[int]) -> list[str]:
+    """Strings for :func:`_sort_keys`'s keys, from :func:`_names`' tables."""
+    xs, ys = names.values()
+    m, n, total = len(xs), len(ys), len(xs) * len(ys)
+    return [f"{xs[k // n]}>{ys[k % n]}" if k < total else f"{ys[k // m - n]}>{xs[k % m]}" for k in keys]
+
+
+def _cycle_lists(names: dict[str, list[str]], cycles: Iterable[FourCycle]) -> list[list[str]]:
+    return [[names[side][i] for side, i in c.vertices] for c in cycles]
 
 
 def _emit(doc: dict) -> None:
@@ -332,37 +334,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
-    outcome = fas_engine.solve(graph, args.k)
+    outcome, names = fas_engine.solve(graph, args.k), _names(graph)
     packed = isinstance(outcome, fas_engine.PackingOutcome)
     doc = {
         "mode": "solve",
         "k": args.k,
         "lambda": graph.absent_pair_count(),
         "branch": "packing" if packed else "fas",
-        "packing": _cycle_lists(outcome.packing.cycles),
+        "packing": _cycle_lists(names, outcome.packing.cycles),
         "fas": None,
         "bound": None,
     }
     if not packed:  # fas is the disjoint union of the two parts, rendered from their held pairs
-        names, held = _arc_namer(graph), vars(outcome)
-        residual, backward = _sort_keys(graph, held["residual_part"]), _sort_keys(graph, held["backward_part"])
-        doc.update(fas=names(sorted(residual + backward)), bound=outcome.bound, residual_fas=names(residual))
-        doc.update(backward=names(backward), order=[str(v) for v in outcome.order])
+        residual, backward = (_sort_keys(graph, vars(outcome)[part]) for part in ("residual_part", "backward_part"))
+        doc.update(fas=_arc_names(names, sorted(residual + backward)), bound=outcome.bound)
+        doc.update(residual_fas=_arc_names(names, residual), backward=_arc_names(names, backward))
+        doc["order"] = [names[side][i] for side, i in outcome.order]
     _emit(doc)
     return 0
 
 
 def _cmd_fas_c4free(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
-    certificate = c4free_fas.fas_c4free(graph)
+    certificate, names = c4free_fas.fas_c4free(graph), _names(graph)
     _emit(
         {
             "mode": "fas-c4free",
             "branch": "fas",
             "lambda": graph.absent_pair_count(),
-            "fas": _arc_namer(graph)(_sort_keys(graph, vars(certificate)["fas"])),
+            "fas": _arc_names(names, _sort_keys(graph, vars(certificate)["fas"])),
             "bound": certificate.bound,
-            "trace": [dict(vars(t), center=str(t.center)) for t in certificate.trace],
+            "trace": [dict(vars(t), center=names[t.center.side][t.center.index]) for t in certificate.trace],
         }
     )
     return 0
@@ -380,7 +382,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
             "limit": args.limit,
             "count": len(packing.cycles),
             "maximal": maximal,
-            "packing": _cycle_lists(packing.cycles),
+            "packing": _cycle_lists(_names(graph), packing.cycles),
             "residual_lambda": packing.residual.absent_pair_count(),
         }
     )
@@ -391,11 +393,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
     if args.min_fas:
         result = oracles.min_fas_exact(graph)
-        witness = _arc_namer(graph)(_sort_keys(graph, result.witness))
+        witness = _arc_names(_names(graph), _sort_keys(graph, result.witness))
         kind = "min-fas"
     else:
         result = oracles.max_c4_packing_exact(graph)
-        witness = _cycle_lists(result.witness)
+        witness = _cycle_lists(_names(graph), result.witness)
         kind = "max-packing"
     _emit({"mode": "oracle", "kind": kind, "value": result.value, "witness": witness})
     return 0
@@ -403,9 +405,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     graph = _load_instance(args.instance)
-    sums = oracles.census_sums(graph)  # checks the size limit first
-    counts = p4_census.vertex_counts(graph)
-    per_vertex = [{"vertex": str(v), "first": counts[v][0], "sec": counts[v][1]} for v in graph.vertices()]
+    (counts, sums), names = oracles.census_counts(graph), _names(graph)  # the size limit is checked first
+    per_vertex = [{"vertex": names[side][i], "first": f, "sec": s} for (side, i), (f, s) in counts.items()]
     _emit(
         {
             "mode": "census",

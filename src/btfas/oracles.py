@@ -197,15 +197,16 @@ class CensusSums(NamedTuple):
     count3: int
 
 
-def census_sums(graph: BipartiteDigraph) -> CensusSums:
-    """Vertex sums of the closed-form counts next to the class counts.
+def census_counts(graph: BipartiteDigraph) -> tuple[dict[VertexRef, tuple[int, int]], CensusSums]:
+    """Every vertex's closed-form counts, then their vertex sums next to the class counts.
 
     The two routes must agree: the sum of per-vertex first counts is the
     number of (first, third, fourth) classes, and likewise for the second
-    kind.  One enumeration counts both class kinds.
+    kind.  One ``census`` per side gives the counts; one enumeration counts both class kinds.
     """
     paths = enumerate_induced_p4(graph)  # checks the size limit before any mask is built
-    return _class_sums(vertex_counts(graph), *_classes(paths))
+    counts = vertex_counts(graph)
+    return counts, _class_sums(counts, *_classes(paths))
 
 
 def _class_sums(counts: dict[VertexRef, tuple[int, int]], firsts: set, seconds: set) -> CensusSums:

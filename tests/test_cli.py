@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from btfas import GenSpec, build, enumerate_bt, greedy_pack, min_fas_exact, random_bt, solve, xv, yv
+from btfas import GenSpec, VertexRef, build, enumerate_bt, greedy_pack, min_fas_exact, random_bt, solve, xv, yv
 from btfas.cli import (
     MAX_SIDE,
     InstanceFormatError,
@@ -197,6 +197,43 @@ def test_census_subcommand(tmp_path, capsys):
     assert doc["sum_first"] == doc["classes2"] == 6
     assert doc["sum_sec"] == doc["classes3"] == 6
     assert {"vertex": "x0", "first": 1, "sec": 1} in doc["per_vertex"]
+
+
+def test_census_counts_each_side_once(tmp_path, capsys, monkeypatch):
+    """The per-vertex rows and the sums share one closed-form census per side."""
+    import btfas.p4_census as p4_census
+
+    calls = []
+    real = p4_census.census
+    monkeypatch.setattr(p4_census, "census", lambda *args: calls.append(args) or real(*args))
+    doc = run_json(capsys, ["census", write(tmp_path, "six.bt", six_cycle())])
+    assert len(doc["per_vertex"]) == 6 and doc["sum_first"] == 6
+    assert len(calls) == 2
+
+
+def test_printed_vertices_come_from_the_name_tables(capsys, monkeypatch):
+    """No vertex a command prints is spelled by ``VertexRef.__str__``, which is left to diagnostics."""
+    deep, six, c4 = (str(GOLDEN / name) for name in ("deep_residual.bt", "six_cycle.bt", "c4_bt.bt"))
+    spelled = []
+    monkeypatch.setattr(VertexRef, "__str__", lambda v: spelled.append(v) or f"{v.side.lower()}{v.index}")
+    docs = [
+        run_json(capsys, argv)
+        for argv in (
+            ["solve", deep, "--k", "44"],
+            ["solve", deep, "--k", "3"],
+            ["pack", deep],
+            ["fas-c4free", six],
+            ["census", c4],
+            ["oracle", c4, "--min-fas"],
+            ["oracle", c4, "--max-packing"],
+        )
+    ]
+    assert spelled == []
+    cut, packed, pack, c4free, census, _, max_packing = docs
+    assert cut["branch"] == "fas" and cut["residual_fas"] and len(cut["order"]) == 32
+    assert packed["branch"] == "packing" and len(packed["packing"]) == 3 and pack["count"] > 3
+    assert c4free["trace"][0]["center"] == "x0" and len(census["per_vertex"]) == 4
+    assert max_packing["witness"] == [["x0", "y0", "x1", "y1"]]
 
 
 def test_census_and_max_packing_refuse_large_instances_quickly(tmp_path, capsys):

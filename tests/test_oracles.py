@@ -25,7 +25,7 @@ from btfas.certify import check_packing
 from btfas.cli import run
 from btfas.errors import TooLarge
 from btfas.graph_core import four_cycle
-from btfas.oracles import all_4cycles, census_sums, enumerate_induced_p4
+from btfas.oracles import all_4cycles, census_counts, enumerate_induced_p4
 
 from helpers import (
     all_oriented,
@@ -171,11 +171,11 @@ def test_check_census_enumerates_each_graph_once(monkeypatch):
 def test_census_limit_is_on_cross_pairs():
     """The same limit holds for both O(m^2 n^2) enumerations: induced P4s and 4-cycles."""
     assert enumerate_induced_p4(build(32, 32, [])) == []
-    assert census_sums(build(1, 1024, [])).count2 == 0
+    assert census_counts(build(1, 1024, []))[1].count2 == 0
     assert all_4cycles(build(1, 1024, [])) == ()
     assert max_c4_packing_exact(build(1, 1024, [])).value == 0
     for g in (build(1, 1025, []), build(33, 32, [])):
-        for enumeration in (enumerate_induced_p4, census_sums, all_4cycles, max_c4_packing_exact):
+        for enumeration in (enumerate_induced_p4, census_counts, all_4cycles, max_c4_packing_exact):
             with pytest.raises(TooLarge):
                 enumeration(g)
 
@@ -200,7 +200,7 @@ def test_package_exports_exactly_its_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(btfas.__all__) == sorted(public)
-    assert census_sums.__module__ == oracles.__name__  # the P4 enumeration lives in oracles
+    assert census_counts.__module__ == oracles.__name__  # the P4 enumeration lives in oracles
 
 
 # ----------------------------------------------------------------------

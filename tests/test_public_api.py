@@ -49,7 +49,7 @@ MODULE_ONLY = {
     "oracles": [
         "CensusSums",
         "all_4cycles",
-        "census_sums",
+        "census_counts",
         "enumerate_induced_p4",
         "find_cycle_brute",
     ],

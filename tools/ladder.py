@@ -28,14 +28,15 @@ residual's Y rows and both masks of the residual minus its cut are derived in ``
 the precheck and ``topological_order`` wrappers read a graph's masks before their timers start,
 so that work stays out of the nested stages.  ``trim`` is given masks already built.  The final
 check derives the X rows of the tournament minus the whole set.  The worker also counts the
-generation-2 collections inside ``solve`` and records its peak RSS.
+generation-2 collections inside ``solve`` and records its peak RSS, and its RSS before it builds the
+tournament, the interpreter's baseline.
 With ``--against``, the other tree's workers run in the same session, alternating with this
 tree's round by round, so that the two are compared under the same load.
 
 A worker over ``--cap`` seconds is killed and its rung is written as skipped, with the cap.  A
-rung whose peak RSS, scaled from the rung below by the pair count, would exceed half the
-machine's memory is written as skipped, with that prediction.  Every rung above a skipped one
-is skipped for the same reason.
+rung's peak RSS is predicted from the rung below: its baseline plus its growth above the
+baseline, scaled by the pair count.  A rung predicted past half the machine's memory is written
+as skipped, with that prediction.  Every rung above a skipped one is skipped for the same reason.
 
 Only the standard library is needed.  From the root of a checkout::
 
@@ -70,6 +71,7 @@ def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
     from btfas.graph_core import BipartiteDigraph
     from btfas.instance_gen import GenSpec, random_bt
 
+    base_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     tournament = random_bt(GenSpec(n, n, seed))
     if k is None:
         k = len(fas_engine.greedy_pack(BipartiteDigraph(n, n, tournament.orient)).cycles) + 1
@@ -111,7 +113,8 @@ def measure(n: int, seed: int, k: Optional[int], repeats: int) -> dict:
         for stage in STAGES + NESTED:
             ms[stage].append(1000 * spent[stage])
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"k": k, "ms": ms, "gen2_collections": gen2, "peak_rss_mb": round(peak_mb, 1)}
+    rss = {"base_rss_mb": round(base_mb, 1), "peak_rss_mb": round(peak_mb, 1)}
+    return {"k": k, "ms": ms, "gen2_collections": gen2, **rss}
 
 
 def _timed(real, stage: str, spent: dict):
@@ -162,9 +165,10 @@ def _commit(tree: pathlib.Path) -> str:
 
 
 def _summary(runs: list[dict]) -> dict:
-    """Medians over every solve of every round, in ms, with the largest peak RSS."""
+    """Medians over every solve of every round, in ms, with the smallest baseline and largest peak RSS."""
     out = {f"{stage}_ms": statistics.median(t for run in runs for t in run["ms"][stage]) for stage in TIMED}
     out["gen2_collections"] = statistics.median(c for run in runs for c in run["gen2_collections"])
+    out["base_rss_mb"] = min(run["base_rss_mb"] for run in runs)
     out["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
     out["samples"] = sum(len(run["ms"]["solve"]) for run in runs)
     return {key: round(value, 3) if isinstance(value, float) else value for key, value in out.items()}
@@ -182,7 +186,9 @@ def ladder(trees: dict[str, pathlib.Path], args: argparse.Namespace) -> list[dic
             rung.update({key: value for key, value in below.items() if key != "n"})
             continue
         if below:
-            predicted = max(tree["peak_rss_mb"] for tree in below["trees"].values()) * (n / below["n"]) ** 2
+            scale = (n / below["n"]) ** 2
+            base_peaks = [(tree["base_rss_mb"], tree["peak_rss_mb"]) for tree in below["trees"].values()]
+            predicted = max(base + (peak - base) * scale for base, peak in base_peaks)
             if predicted > half_ram_mb:
                 rung.update(status="skipped", predicted_peak_rss_mb=round(predicted), half_ram_mb=round(half_ram_mb))
                 continue
