@@ -8,11 +8,13 @@ to ``non_adjacent``, and go on with the two vertex-disjoint halves.  When
 the vertex sums favor the other direction, the same step runs on the
 arc-reversed graph.  Each step first drops vertices that lie on no cycle.
 
-Sub-instances are never copied: each is a pair of live-vertex masks over
-the root graph's cached adjacency masks, kept on an explicit work stack,
-so cut arcs and trace nodes come out in root labels.  The returned
-certificate carries the trace and the topological order that re-verified
-it before it was handed out.
+Each sub-instance is a pair of live-vertex masks on an explicit work
+stack, over the root's adjacency rows.  The rows are copied once, before
+the first cut (an acyclic input copies none), and each cut clears its arcs
+there, so cut arcs, trace nodes and the rows left come out in root labels,
+and the certificate check reads those rows as the graph minus the cut.
+The returned certificate carries the trace and the topological order that
+re-verified it before it was handed out.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from operator import sub
-from typing import Optional
+from typing import Optional, Sequence
 
 from .certify import check_fas_pairs, require
 from .errors import HasFourCycle, InternalInvariantError
@@ -108,17 +110,15 @@ def trim_acyclic_vertices(xs: int, ys: int, x_masks: Rows, y_masks: Rows) -> tup
     """
     (x_out, x_in), (y_out, y_in) = x_masks, y_masks
     while True:
-        keep_x = xs
         for i in bit_indices(xs):
             if not (x_out[i] & ys and x_in[i] & ys):
-                keep_x ^= 1 << i
-        keep_y = ys
+                xs ^= 1 << i
+        before = ys
         for j in bit_indices(ys):
-            if not (y_out[j] & keep_x and y_in[j] & keep_x):
-                keep_y ^= 1 << j
-        if keep_x == xs and keep_y == ys:
+            if not (y_out[j] & xs and y_in[j] & xs):
+                ys ^= 1 << j
+        if ys == before:  # the X pass read these ys, so it would drop nothing more
             return xs, ys
-        xs, ys = keep_x, keep_y
 
 
 def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
@@ -133,15 +133,15 @@ def fas_c4free(graph: BipartiteDigraph) -> FasCertificate:
     witness = find_4cycle(graph)
     if witness is not None:
         raise HasFourCycle(witness)
-    pairs, trace = _decomposition(graph)
+    pairs, trace, rows = _decomposition(graph)
     bound = graph.absent_pair_count()
-    reason, _, order = check_fas_pairs(graph, pairs, bound=bound)
+    reason, _, order = check_fas_pairs(graph, pairs, bound=bound, rows=rows)
     require(reason)
     return FasCertificate(HeldArcs(graph, array("q", pairs)), bound, tuple(trace), order)
 
 
-def _decomposition(graph: BipartiteDigraph) -> tuple[list[int], list[TraceNode]]:
-    """Cut arcs as the pair indices they cross and preorder trace, in root labels.
+def _decomposition(graph: BipartiteDigraph) -> tuple[list[int], list[TraceNode], Sequence[Rows]]:
+    """Cut arcs as the pair indices they cross, preorder trace and the rows left, in root labels.
 
     A work item (xs, ys, rev, x_side, depth) is a sub-instance: the live X
     and Y vertices as masks over the root graph, whether an odd number of
@@ -149,10 +149,11 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[int], list[TraceNode]]
     "in"), which root side (0 for X, 1 for Y) the sub-instance calls X,
     and its depth.  A split always centers on the sub-instance's own X
     side, so a child calls the center's side X; that naming only breaks
-    ties between centers of equal slack.
+    ties between centers of equal slack.  A cyclic root's X and Y rows are
+    copied once, and each cut clears its arcs there: the halves share no
+    vertex, so no later step reads a cut arc.
     """
     sides = (graph.x_masks, graph.y_masks)
-    views = (sides, [Rows(r.inn, r.out) for r in sides])  # views[rev][side]
     n = graph.n
     cut_pairs: list[int] = []
     trace: list[TraceNode] = []
@@ -164,6 +165,9 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[int], list[TraceNode]]
         xs, ys = trim_acyclic_vertices(xs, ys, *sides)
         if xs.bit_count() < 2 or ys.bit_count() < 2:
             continue
+        if depth == 0:  # the root is cyclic: copy its rows for the cuts to clear
+            sides = [Rows(list(r.out), list(r.inn)) for r in sides]
+            views = (sides, [Rows(r.inn, r.out) for r in sides])  # views[rev][side]
         mode = "direct"
         x_rows, y_rows = views[rev]
         centers, firsts, secs = zip(*census(x_rows, xs, ys), *census(y_rows, ys, xs))
@@ -173,11 +177,12 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[int], list[TraceNode]]
             centers, firsts, secs = zip(*census(x_rows, xs, ys), *census(y_rows, ys, xs))
         # Maximize the slack sec - first; remaining ties go to the smallest
         # label, X before Y as this sub-instance names its sides.  The rows
-        # list the root's X side first; named_y is 1 where this sub-instance
-        # calls the vertex Y, so named ^ x_side is its root side.
-        named_y = [x_side] * xs.bit_count() + [x_side ^ 1] * ys.bit_count()
-        slack, named, c = min(zip(map(sub, firsts, secs), named_y, centers))
-        side = named ^ x_side
+        # list the root's X side first, so with x_side 1 the root's Y rows
+        # are searched first.
+        slacks, nx = list(map(sub, firsts, secs)), xs.bit_count()
+        slack = min(slacks)
+        t = slacks.index(slack, nx) if x_side and slack in slacks[nx:] else slacks.index(slack)
+        side, c = int(t >= nx), centers[t]
         if slack > 0:
             raise InternalInvariantError(f"no center has first <= sec, best slack {slack}")
         rows = views[rev][side]
@@ -187,12 +192,16 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[int], list[TraceNode]]
         # An arc from two into ins would close a 4-cycle through the center.
         if any(rows.out[a] & part.ins for a in bit_indices(part.two)):
             raise InternalInvariantError(f"an arc runs from two into ins at center {c}")
-        # The cut arcs run two -> non, or non -> two when reversed.
-        cut = [
-            a * n + b if side == 0 else b * n + a
-            for a in bit_indices(part.two)
-            for b in bit_indices(rows.out[a] & part.non)
-        ]
+        # The cut arcs run two -> non, or non -> two when reversed; each
+        # leaves the rows of both its ends.
+        cut, hit_non = [], 0
+        for a in bit_indices(part.two):
+            hit = rows.out[a] & part.non
+            rows.out[a] ^= hit
+            hit_non |= hit
+            cut += [a * n + b if side == 0 else b * n + a for b in bit_indices(hit)]
+        for b in bit_indices(hit_non):
+            views[rev][side ^ 1].inn[b] &= ~part.two
         cut_pairs += cut
         half1 = (part.rest, part.ins | part.non)
         half2 = (part.two | 1 << c, part.outs)
@@ -202,7 +211,7 @@ def _decomposition(graph: BipartiteDigraph) -> tuple[list[int], list[TraceNode]]
         for ps, qs in (half2, half1):
             xs, ys = (ps, qs) if side == 0 else (qs, ps)
             stack.append((xs, ys, rev, side, depth + 1))
-    return cut_pairs, trace
+    return cut_pairs, trace, sides
 
 
 def _absent_pairs(rows: Rows, ps: int, qs: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InternalInvariantError
-from .graph_core import BipartiteDigraph, FourCycle, HeldArcs, VertexRef, cycle_pairs
+from .graph_core import BipartiteDigraph, FourCycle, HeldArcs, Rows, VertexRef, cycle_pairs
 
 Arcs = Iterable[tuple[VertexRef, VertexRef]]
 Order = Optional[Sequence[VertexRef]]
@@ -68,7 +68,7 @@ def check_fas(graph: BipartiteDigraph, arcs: Arcs, bound: Optional[int] = None) 
 
 def check_fas_pairs(
     graph: BipartiteDigraph, pairs: Pairs, bound: Optional[int] = None, order: Order = None,
-    spell: Optional[Spell] = None,
+    spell: Optional[Spell] = None, rows: Sequence[Rows] = (),
 ) -> Sized:
     """The one feedback-arc-set core, on pair indices, each standing for the arc graph holds there.
 
@@ -76,13 +76,15 @@ def check_fas_pairs(
     Given ``spell``, the pairs are a listed arc set: ``spell(t)`` names the t-th arc when its pair is
     the first -1, before any other test, or, once every other test has passed, the first pair graph
     leaves absent; a repeated pair counts once.  Without, a size short of ``len(pairs)`` (a repeated
-    or arc-less pair) is a reason.  The order is ``order``, or else a topological sort's.
+    or arc-less pair) is a reason.  The order is ``order``, or else a topological sort's.  ``rows``,
+    which only ``fas_c4free`` passes, are the X and Y rows of graph minus the pairs, which the sort
+    and ``is_forward_order`` then read as they are; the size is still read from ``orient``.
     """
     if spell is not None and -1 in pairs:
         return f"arc {spell(pairs.index(-1))} is not in the instance", 0, None
     if pairs and not 0 <= min(pairs) <= max(pairs) < len(graph.orient):
         return f"pairs {min(pairs)}..{max(pairs)} are not all in the {graph.m}x{graph.n} graph", 0, None
-    remaining = graph.clear_pairs(pairs) if pairs else graph
+    remaining = graph.clear_pairs(pairs, *rows) if pairs else graph
     size = remaining.absent_pair_count() - graph.absent_pair_count()
     if spell is None and size != len(pairs):
         return f"{len(pairs) - size} of {len(pairs)} pairs repeat or carry no arc", size, None

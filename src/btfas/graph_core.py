@@ -150,10 +150,11 @@ class BipartiteDigraph:
     TO_Y, TO_X per pair.  Use :func:`build` for validated construction.
 
     ``x_masks`` and ``y_masks`` are per-vertex adjacency bitmasks derived
-    from ``orient`` on first use and cached on the instance; a greedy
-    residual is handed its X rows by :meth:`clear_pairs` instead.  The
-    ``labels`` table is shared by every graph of one size.  None of them is
-    a field, so they take no part in equality, hashing or ``repr``.
+    from ``orient`` on first use and cached on the instance; the greedy
+    residual and ``fas_c4free``'s graph minus its cut are handed theirs by
+    :meth:`clear_pairs`.  The ``labels`` table is shared by every graph of
+    one size.  None of them is a field, so they take no part in equality,
+    hashing or ``repr``.
     """
 
     m: int
@@ -253,19 +254,20 @@ class BipartiteDigraph:
             raise ArcNotPresent("arc %s>%s not in the graph" % tuple(arcs[pairs.index(-1)]))
         return self.clear_pairs(pairs)
 
-    def clear_pairs(self, pairs: Iterable[int], x_rows: Optional[Rows] = None) -> "BipartiteDigraph":
+    def clear_pairs(self, pairs: Iterable[int], *rows: Rows) -> "BipartiteDigraph":
         """The graph with the pairs at the given row-major indices made absent.
 
-        Only ``orient`` is copied.  ``x_rows``, which only ``greedy_pack`` passes, are the result's
-        (out, in) X rows, already cleared by its scan: they become its ``x_masks`` as tuples.  Every
-        other mask is derived on first use.  Clearing a pair twice is harmless.
+        Only ``orient`` is copied.  ``rows`` are the result's (out, in) X rows and then, if given,
+        its Y rows, already cleared by the caller: they become its ``x_masks`` and ``y_masks`` as
+        tuples.  ``greedy_pack`` passes its scan's X rows, ``fas_c4free`` the decomposition's X and
+        Y rows.  Every other mask is derived on first use.  Clearing a pair twice is harmless.
         """
         orient = bytearray(self.orient)
         for p in pairs:
             orient[p] = ABSENT
         graph = BipartiteDigraph(self.m, self.n, bytes(orient))
-        if x_rows is not None:
-            graph.__dict__["x_masks"] = Rows(*map(tuple, x_rows))
+        for name, side in zip(("x_masks", "y_masks"), rows):
+            graph.__dict__[name] = Rows(*map(tuple, side))
         return graph
 
     def induced_subgraph(self, xs: Iterable[int], ys: Iterable[int]) -> "Subgraph":

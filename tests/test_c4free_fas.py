@@ -20,7 +20,7 @@ from btfas import (
     yv,
 )
 from btfas import c4free_fas, certify, p4_census
-from btfas.c4free_fas import find_4cycle
+from btfas.c4free_fas import find_4cycle, trim_acyclic_vertices
 from btfas.errors import HasFourCycle, InternalInvariantError
 from btfas.graph_core import cycle_pairs, four_cycle
 from btfas.oracles import all_4cycles
@@ -137,6 +137,33 @@ def test_trim_drops_only_the_isolated_vertex():
     assert removed == {yv(3)}
     assert (sub.graph.m, sub.graph.n) == (3, 3)
     assert sub.graph == six_cycle()
+
+
+def _trim_by_full_passes(xs, ys, x_masks, y_masks):
+    """Both passes, X then Y, repeated until neither drops a vertex, and the number of rounds."""
+    (x_out, x_in), (y_out, y_in) = x_masks, y_masks
+    rounds = 0
+    while True:
+        rounds += 1
+        keep_x = sum(1 << i for i in range(len(x_out)) if xs >> i & 1 and x_out[i] & ys and x_in[i] & ys)
+        keep_y = sum(1 << j for j in range(len(y_out)) if ys >> j & 1 and y_out[j] & keep_x and y_in[j] & keep_x)
+        if (keep_x, keep_y) == (xs, ys):
+            return (xs, ys), rounds
+        xs, ys = keep_x, keep_y
+
+
+def test_trim_reaches_the_full_pass_fixpoint_on_random_live_masks():
+    """Trim stops once its Y pass drops nothing; the full passes stop a round later, equal."""
+    rng = random.Random(38)
+    rounds_seen, kept = set(), 0
+    for _ in range(3000):
+        g = random_digraph(rng, rng.randint(0, 9), rng.randint(0, 9))
+        xs, ys = rng.getrandbits(g.m), rng.getrandbits(g.n)
+        expected, rounds = _trim_by_full_passes(xs, ys, g.x_masks, g.y_masks)
+        assert trim_acyclic_vertices(xs, ys, g.x_masks, g.y_masks) == expected
+        rounds_seen.add(rounds)
+        kept += expected != (0, 0)
+    assert {1, 2, 3, 4} <= rounds_seen and kept > 200
 
 
 def test_six_cycle_certificate_matches_hand_trace():
@@ -265,6 +292,30 @@ def test_certificates_equal_the_reference_on_all_3x3_digraphs():
             assert fas_c4free(g) == fas_c4free_reference(g)
             compared += 1
     assert compared == 16395
+
+
+def test_the_decomposition_hands_on_the_rows_of_the_graph_minus_its_cut(monkeypatch):
+    """The rows the cuts cleared equal the masks the cut graph's storage derives.
+
+    ``fas_c4free`` hands them to its check, so once the input's masks are cached it derives none.
+    """
+    graphs = [g for g in all_oriented(3, 3) if find_4cycle(g) is None]
+    graphs += [c4free_blowup(seed) for seed in range(4)]
+    cuts = 0
+    for g in graphs:
+        pairs, _, rows = c4free_fas._decomposition(g)
+        handed = g.clear_pairs(pairs, *rows)
+        derived = BipartiteDigraph(g.m, g.n, handed.orient)
+        assert (handed.x_masks, handed.y_masks) == (derived.x_masks, derived.y_masks)
+        cuts += bool(pairs)
+    assert len(graphs) == 16395 + 4
+    assert cuts == 12 + 4  # the 12 directed 6-cycles of K_{3,3}, the four blow-ups
+    derivations = []
+    real = BipartiteDigraph._masks
+    monkeypatch.setattr(BipartiteDigraph, "_masks", lambda *args: derivations.append(args) or real(*args))
+    for g in graphs[-4:]:
+        assert fas_c4free(g).fas
+    assert derivations == []
 
 
 def _frame_depth(frame) -> int:

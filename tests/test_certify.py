@@ -297,7 +297,7 @@ def test_solve_packing_branch_rejects_a_repeated_cycle(monkeypatch):
 
 
 def test_fas_c4free_rejects_an_empty_decomposition(monkeypatch):
-    monkeypatch.setattr(c4free_fas, "_decomposition", lambda graph: (set(), []))
+    monkeypatch.setattr(c4free_fas, "_decomposition", lambda graph: (set(), [], ()))
     with pytest.raises(InternalInvariantError, match="leaves a cycle"):
         fas_c4free(six_cycle())
 

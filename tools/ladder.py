@@ -24,9 +24,10 @@ them, and not in their sum, it times three stages nested inside ``fas_c4free``:
 
 A graph's masks are derived on first use, in the stage that first reads them.  ``greedy_pack``
 derives the tournament's X rows and hands the residual the X rows its scan cleared.  The
-residual's Y rows and both masks of the residual minus its cut are derived in ``fas_c4free``:
-the precheck and ``topological_order`` wrappers read a graph's masks before their timers start,
-so that work stays out of the nested stages.  ``trim`` is given masks already built.  The final
+residual's Y rows are derived in ``fas_c4free``, whose decomposition hands the residual minus
+its cut both sides' rows, cleared of the cut in one copy of the residual's: the precheck and
+``topological_order`` wrappers read a graph's masks before their timers start, so any
+derivation stays out of the nested stages.  ``trim`` is given masks already built.  The final
 check derives the X rows of the tournament minus the whole set.  The worker also counts the
 generation-2 collections inside ``solve`` and records its peak RSS, and its RSS before it builds the
 tournament, the interpreter's baseline.
